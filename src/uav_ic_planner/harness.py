@@ -27,7 +27,7 @@ from .benchmarks import (DEFAULT_GRID_STEP_M, SCHEME_NAMES, InsufficientDuration
                          UpperBoundResult, run_scheme)
 from .planner import (ConvergenceTrace, InfeasibleScenario, Plan,
                       PlannerConfig, make_plan)
-from .ra_solver import DecodingMode, InfeasibleSite, SlotAllocation
+from .ra_solver import Allocation, InfeasibleSite
 from .sca_trajectory import ScaConfig, Trajectory
 from .scenario import (DEFAULT_SCENARIO_YAML, Scenario, ScenarioError,
                        check_feasibility, default_scenario, parse_scenario)
@@ -83,13 +83,17 @@ def write_plan_tables(out_dir: Path, plan: Plan, scenario: Scenario,
         [[n, _fmt(n * uav.delta_t), _fmt(x), _fmt(y)]
          for n, (x, y) in enumerate(plan.trajectory.waypoints)])
     k = scenario.n_sites
+    a = plan.allocations
+    # Python ints keep the bit mask exact for any K (no 64-bit overflow).
+    masks = [sum(1 << j for j, t in enumerate(tau) if t)
+             for tau in a.tau.tolist()]
+    nums = np.column_stack([a.p, a.q, a.r]).tolist()
     _write_table(
         out_dir / "allocation.csv",
         ["slot", "tau_bitmask", "p_w"] + [f"q_{j + 1}_w" for j in range(k)]
         + ["r_bpshz"],
-        [[n, sum(t << j for j, t in enumerate(a.mode.tau)), _fmt(a.p)]
-         + [_fmt(qk) for qk in a.q] + [_fmt(a.r)]
-         for n, a in enumerate(plan.allocations, start=1)])
+        [[n, mask] + [_fmt(v) for v in row]
+         for n, (mask, row) in enumerate(zip(masks, nums), start=1)])
     if trace is not None:
         write_trace_table(out_dir, {plan.scheme_tag: trace.outer})
 
@@ -116,14 +120,15 @@ def load_plan(out_dir: Path, scenario: Scenario, scheme_tag: str) -> Plan:
     waypoints = np.array([[float(r[2]), float(r[3])] for r in traj_rows])
     _, alloc_rows = _read_table(out_dir / "allocation.csv")
     k = scenario.n_sites
-    allocs = []
-    for row in alloc_rows:
-        mask = int(row[1])
-        tau = tuple((mask >> j) & 1 for j in range(k))
-        allocs.append(SlotAllocation(
-            mode=DecodingMode(tau), p=float(row[2]),
-            q=tuple(float(v) for v in row[3:3 + k]), r=float(row[3 + k])))
-    avg = float(np.mean([a.r for a in allocs]))
+    masks = [int(row[1]) for row in alloc_rows]
+    if any(not 0 < mask < 1 << k for mask in masks):
+        raise ValueError(f"allocation.csv: tau_bitmask outside 1..2^{k}-1")
+    tau = [[mask >> j & 1 for j in range(k)] for mask in masks]
+    num = np.array([[float(v) for v in row[2:k + 4]] for row in alloc_rows])
+    num = num.reshape(-1, k + 2)  # p_w, q_1..q_K_w, r_bpshz
+    allocs = Allocation(tau=np.array(tau, dtype=bool).reshape(-1, k),
+                        p=num[:, 0], q=num[:, 1:-1], r=num[:, -1])
+    avg = float(np.mean(allocs.r))
     return make_plan(Trajectory(waypoints), allocs, avg, scheme_tag, scenario)
 
 

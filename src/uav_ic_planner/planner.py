@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sca_trajectory as sca
-from .channel import a2g_gain, gu_rate_ic, gu_rate_tin, uav_rate
-from .ra_solver import ModeConstraint, SlotAllocation, solve_resource_allocation
+from .channel import a2g_gain_points, log2_1p
+from .ra_solver import Allocation, ModeConstraint, solve_resource_allocation
 from .scenario import FeasibilityReport, Scenario, check_feasibility
 
 OUTER_MONOTONE_TOL = 1e-9
@@ -53,7 +53,7 @@ class PlannerConfig:
 @dataclass
 class Plan:
     trajectory: sca.Trajectory
-    allocations: list[SlotAllocation]
+    allocations: Allocation
     avg_throughput: float                  # bps/Hz
     constraint_residuals: dict[str, float]  # worst slack per constraint family
     scheme_tag: str
@@ -93,13 +93,13 @@ def solve(scenario: Scenario,
     outer: list[float] = []
     inner_per_outer: list[list[float]] = []
     converged = False
-    allocs: list[SlotAllocation] = []
     for i in range(cfg.outer_max_iters):
         allocs, obj = solve_resource_allocation(traj, scenario,
                                                 cfg.mode_constraint)
-        if outer and obj < outer[-1] - OUTER_MONOTONE_TOL:
+        if outer and not (obj >= outer[-1] - OUTER_MONOTONE_TOL):
             raise MonotonicityError(
-                f"outer objective decreased: {outer[-1]:.12g} -> {obj:.12g}")
+                f"outer objective decreased or is NaN: {outer[-1]:.12g} -> "
+                f"{obj:.12g}")
         prev = outer[-1] if outer else None
         outer.append(obj)
         if prev is not None:
@@ -123,7 +123,7 @@ def solve(scenario: Scenario,
     return plan, trace
 
 
-def make_plan(traj: sca.Trajectory, allocs: list[SlotAllocation],
+def make_plan(traj: sca.Trajectory, allocs: Allocation,
               avg_throughput: float, scheme_tag: str,
               scenario: Scenario) -> Plan:
     plan = Plan(trajectory=traj, allocations=allocs,
@@ -142,60 +142,50 @@ class ResidualReport:
 
     @property
     def all_satisfied(self) -> bool:
-        return min(self.residuals.values()) >= RESIDUAL_TOL
+        # Written so that a NaN residual counts as a violation.
+        return all(r >= RESIDUAL_TOL for r in self.residuals.values())
 
 
 def evaluate_plan(plan: Plan, scenario: Scenario) -> ResidualReport:
     """Recompute every constraint of the planning problem from scratch and
-    report the worst slack per constraint family."""
+    report the worst slack per constraint family. NaN propagates into the
+    residuals, so it never reads as satisfied."""
     uav = scenario.uav
     wp = plan.trajectory.waypoints
-    n_slots = len(plan.allocations)
-    if wp.shape[0] != n_slots + 1 or any(
-            len(a.q) != scenario.n_sites for a in plan.allocations):
+    alloc = plan.allocations
+    n_slots = len(alloc)
+    shape = (n_slots, scenario.n_sites)
+    if (wp.shape[0] != n_slots + 1 or alloc.q.shape != shape
+            or alloc.tau.shape != shape or alloc.r.shape != (n_slots,)):
         raise PlannerError("plan dimensions do not match the scenario")
+    tau, q, p, r = alloc.tau, alloc.q, alloc.p, alloc.r
 
     # Speed is checked with the same relative margin as the feasibility
     # test, so boundary missions (straight line exactly fills the distance
     # budget) report non-negative slack.
     v_step = uav.v_max * uav.delta_t * (1.0 + sca.REACH_REL_TOL)
     seg = np.linalg.norm(np.diff(wp, axis=0), axis=1)
+    ends = [np.linalg.norm(wp[0] - np.asarray(uav.u_init)),
+            np.linalg.norm(wp[-1] - np.asarray(uav.u_final))]
+    sigma2, g = scenario.sigma2_vec, scenario.g_vec
+    h = a2g_gain_points(wp[1:], scenario.site_pos, scenario.channel,
+                        uav.altitude)
+    rate = log2_1p(h * p[:, None] / (sigma2 + g * q))
+    gu = np.where(tau, log2_1p(g * q / sigma2),
+                  log2_1p(g * q / (sigma2 + h * p[:, None])))
     res = {
-        "speed": float(v_step - seg.max()),
-        "endpoints": -float(max(
-            np.linalg.norm(wp[0] - np.asarray(uav.u_init)),
-            np.linalg.norm(wp[-1] - np.asarray(uav.u_final)))),
+        "speed": v_step - seg.max(),
+        "endpoints": -np.max(ends),
+        "power_uav": np.min([p.min(), uav.p_max - p.max()]),
+        "power_gu": np.min([q.min(), (scenario.q_max_vec - q).min()]),
+        "mode_count": tau.sum(axis=1).min() - 1,
+        "rate_nonneg": r.min(),
+        "uav_rate": np.where(tau, rate - r[:, None], np.inf).min(),
+        "gu_rate": (gu - scenario.gamma_vec).min(),
     }
-    p_lo = min(a.p for a in plan.allocations)
-    p_hi = max(a.p for a in plan.allocations)
-    res["power_uav"] = float(min(p_lo, uav.p_max - p_hi))
-    res["power_gu"] = float(min(
-        min(min(a.q), min(site.q_max - qk for site, qk
-                          in zip(scenario.sites, a.q)))
-        for a in plan.allocations))
-    res["mode_count"] = float(min(sum(a.mode.tau) - 1 for a in plan.allocations))
-    res["rate_nonneg"] = float(min(a.r for a in plan.allocations))
-
-    worst_rate = math.inf
-    worst_gu = math.inf
-    for n, alloc in enumerate(plan.allocations, start=1):
-        u = wp[n]
-        for k, site in enumerate(scenario.sites):
-            if alloc.mode.tau[k] == 1:
-                worst_rate = min(worst_rate, uav_rate(
-                    alloc.p, u, alloc.q[k], site, scenario.channel,
-                    uav.altitude) - alloc.r)
-                gu = gu_rate_ic(alloc.q[k], site)
-            else:
-                gu = gu_rate_tin(alloc.p, u, alloc.q[k], site,
-                                 scenario.channel, uav.altitude)
-            worst_gu = min(worst_gu, gu - site.gamma)
-    res["uav_rate"] = float(worst_rate)
-    res["gu_rate"] = float(worst_gu)
-
-    recomputed = math.fsum(a.r for a in plan.allocations) / n_slots
+    recomputed = math.fsum(r) / n_slots
     return ResidualReport(
-        residuals=res,
+        residuals={name: float(v) for name, v in res.items()},
         recomputed_objective=recomputed,
         objective_matches=abs(recomputed - plan.avg_throughput) <= 1e-9,
     )

@@ -1,28 +1,41 @@
 """Per-slot resource allocation: decoding modes, powers, and UAV rate.
 
-For a fixed UAV position the problem has a closed-form optimum per decoding
-mode; the global slot optimum is found by enumerating all mode bit-vectors
-with at least one IC bit.
+For a fixed UAV position and decoding mode (IC sites decode the UAV, TIN
+sites treat it as noise) the optimum is closed-form: IC-site GUs meet their
+guarantee exactly, TIN-site GUs send at full power, and the UAV at the
+largest power every TIN guarantee allows. With a_k = h_k / (sigma2_k +
+q^IC_k g_k), switching a TIN site with a_k above the weakest IC site's to IC
+lowers neither the weakest a nor the power cap, so some optimal mode decodes
+the top m sites by a_k: K candidates whose caps are suffix minima of the
+per-site TIN caps c_k. The scan is vectorized over (M, 2) positions, any K.
+
+Ties within TIE_TOL prefer the fewest IC bits, then the lexicographically
+smallest bit vector (site 0 first), as a full enumeration does. A mode within
+TIE_TOL of the best rate r* with weakest decoder j contains T_j = {j} + {k :
+log2(1 + a_j c_k) < r* - TIE_TOL}, which is itself within TIE_TOL of r*; so
+the preferred mode is the smallest, then lexicographically smallest, such
+T_j. Egoistic and altruistic pass their own candidates (each single site;
+all sites) through the same choice.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Literal
 
 import numpy as np
 
-from .channel import a2g_gain, a2g_gain_points, log2_1p, uav_rate
-from .scenario import Scenario
+from .channel import a2g_gain_points, log2_1p
+from .scenario import LN2, Scenario
 
 # Modes whose rates differ by less than this are considered tied.
 TIE_TOL = 1e-12
 # Relative slack when checking the closed-form GU power against its cap.
 Q_CAP_REL_TOL = 1e-9
-# Enumeration guard: 2^K modes is only acceptable at desk scale.
-MAX_ENUM_SITES = 16
+# Positions per vectorized block are chosen so that the (rows, K, K)
+# candidate arrays hold about this many elements (2 MB per float array).
+BLOCK_ELEMS = 1 << 18
 
 ModeConstraint = Literal["any", "egoistic", "altruistic"]
 
@@ -43,43 +56,23 @@ class InfeasibleSite(RaError):
             f"> limit {q_max:.6g} W")
 
 
-class SlotInfeasible(RaError):
-    def __init__(self, slot: int, cause: RaError):
-        self.slot = slot
-        self.cause = cause
-        super().__init__(f"slot {slot}: {cause}")
-
-
 class InternalConsistencyError(RaError):
     """A quantity that global feasibility guarantees non-negative came out
     negative; indicates a scenario or solver bug rather than infeasibility."""
 
 
-@dataclass(frozen=True)
-class DecodingMode:
-    tau: tuple[int, ...]  # 1 = decode the UAV (IC), 0 = treat as noise (TIN)
+@dataclass(frozen=True, eq=False)
+class Allocation:
+    """Allocations for N slots (or N candidate positions), one row each;
+    row n-1 belongs to slot n."""
 
-    def __post_init__(self):
-        if any(t not in (0, 1) for t in self.tau):
-            raise ValueError(f"mode bits must be 0/1, got {self.tau}")
-        if sum(self.tau) < 1:
-            raise ValueError("at least one site must decode the UAV")
+    tau: np.ndarray  # (N, K) bool: True = decode the UAV (IC), False = TIN
+    q: np.ndarray    # (N, K) GU transmit powers, W
+    p: np.ndarray    # (N,) UAV transmit power, W
+    r: np.ndarray    # (N,) UAV rate, bps/Hz
 
-    @property
-    def ic_sites(self) -> tuple[int, ...]:
-        return tuple(k for k, t in enumerate(self.tau) if t == 1)
-
-    @property
-    def tin_sites(self) -> tuple[int, ...]:
-        return tuple(k for k, t in enumerate(self.tau) if t == 0)
-
-
-@dataclass(frozen=True)
-class SlotAllocation:
-    mode: DecodingMode
-    q: tuple[float, ...]  # GU transmit powers, W
-    p: float              # UAV transmit power, W
-    r: float              # UAV rate, bps/Hz
+    def __len__(self) -> int:
+        return self.p.shape[0]
 
 
 def gu_power_ic(site, site_index: int = -1) -> float:
@@ -90,134 +83,135 @@ def gu_power_ic(site, site_index: int = -1) -> float:
     return min(q, site.q_max)
 
 
-def uav_power_cap(mode: DecodingMode, u, scenario: Scenario) -> float:
-    """Largest UAV power keeping every TIN-mode GU (at q = Q_k) above its
-    rate guarantee, capped at the UAV's power limit."""
-    cap = math.inf
-    for k in mode.tin_sites:
-        site = scenario.sites[k]
-        if site.gamma == 0.0:
-            continue  # no guarantee, no cap
-        h = a2g_gain(u, site, scenario.channel, scenario.uav.altitude)
-        bracket = (site.g * site.q_max / (2.0 ** site.gamma - 1.0)
-                   - site.sigma2) / h
-        if bracket < -1e-12 * scenario.uav.p_max:
-            raise InternalConsistencyError(
-                f"site {k}: negative UAV power cap {bracket:.6g} W despite a "
-                f"feasible scenario")
-        cap = min(cap, max(bracket, 0.0))
-    return min(scenario.uav.p_max, cap)
+def _site_terms(points: np.ndarray, scenario: Scenario, q_ic: np.ndarray,
+                tin_possible: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(h, c_ic, cap): gains (M, K), IC-mode noise plus GU interference (K,),
+    and per-site TIN caps on the UAV power (M, K), +inf without a guarantee.
 
-
-def solve_mode(mode: DecodingMode, u, scenario: Scenario) -> SlotAllocation:
-    """Closed-form optimum for one decoding mode at one UAV position."""
-    q = [0.0] * scenario.n_sites
-    for k in mode.ic_sites:
-        q[k] = gu_power_ic(scenario.sites[k], k)
-    for k in mode.tin_sites:
-        q[k] = scenario.sites[k].q_max
-    p = uav_power_cap(mode, u, scenario)
-    r = min(
-        uav_rate(p, u, q[k], scenario.sites[k], scenario.channel,
-                 scenario.uav.altitude)
-        for k in mode.ic_sites
-    )
-    return SlotAllocation(mode=mode, q=tuple(q), p=p, r=r)
-
-
-def enumerate_modes(n_sites: int,
-                    constraint: ModeConstraint = "any") -> Iterable[DecodingMode]:
-    if constraint == "altruistic":
-        yield DecodingMode((1,) * n_sites)
-        return
-    if constraint == "egoistic":
-        for k in range(n_sites):
-            tau = [0] * n_sites
-            tau[k] = 1
-            yield DecodingMode(tuple(tau))
-        return
-    for tau in itertools.product((0, 1), repeat=n_sites):
-        if any(tau):
-            yield DecodingMode(tau)
-
-
-def solve_slot(u, scenario: Scenario,
-               mode_constraint: ModeConstraint = "any") -> SlotAllocation:
-    """Globally optimal allocation at one UAV position, by mode enumeration.
-
-    Ties within TIE_TOL prefer fewer IC bits, then the lexicographically
-    smallest bit vector, for cross-platform determinism.
+    cap[m, k] is the largest UAV power keeping site k's GU (at q = Q_k) at
+    its guarantee while site k treats the UAV as noise.
     """
-    if scenario.n_sites > MAX_ENUM_SITES:
-        raise RaError(
-            f"mode enumeration is O(2^K); refusing K={scenario.n_sites} > "
-            f"{MAX_ENUM_SITES}")
-    best: SlotAllocation | None = None
-    for mode in enumerate_modes(scenario.n_sites, mode_constraint):
-        alloc = solve_mode(mode, u, scenario)
-        if best is None or alloc.r > best.r + TIE_TOL:
-            best = alloc
-        elif abs(alloc.r - best.r) <= TIE_TOL:
-            key = (sum(alloc.mode.tau), alloc.mode.tau)
-            best_key = (sum(best.mode.tau), best.mode.tau)
-            if key < best_key:
-                best = alloc
-    return best
+    h = a2g_gain_points(points, scenario.site_pos, scenario.channel,
+                        scenario.uav.altitude)
+    c_ic = scenario.sigma2_vec + q_ic * scenario.g_vec
+    numer = np.array([
+        site.g * site.q_max / (2.0 ** site.gamma - 1.0) - site.sigma2
+        if site.gamma > 0.0 else math.inf for site in scenario.sites])
+    cap = numer / h
+    negative = cap < -1e-12 * scenario.uav.p_max
+    if tin_possible and negative.any():
+        k = int(negative.any(axis=0).argmax())
+        raise InternalConsistencyError(
+            f"site {k}: negative UAV power cap {cap[:, k].min():.6g} W "
+            f"despite a feasible scenario")
+    return h, c_ic, np.maximum(cap, 0.0)
+
+
+def _scan_rates(h: np.ndarray, c_ic: np.ndarray, cap: np.ndarray,
+                p_max: float) -> np.ndarray:
+    """Best UAV rate per position over the K threshold modes (the top m
+    sites by a_k decode, m = 1..K); (M,) bps/Hz."""
+    order = np.argsort(-(h / c_ic), axis=1, kind="stable")
+    h_rank = np.take_along_axis(h, order, axis=1).T
+    c_rank = c_ic[order].T
+    cap_rank = np.take_along_axis(cap, order, axis=1).T
+    # Walk m = K..1: the top-m mode's weakest decoder has rank m-1, and its
+    # UAV power is p_max capped by the TIN caps of ranks m..K-1.
+    p = np.full(h.shape[0], p_max)
+    best = np.zeros(h.shape[0])
+    for rank in range(h.shape[1] - 1, -1, -1):
+        best = np.maximum(best, h_rank[rank] * p / c_rank[rank])
+        p = np.minimum(p, cap_rank[rank])
+    return log2_1p(best)
+
+
+def _ic_powers(scenario: Scenario) -> np.ndarray:
+    return np.array([gu_power_ic(site, k)
+                     for k, site in enumerate(scenario.sites)])
+
+
+def _blocks(n_points: int, n_sites: int):
+    rows = max(1, BLOCK_ELEMS // (n_sites * n_sites))
+    return (slice(lo, lo + rows) for lo in range(0, n_points, rows))
+
+
+def best_rates(points, scenario: Scenario) -> np.ndarray:
+    """Best slot rate at each of M candidate UAV positions, (M, 2) -> (M,).
+
+    Uses only the rate part of the threshold scan, with O(M K) temporaries.
+    """
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    q_ic = _ic_powers(scenario)
+    rates = np.empty(points.shape[0])
+    for blk in _blocks(points.shape[0], scenario.n_sites):
+        h, c_ic, cap = _site_terms(points[blk], scenario, q_ic,
+                                   scenario.n_sites > 1)
+        rates[blk] = _scan_rates(h, c_ic, cap, scenario.uav.p_max)
+    return rates
+
+
+def _choose_block(h: np.ndarray, c_ic: np.ndarray, cap: np.ndarray,
+                  p_max: float, mode_constraint: ModeConstraint):
+    """Preferred mode, UAV power and rate for one block of positions."""
+    m, k = h.shape
+    if mode_constraint == "altruistic":
+        cand = np.ones((m, 1, k), dtype=bool)
+    elif mode_constraint == "egoistic":
+        cand = np.broadcast_to(np.eye(k, dtype=bool), (m, k, k))
+    else:
+        best = _scan_rates(h, c_ic, cap, p_max)
+        # cand[m, j] = T_j, the smallest mode with weakest decoder j that
+        # can reach the best rate (see the module docstring), testing
+        # log2(1 + a_j c_k) < r* - TIE_TOL as a_j c_k < 2^(r* - TIE_TOL) - 1.
+        floor = np.expm1((best - TIE_TOL) * LN2)
+        cand = (h / c_ic)[:, :, None] * cap[:, None, :] < floor[:, None, None]
+        cand |= np.eye(k, dtype=bool)
+    # UAV power and rate of every candidate mode, (M, J).
+    p = np.minimum(np.where(cand, np.inf, cap[:, None, :]).min(axis=2), p_max)
+    x = np.where(cand, h[:, None, :] * p[:, :, None] / c_ic, np.inf)
+    r = log2_1p(x.min(axis=2))
+    if mode_constraint != "any":
+        best = r.max(axis=1)
+    size = np.where(r >= best[:, None] - TIE_TOL, cand.sum(axis=2), k + 1)
+    keep = size == size.min(axis=1, keepdims=True)
+    # Lexicographic tie-break on the bit vectors packed 8 sites to a byte,
+    # site 0 in the top bit: keep the smallest byte, one byte at a time.
+    packed = np.packbits(cand, axis=2)
+    for col in range(packed.shape[2]):
+        byte = packed[:, :, col]
+        low = np.where(keep, byte, 255).min(axis=1, keepdims=True)
+        keep &= byte == low
+    j = keep.argmax(axis=1)
+    rows = np.arange(m)
+    return cand[rows, j], p[rows, j], r[rows, j]
+
+
+def solve_points(points, scenario: Scenario,
+                 mode_constraint: ModeConstraint = "any") -> Allocation:
+    """Globally optimal allocation at each of M UAV positions, (M, 2)."""
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    n, k = points.shape[0], scenario.n_sites
+    q_ic = _ic_powers(scenario)
+    tin_possible = k > 1 and mode_constraint != "altruistic"
+    tau = np.empty((n, k), dtype=bool)
+    p = np.empty(n)
+    r = np.empty(n)
+    for blk in _blocks(n, k):
+        h, c_ic, cap = _site_terms(points[blk], scenario, q_ic, tin_possible)
+        tau[blk], p[blk], r[blk] = _choose_block(
+            h, c_ic, cap, scenario.uav.p_max, mode_constraint)
+    q = np.where(tau, q_ic, scenario.q_max_vec)
+    return Allocation(tau=tau, q=q, p=p, r=r)
 
 
 def solve_resource_allocation(
     trajectory, scenario: Scenario,
     mode_constraint: ModeConstraint = "any",
-) -> tuple[list[SlotAllocation], float]:
+) -> tuple[Allocation, float]:
     """Per-slot optimal allocation along a trajectory; returns the slot
     allocations and the mission-average throughput in bps/Hz.
 
     Slot n is evaluated at waypoint u[n], n = 1..N.
     """
-    waypoints = np.asarray(trajectory.waypoints, dtype=float)
-    n_slots = waypoints.shape[0] - 1
-    allocs: list[SlotAllocation] = []
-    for n in range(1, n_slots + 1):
-        try:
-            allocs.append(solve_slot(waypoints[n], scenario, mode_constraint))
-        except RaError as exc:
-            raise SlotInfeasible(n, exc) from exc
-    avg = math.fsum(a.r for a in allocs) / n_slots
-    return allocs, avg
-
-
-def slot_rates_on_points(points: np.ndarray, scenario: Scenario,
-                         mode_constraint: ModeConstraint = "any") -> np.ndarray:
-    """Vectorized best slot rate over many candidate UAV positions.
-
-    points: (M, 2). Returns (M,) rates; used by the exhaustive hover search.
-    """
-    if scenario.n_sites > MAX_ENUM_SITES:
-        raise RaError(
-            f"mode enumeration is O(2^K); refusing K={scenario.n_sites} > "
-            f"{MAX_ENUM_SITES}")
-    points = np.asarray(points, dtype=float)
-    h = a2g_gain_points(points, scenario.site_pos, scenario.channel,
-                        scenario.uav.altitude)  # (M, K)
-    p_max = scenario.uav.p_max
-    best = np.full(points.shape[0], -np.inf)
-    for mode in enumerate_modes(scenario.n_sites, mode_constraint):
-        p = np.full(points.shape[0], p_max)
-        for k in mode.tin_sites:
-            site = scenario.sites[k]
-            if site.gamma == 0.0:
-                continue
-            bracket = (site.g * site.q_max / (2.0 ** site.gamma - 1.0)
-                       - site.sigma2) / h[:, k]
-            if np.any(bracket < -1e-12 * p_max):
-                raise InternalConsistencyError(
-                    f"site {k}: negative UAV power cap on grid")
-            p = np.minimum(p, np.maximum(bracket, 0.0))
-        r = np.full(points.shape[0], np.inf)
-        for k in mode.ic_sites:
-            site = scenario.sites[k]
-            q_ic = gu_power_ic(site, k)
-            r = np.minimum(
-                r, log2_1p(h[:, k] * p / (site.sigma2 + q_ic * site.g)))
-        best = np.maximum(best, r)
-    return best
+    alloc = solve_points(trajectory.waypoints[1:], scenario, mode_constraint)
+    return alloc, math.fsum(alloc.r) / len(alloc)

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .channel import log2_1p
-from .ra_solver import SlotAllocation
+from .channel import a2g_gain_points, log2_1p
+from .ra_solver import Allocation
 from .scenario import (LN2, REACH_REL_TOL, ChannelParams, GbsSite, Scenario,
                        UavParams)
 
@@ -197,7 +196,7 @@ class Surrogate:
         return primary, primary + 1e-6 * aux
 
 
-def build_surrogate(local_traj: Trajectory, allocs: Sequence[SlotAllocation],
+def build_surrogate(local_traj: Trajectory, allocs: Allocation,
                     scenario: Scenario) -> Surrogate:
     sc = scenario
     local = local_traj.waypoints
@@ -205,9 +204,7 @@ def build_surrogate(local_traj: Trajectory, allocs: Sequence[SlotAllocation],
     if len(allocs) != n_slots:
         raise ValueError(f"{len(allocs)} allocations for {n_slots} slots")
     pts = local[1:]
-    p = np.array([a.p for a in allocs], dtype=float)
-    q = np.array([a.q for a in allocs], dtype=float)           # (N, K)
-    tau = np.array([a.mode.tau for a in allocs], dtype=bool)   # (N, K)
+    p, q, tau = allocs.p, allocs.q, allocs.tau
     alpha, beta0 = sc.channel.alpha, sc.channel.beta0
 
     s_loc = _sqdist(pts, sc.site_pos)
@@ -258,7 +255,7 @@ def _clip_to_disc(pts: np.ndarray, centers: np.ndarray, radius: float) -> np.nda
 
 
 def solve_surrogate(surrogate: Surrogate, local_traj: Trajectory,
-                    allocs: Sequence[SlotAllocation], scenario: Scenario,
+                    allocs: Allocation, scenario: Scenario,
                     cfg: ScaConfig = ScaConfig(),
                     ) -> tuple[Trajectory, np.ndarray, bool]:
     """Improve the surrogate objective from the local trajectory.
@@ -386,8 +383,6 @@ def solve_surrogate(surrogate: Surrogate, local_traj: Trajectory,
             # color only through feasibility, which is re-checked anyway.
         if not moved and float(step[interior].max()) < 1e-9 * v_step:
             break
-        if not moved and not np.any(step[interior] > 1e-9 * v_step):
-            break
 
     if not accepted_any:
         rates = np.maximum(surrogate.rate_bounds(local_traj.waypoints[1:]), 0.0)
@@ -399,50 +394,44 @@ def solve_surrogate(surrogate: Surrogate, local_traj: Trajectory,
 # ---------------------------------------------------------------------------
 # True-objective evaluation and the SCA loop
 
-def slot_rates(traj: Trajectory, allocs: Sequence[SlotAllocation],
+def slot_rates(traj: Trajectory, allocs: Allocation,
                scenario: Scenario) -> np.ndarray:
     """True per-slot UAV rates for a fixed allocation: min over IC sites,
     clamped at zero."""
     sc = scenario
     pts = traj.waypoints[1:]
-    p = np.array([a.p for a in allocs], dtype=float)
-    q = np.array([a.q for a in allocs], dtype=float)
-    tau = np.array([a.mode.tau for a in allocs], dtype=bool)
-    d2 = sc.uav.altitude ** 2 + _sqdist(pts, sc.site_pos)
-    h = sc.channel.beta0 * d2 ** (-sc.channel.alpha / 2.0)
+    p, q, tau = allocs.p, allocs.q, allocs.tau
+    h = a2g_gain_points(pts, sc.site_pos, sc.channel, sc.uav.altitude)
     rate = log2_1p(h * p[:, None] / (sc.sigma2_vec[None, :] + sc.g_vec[None, :] * q))
     rate = np.where(tau, rate, np.inf).min(axis=1)
     return np.maximum(rate, 0.0)
 
 
-def trajectory_objective(traj: Trajectory, allocs: Sequence[SlotAllocation],
+def trajectory_objective(traj: Trajectory, allocs: Allocation,
                          scenario: Scenario) -> float:
     return float(slot_rates(traj, allocs, scenario).mean())
 
 
-def verify_safe_step(traj: Trajectory, allocs: Sequence[SlotAllocation],
+def verify_safe_step(traj: Trajectory, allocs: Allocation,
                      scenario: Scenario) -> None:
     """Re-check the original constraints with the exact rate expressions."""
     sc = scenario
     traj.validate(sc.uav, tol=SPEED_ABS_TOL)
     pts = traj.waypoints[1:]
-    p = np.array([a.p for a in allocs], dtype=float)
-    q = np.array([a.q for a in allocs], dtype=float)
-    tau = np.array([a.mode.tau for a in allocs], dtype=bool)
-    d2 = sc.uav.altitude ** 2 + _sqdist(pts, sc.site_pos)
-    h = sc.channel.beta0 * d2 ** (-sc.channel.alpha / 2.0)
+    p, q, tau = allocs.p, allocs.q, allocs.tau
+    h = a2g_gain_points(pts, sc.site_pos, sc.channel, sc.uav.altitude)
     tin_rate = log2_1p(sc.g_vec[None, :] * q / (sc.sigma2_vec[None, :] + h * p[:, None]))
     tin_mask = (~tau) & (sc.gamma_vec[None, :] > 0.0)
     slack = np.where(tin_mask, tin_rate - sc.gamma_vec[None, :], np.inf)
     worst = float(slack.min())
-    if worst < -SAFE_STEP_TOL:
+    if not (worst >= -SAFE_STEP_TOL):  # NaN fails too
         n, k = np.unravel_index(np.argmin(slack), slack.shape)
         raise SafeStepViolation(
             f"GU rate guarantee broken at slot {n + 1}, site {k}: "
             f"slack {worst:.3e} bps/Hz")
 
 
-def optimize_trajectory(init: Trajectory, allocs: Sequence[SlotAllocation],
+def optimize_trajectory(init: Trajectory, allocs: Allocation,
                         scenario: Scenario,
                         cfg: ScaConfig = ScaConfig()) -> ScaResult:
     """Iterate surrogate construction and improvement from `init`.
@@ -463,9 +452,10 @@ def optimize_trajectory(init: Trajectory, allocs: Sequence[SlotAllocation],
         new_traj, _, stalled = solve_surrogate(surro, traj, allocs, scenario, cfg)
         verify_safe_step(new_traj, allocs, scenario)
         new_obj = trajectory_objective(new_traj, allocs, scenario)
-        if new_obj < trace[-1] - 1e-9:
+        if not (new_obj >= trace[-1] - 1e-9):
             raise ScaError(
-                f"inner objective decreased: {trace[-1]:.12g} -> {new_obj:.12g}")
+                f"inner objective decreased or is NaN: {trace[-1]:.12g} -> "
+                f"{new_obj:.12g}")
         trace.append(new_obj)
         traj = new_traj
         if stalled:

@@ -37,6 +37,14 @@ class ScenarioError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
+def _check_finite(prefix: str, **fields) -> None:
+    """Reject NaN and infinities, which pass every `<`/`<=` check below."""
+    for name, value in fields.items():
+        if not np.all(np.isfinite(value)):
+            raise ScenarioError(f"{prefix}.{name}",
+                                f"must be finite, got {value!r}")
+
+
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
@@ -63,6 +71,8 @@ class ChannelParams:
     epsilon: float  # ground pathloss exponent
 
     def __post_init__(self):
+        _check_finite("channel", beta0=self.beta0, alpha=self.alpha,
+                      theta0=self.theta0, epsilon=self.epsilon)
         if self.beta0 <= 0 or self.theta0 <= 0:
             raise ScenarioError("channel", "reference gains must be positive")
         if self.alpha < 2:
@@ -87,6 +97,8 @@ class GbsSite:
     theta: float | None = None  # GBS-to-GU distance if that form was used, m
 
     def __post_init__(self):
+        _check_finite("site", pos=self.pos, g=self.g, sigma2=self.sigma2,
+                      q_max=self.q_max, gamma=self.gamma)
         if self.g <= 0:
             raise ScenarioError("site.g", "GU channel gain must be positive")
         if self.sigma2 <= 0:
@@ -109,6 +121,10 @@ class UavParams:
     t_max: float = DEFAULT_T_MAX_S  # battery lifetime bound, s
 
     def __post_init__(self):
+        _check_finite("uav", altitude_m=self.altitude, v_max_mps=self.v_max,
+                      p_max_dbm=self.p_max, u_init=self.u_init,
+                      u_final=self.u_final, T_s=self.mission_t,
+                      t_max_s=self.t_max)
         if self.altitude <= 0:
             raise ScenarioError("uav.altitude_m", "must be positive")
         if self.v_max <= 0:
@@ -206,8 +222,10 @@ def _number(node: dict, key: str, path: str, required: bool = True,
             raise ScenarioError(f"{path}.{key}", "missing required field")
         return default
     value = node[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{path}.{key}", f"expected a number, got {value!r}")
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ScenarioError(f"{path}.{key}",
+                            f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -217,8 +235,9 @@ def _point(node: dict, key: str, path: str) -> tuple[float, float]:
     value = node[key]
     if (not isinstance(value, (list, tuple)) or len(value) != 2
             or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       for v in value)):
-        raise ScenarioError(f"{path}.{key}", f"expected [x, y], got {value!r}")
+                       and math.isfinite(v) for v in value)):
+        raise ScenarioError(f"{path}.{key}",
+                            f"expected finite [x, y], got {value!r}")
     return float(value[0]), float(value[1])
 
 

@@ -10,7 +10,7 @@ from uav_ic_planner.benchmarks import (InsufficientDuration, SchemeConfig,
                                        shortest_site_tour, straight_fly,
                                        successive_hover_fly, upper_bound)
 from uav_ic_planner.planner import InfeasibleScenario, PlannerConfig, evaluate_plan
-from uav_ic_planner.ra_solver import solve_slot
+from uav_ic_planner.ra_solver import solve_points
 from uav_ic_planner.scenario import Scenario
 
 from conftest import make_channel, make_site, make_uav, single_site_scenario
@@ -29,7 +29,9 @@ def test_straight_fly_hover_when_endpoints_equal():
                               mission_t=10.0, n_slots=4)
     plan = straight_fly(sc)
     assert np.allclose(plan.trajectory.waypoints, [50.0, 0.0])
-    assert len(set(plan.allocations)) == 1
+    a = plan.allocations
+    for field in (a.tau, a.q, a.p, a.r):
+        assert np.all(field == field[0])
 
 
 def test_straight_fly_speed_tight_at_minimum_duration():
@@ -96,8 +98,7 @@ def test_successive_hover_fly_hover_dominates_default(default_sc):
     assert evaluate_plan(plan, default_sc).all_satisfied
     # Most mission time spent hovering above the single best site.
     wp = plan.trajectory.waypoints
-    best = max(range(3), key=lambda j: solve_slot(default_sc.site_pos[j],
-                                                  default_sc).r)
+    best = int(np.argmax(solve_points(default_sc.site_pos, default_sc).r))
     at_best = np.all(np.isclose(wp, default_sc.site_pos[best]), axis=1)
     assert at_best.sum() > wp.shape[0] / 2
 

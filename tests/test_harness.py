@@ -7,8 +7,13 @@ import pytest
 from uav_ic_planner import harness
 from uav_ic_planner.harness import (EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_IO,
                                     EXIT_OK, SCHEMA_LINE, load_plan, main)
-from uav_ic_planner.planner import evaluate_plan
-from uav_ic_planner.scenario import default_scenario, serialize_scenario
+from uav_ic_planner.planner import evaluate_plan, make_plan
+from uav_ic_planner.ra_solver import solve_resource_allocation
+from uav_ic_planner.sca_trajectory import straight_line_trajectory
+from uav_ic_planner.scenario import (DEFAULT_SCENARIO_YAML, default_scenario,
+                                     serialize_scenario)
+
+from conftest import random_feasible_scenario
 
 
 def read(path: Path) -> str:
@@ -163,3 +168,35 @@ def test_malformed_scenario_is_internal_error(tmp_path, capsys):
     path.write_text("channel: {beta0_db: -30.0}\n")
     code = main(["plan", "--scenario", str(path), "--out", str(tmp_path)])
     assert code == EXIT_INTERNAL
+
+
+def test_plan_rejects_non_finite_scenario(tmp_path, capsys):
+    path = tmp_path / "nan.yaml"
+    path.write_text(DEFAULT_SCENARIO_YAML.replace("altitude_m: 100.0",
+                                                  "altitude_m: .nan"))
+    code = main(["plan", "--scenario", str(path),
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_INTERNAL
+    assert "uav.altitude_m" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_plan_tables_round_trip_k64(tmp_path):
+    """The tau bit mask stays exact past bit 62 (site 64 is bit 63)."""
+    sc = random_feasible_scenario(np.random.default_rng(64), k=64, n_slots=20)
+    traj = straight_line_trajectory(sc.uav)
+    for mc in ("any", "altruistic"):
+        allocs, avg = solve_resource_allocation(traj, sc, mc)
+        plan = make_plan(traj, allocs, avg, mc, sc)
+        out = tmp_path / mc
+        harness.write_plan_tables(out, plan, sc)
+        masks = [int(line.split(",")[1]) for line in
+                 read(out / "allocation.csv").splitlines()[2:]]
+        assert masks == [sum(1 << j for j in range(64) if row[j])
+                         for row in allocs.tau.tolist()]
+        back = load_plan(out, sc, mc)
+        assert np.array_equal(back.allocations.tau, allocs.tau)
+        assert np.allclose(back.trajectory.waypoints, traj.waypoints,
+                           rtol=1e-11, atol=0.0)  # 12 significant digits
+        assert evaluate_plan(back, sc).all_satisfied
+    assert masks == [(1 << 64) - 1] * 20  # altruistic: every bit set

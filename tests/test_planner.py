@@ -4,10 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from uav_ic_planner.planner import (InfeasibleScenario, PlannerConfig,
-                                    evaluate_plan, make_plan, solve)
-from uav_ic_planner.ra_solver import SlotAllocation, solve_resource_allocation
-from uav_ic_planner.sca_trajectory import straight_line_trajectory
+from uav_ic_planner import planner
+from uav_ic_planner.planner import (InfeasibleScenario, MonotonicityError,
+                                    PlannerConfig, evaluate_plan, make_plan,
+                                    solve)
+from uav_ic_planner.ra_solver import solve_resource_allocation
+from uav_ic_planner.sca_trajectory import (ScaError, optimize_trajectory,
+                                           straight_line_trajectory)
 from uav_ic_planner.scenario import default_scenario
 
 from conftest import random_feasible_scenario
@@ -57,7 +60,9 @@ def test_deterministic_reruns(default_sc):
     p1, t1 = solve(default_sc)
     p2, t2 = solve(default_sc)
     assert np.array_equal(p1.trajectory.waypoints, p2.trajectory.waypoints)
-    assert p1.allocations == p2.allocations
+    for field in ("tau", "q", "p", "r"):
+        assert np.array_equal(getattr(p1.allocations, field),
+                              getattr(p2.allocations, field))
     assert p1.avg_throughput == p2.avg_throughput
     assert t1.outer == t2.outer
 
@@ -83,8 +88,9 @@ def test_evaluate_plan_clean(default_sc):
 
 def test_evaluate_plan_flags_excess_power(default_sc):
     plan, _ = solve(default_sc, PlannerConfig(outer_max_iters=1))
-    bad_allocs = [dataclasses.replace(a, p=2.0 * default_sc.uav.p_max)
-                  for a in plan.allocations]
+    bad_allocs = dataclasses.replace(
+        plan.allocations, p=np.full(len(plan.allocations),
+                                    2.0 * default_sc.uav.p_max))
     bad = make_plan(plan.trajectory, bad_allocs, plan.avg_throughput,
                     "corrupt", default_sc)
     report = evaluate_plan(bad, default_sc)
@@ -94,8 +100,8 @@ def test_evaluate_plan_flags_excess_power(default_sc):
 
 def test_evaluate_plan_flags_inflated_rate(default_sc):
     plan, _ = solve(default_sc, PlannerConfig(outer_max_iters=1))
-    bad_allocs = [dataclasses.replace(a, r=a.r + 0.1)
-                  for a in plan.allocations]
+    bad_allocs = dataclasses.replace(plan.allocations,
+                                     r=plan.allocations.r + 0.1)
     bad = make_plan(plan.trajectory, bad_allocs,
                     plan.avg_throughput + 0.1, "corrupt", default_sc)
     report = evaluate_plan(bad, default_sc)
@@ -109,3 +115,35 @@ def test_random_scenarios_monotone(rng):
         plan, trace = solve(sc)
         assert all(b >= a - 1e-9 for a, b in zip(trace.outer, trace.outer[1:]))
         assert evaluate_plan(plan, sc).all_satisfied
+
+
+def test_evaluate_plan_fails_closed_on_nan_rate(default_sc):
+    plan, _ = solve(default_sc, PlannerConfig(outer_max_iters=1))
+    r = plan.allocations.r.copy()
+    r[7] = math.nan
+    bad = make_plan(plan.trajectory,
+                    dataclasses.replace(plan.allocations, r=r),
+                    plan.avg_throughput, "corrupt", default_sc)
+    report = evaluate_plan(bad, default_sc)
+    assert math.isnan(report.residuals["rate_nonneg"])
+    assert math.isnan(report.residuals["uav_rate"])
+    assert not report.all_satisfied
+    assert not report.objective_matches
+
+
+def test_outer_guard_fails_closed_on_nan(default_sc, monkeypatch):
+    def nan_objective(traj, scenario, mode_constraint):
+        allocs, _ = solve_resource_allocation(traj, scenario, mode_constraint)
+        return allocs, math.nan
+    monkeypatch.setattr(planner, "solve_resource_allocation", nan_objective)
+    with pytest.raises(MonotonicityError):
+        solve(default_sc)
+
+
+def test_inner_guard_fails_closed_on_nan(default_sc):
+    traj = straight_line_trajectory(default_sc.uav)
+    allocs, _ = solve_resource_allocation(traj, default_sc)
+    p = allocs.p.copy()
+    p[3] = math.nan
+    with pytest.raises(ScaError):
+        optimize_trajectory(traj, dataclasses.replace(allocs, p=p), default_sc)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from uav_ic_planner.channel import uav_rate
-from uav_ic_planner.ra_solver import (DecodingMode, SlotAllocation,
-                                      solve_resource_allocation)
+from uav_ic_planner.ra_solver import Allocation, solve_resource_allocation
 from uav_ic_planner.sca_trajectory import (ScaConfig, Trajectory,
                                            build_surrogate, optimize_trajectory,
                                            slot_rates, solve_surrogate,
@@ -20,6 +19,13 @@ from conftest import (make_channel, make_site, make_uav,
 from oracles import fd_derivative_in_sqdist
 
 CH = make_channel()
+
+
+def uniform_allocation(n, tau, q, p, r) -> Allocation:
+    """The same allocation in each of n slots."""
+    return Allocation(tau=np.tile(np.array(tau, dtype=bool), (n, 1)),
+                      q=np.tile(np.array(q, dtype=float), (n, 1)),
+                      p=np.full(n, p), r=np.full(n, r))
 
 
 def rate_of_sqdist(p, q, site, ch, altitude):
@@ -95,8 +101,7 @@ def _surrogate_fixture(scenario):
 def test_surrogate_tight_at_local_point(default_sc):
     traj, allocs, surro = _surrogate_fixture(default_sc)
     pts = traj.waypoints[1:]
-    p = np.array([a.p for a in allocs])
-    q = np.array([a.q for a in allocs])
+    p, q = allocs.p, allocs.q
     rhat = surro.rate_bounds_all(pts)
     log_lb = surro.tin_log_bounds_all(pts)
     for n in range(pts.shape[0]):
@@ -116,8 +121,7 @@ def test_surrogate_global_underestimator(default_sc, rng):
     true expressions."""
     traj, allocs, surro = _surrogate_fixture(default_sc)
     n = traj.n_slots
-    p = np.array([a.p for a in allocs])
-    q = np.array([a.q for a in allocs])
+    p, q = allocs.p, allocs.q
     alt = default_sc.uav.altitude
     alpha, beta0 = default_sc.channel.alpha, default_sc.channel.beta0
     total = 0
@@ -138,8 +142,7 @@ def test_surrogate_global_underestimator(default_sc, rng):
 def test_surrogate_constant_for_zero_power():
     sc = single_site_scenario(mission_t=10.0, n_slots=3)
     traj = straight_line_trajectory(sc.uav)
-    allocs = [SlotAllocation(mode=DecodingMode((1,)), q=(0.3,), p=0.0, r=0.0)
-              for _ in range(3)]
+    allocs = uniform_allocation(3, tau=(True,), q=(0.3,), p=0.0, r=0.0)
     surro = build_surrogate(traj, allocs, sc)
     assert np.all(surro.coeff_a == 0.0)
     assert np.all(surro.coeff_b == 0.0)
@@ -200,8 +203,7 @@ def test_verify_safe_step_detects_violation():
                      n_slots=2),
     )
     # UAV power far above the TIN cap drives site 2's GU below its guarantee.
-    bad = [SlotAllocation(mode=DecodingMode((1, 0)), q=(0.3, 1.0), p=1.0,
-                          r=0.1) for _ in range(2)]
+    bad = uniform_allocation(2, tau=(True, False), q=(0.3, 1.0), p=1.0, r=0.1)
     from uav_ic_planner.sca_trajectory import SafeStepViolation
     with pytest.raises(SafeStepViolation):
         verify_safe_step(traj, bad, sc2)
@@ -210,8 +212,7 @@ def test_verify_safe_step_detects_violation():
 def test_optimize_trajectory_zero_power_converges_immediately():
     sc = single_site_scenario(mission_t=10.0, n_slots=3)
     traj = straight_line_trajectory(sc.uav)
-    allocs = [SlotAllocation(mode=DecodingMode((1,)), q=(0.3,), p=0.0, r=0.0)
-              for _ in range(3)]
+    allocs = uniform_allocation(3, tau=(True,), q=(0.3,), p=0.0, r=0.0)
     result = optimize_trajectory(traj, allocs, sc)
     assert result.objective == 0.0
     assert result.iterations == 1
@@ -269,6 +270,6 @@ def test_slot_rates_matches_uav_rate(default_sc):
     traj = straight_line_trajectory(default_sc.uav)
     allocs, avg = solve_resource_allocation(traj, default_sc)
     rates = slot_rates(traj, allocs, default_sc)
-    assert rates == pytest.approx([a.r for a in allocs], rel=1e-9)
+    assert rates == pytest.approx(allocs.r, rel=1e-9)
     assert trajectory_objective(traj, allocs, default_sc) == pytest.approx(
         avg, rel=1e-12)

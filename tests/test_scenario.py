@@ -160,3 +160,26 @@ def test_place_sites_uniform_bounds(rng):
     pts = place_sites_uniform(rng, 20, 300.0, 500.0)
     assert len(pts) == 20
     assert all(0.0 <= x <= 300.0 and 0.0 <= y <= 500.0 for x, y in pts)
+
+
+@pytest.mark.parametrize("old, new, path", [
+    ("altitude_m: 100.0", "altitude_m: .nan", "uav.altitude_m"),
+    ("altitude_m: 100.0", "altitude_m: .inf", "uav.altitude_m"),
+    ("gamma_bpshz: 2.0", "gamma_bpshz: .nan", "sites[0].gamma_bpshz"),
+    ("pos: [500.0, 500.0]", "pos: [.inf, 500.0]", "sites[0].pos"),
+    ("u_init: [0.0, 0.0]", "u_init: [0.0, .nan]", "uav.u_init"),
+])
+def test_parse_rejects_non_finite_numbers(old, new, path):
+    assert old in MINIMAL_YAML
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(MINIMAL_YAML.replace(old, new))
+    assert exc.value.path == path
+
+
+def test_validators_reject_non_finite_values():
+    with pytest.raises(ScenarioError, match=r"uav\.altitude_m"):
+        make_uav(altitude=math.nan)
+    with pytest.raises(ScenarioError, match=r"site\.gamma"):
+        make_site(gamma=math.nan)
+    with pytest.raises(ScenarioError, match=r"site\.pos"):
+        make_site(pos=(math.inf, 0.0))
