@@ -5,8 +5,8 @@ from .scenario import (ChannelParams, FeasibilityReport, GbsSite, Scenario,
                        ScenarioError, UavParams, check_feasibility,
                        default_scenario, parse_scenario, serialize_scenario)
 from .channel import a2g_gain, gu_rate_ic, gu_rate_tin, uav_rate
-from .ra_solver import (Allocation, InfeasibleSite, best_rates,
-                        solve_points, solve_resource_allocation)
+from .ra_solver import (Allocation, InfeasibleSite, slot_rates_on_points,
+                        solve_mode, solve_resource_allocation, solve_slot)
 from .sca_trajectory import (ScaConfig, ScaResult, Trajectory,
                              optimize_trajectory, straight_line_trajectory)
 from .planner import (ConvergenceTrace, InfeasibleScenario, Plan,
@@ -20,8 +20,8 @@ __all__ = [
     "ScenarioError", "UavParams", "check_feasibility", "default_scenario",
     "parse_scenario", "serialize_scenario",
     "a2g_gain", "gu_rate_ic", "gu_rate_tin", "uav_rate",
-    "Allocation", "InfeasibleSite", "best_rates", "solve_points",
-    "solve_resource_allocation",
+    "Allocation", "InfeasibleSite", "slot_rates_on_points", "solve_mode",
+    "solve_resource_allocation", "solve_slot",
     "ScaConfig", "ScaResult", "Trajectory", "optimize_trajectory",
     "straight_line_trajectory",
     "ConvergenceTrace", "InfeasibleScenario", "Plan", "PlannerConfig",

@@ -12,7 +12,8 @@ import numpy as np
 
 from . import planner as planner_mod
 from .planner import InfeasibleScenario, Plan, PlannerConfig, make_plan
-from .ra_solver import best_rates, solve_points, solve_resource_allocation
+from .ra_solver import (slot_rates_on_points, solve_resource_allocation,
+                        solve_slot)
 from .sca_trajectory import Trajectory, straight_line_trajectory
 from .scenario import Scenario, check_feasibility
 
@@ -142,7 +143,7 @@ def successive_hover_fly(scenario: Scenario) -> Plan:
     if uav.mission_t < t_fly * (1.0 - 1e-9):
         raise InsufficientDuration(t_fly, uav.mission_t)
 
-    hover_rates = solve_points(scenario.site_pos[list(order)], scenario).r
+    hover_rates = solve_slot(scenario.site_pos[list(order)], scenario).r
     hover = allocate_hover_time(hover_rates, max(uav.mission_t - t_fly, 0.0))
 
     # Piecewise-constant-speed timeline: fly leg, hover, fly leg, ...
@@ -193,7 +194,7 @@ def upper_bound(scenario: Scenario,
     ys = np.arange(lo[1], hi[1] + grid_step / 2, grid_step)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     grid = np.column_stack([gx.ravel(), gy.ravel()])
-    rates = best_rates(grid, scenario)
+    rates = slot_rates_on_points(grid, scenario)
     best = int(np.argmax(rates))
     return UpperBoundResult(
         hover_point=(float(grid[best, 0]), float(grid[best, 1])),

@@ -16,10 +16,11 @@ def log2_1p(x):
     return np.log1p(x) / LN2
 
 
-def a2g_gain(u, site: GbsSite, ch: ChannelParams, altitude: float) -> float:
-    """Air-to-ground channel gain from UAV at horizontal position u to a GBS."""
+def a2g_gain(u, site: GbsSite, ch: ChannelParams, altitude: float):
+    """Air-to-ground channel gain from UAV at horizontal position u to a GBS;
+    u may also be an (M, 2) array of positions, giving (M,) gains."""
     du = np.asarray(u, dtype=float) - np.asarray(site.pos)
-    d2 = altitude * altitude + float(du @ du)
+    d2 = altitude * altitude + np.einsum("...i,...i->...", du, du)
     return ch.beta0 * d2 ** (-ch.alpha / 2.0)
 
 
@@ -34,20 +35,20 @@ def a2g_gain_points(points: np.ndarray, site_pos: np.ndarray,
     return ch.beta0 * d2 ** (-ch.alpha / 2.0)
 
 
-def uav_rate(p: float, u, q_k: float, site: GbsSite, ch: ChannelParams,
-             altitude: float) -> float:
+# Rates also work elementwise: arrays p, q_k and (M, 2) positions u give (M,).
+
+def uav_rate(p, u, q_k, site: GbsSite, ch: ChannelParams, altitude: float):
     """UAV -> GBS rate with GU interference, bps/Hz."""
     h = a2g_gain(u, site, ch, altitude)
-    return float(log2_1p(h * p / (site.sigma2 + q_k * site.g)))
+    return log2_1p(h * p / (site.sigma2 + q_k * site.g))
 
 
-def gu_rate_ic(q_k: float, site: GbsSite) -> float:
+def gu_rate_ic(q_k, site: GbsSite):
     """GU rate when the GBS cancels the UAV's interference, bps/Hz."""
-    return float(log2_1p(site.g * q_k / site.sigma2))
+    return log2_1p(site.g * q_k / site.sigma2)
 
 
-def gu_rate_tin(p: float, u, q_k: float, site: GbsSite, ch: ChannelParams,
-                altitude: float) -> float:
+def gu_rate_tin(p, u, q_k, site: GbsSite, ch: ChannelParams, altitude: float):
     """GU rate when the UAV's interference is treated as noise, bps/Hz."""
     h = a2g_gain(u, site, ch, altitude)
-    return float(log2_1p(site.g * q_k / (site.sigma2 + h * p)))
+    return log2_1p(site.g * q_k / (site.sigma2 + h * p))

@@ -15,7 +15,8 @@ TIE_TOL of the best rate r* with weakest decoder j contains T_j = {j} + {k :
 log2(1 + a_j c_k) < r* - TIE_TOL}, which is itself within TIE_TOL of r*; so
 the preferred mode is the smallest, then lexicographically smallest, such
 T_j. Egoistic and altruistic pass their own candidates (each single site;
-all sites) through the same choice.
+all sites) through the same choice. The chosen modes are then solved in
+closed form by `solve_mode`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Literal
 
 import numpy as np
 
-from .channel import a2g_gain_points, log2_1p
+from .channel import a2g_gain, log2_1p, uav_rate
 from .scenario import LN2, Scenario
 
 # Modes whose rates differ by less than this are considered tied.
@@ -84,22 +85,24 @@ def gu_power_ic(site, site_index: int = -1) -> float:
 
 
 def _site_terms(points: np.ndarray, scenario: Scenario, q_ic: np.ndarray,
-                tin_possible: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                tin) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(h, c_ic, cap): gains (M, K), IC-mode noise plus GU interference (K,),
     and per-site TIN caps on the UAV power (M, K), +inf without a guarantee.
 
     cap[m, k] is the largest UAV power keeping site k's GU (at q = Q_k) at
-    its guarantee while site k treats the UAV as noise.
+    its guarantee while site k treats the UAV as noise. A negative cap is
+    raised where `tin` (bool, broadcastable to (M, K)) allows TIN.
     """
-    h = a2g_gain_points(points, scenario.site_pos, scenario.channel,
-                        scenario.uav.altitude)
+    ch, altitude = scenario.channel, scenario.uav.altitude
+    h = np.column_stack([a2g_gain(points, site, ch, altitude)
+                         for site in scenario.sites])
     c_ic = scenario.sigma2_vec + q_ic * scenario.g_vec
     numer = np.array([
         site.g * site.q_max / (2.0 ** site.gamma - 1.0) - site.sigma2
         if site.gamma > 0.0 else math.inf for site in scenario.sites])
     cap = numer / h
-    negative = cap < -1e-12 * scenario.uav.p_max
-    if tin_possible and negative.any():
+    negative = (cap < -1e-12 * scenario.uav.p_max) & tin
+    if negative.any():
         k = int(negative.any(axis=0).argmax())
         raise InternalConsistencyError(
             f"site {k}: negative UAV power cap {cap[:, k].min():.6g} W "
@@ -135,7 +138,7 @@ def _blocks(n_points: int, n_sites: int):
     return (slice(lo, lo + rows) for lo in range(0, n_points, rows))
 
 
-def best_rates(points, scenario: Scenario) -> np.ndarray:
+def slot_rates_on_points(points, scenario: Scenario) -> np.ndarray:
     """Best slot rate at each of M candidate UAV positions, (M, 2) -> (M,).
 
     Uses only the rate part of the threshold scan, with O(M K) temporaries.
@@ -151,12 +154,12 @@ def best_rates(points, scenario: Scenario) -> np.ndarray:
 
 
 def _choose_block(h: np.ndarray, c_ic: np.ndarray, cap: np.ndarray,
-                  p_max: float, mode_constraint: ModeConstraint):
-    """Preferred mode, UAV power and rate for one block of positions."""
+                  p_max: float, mode_constraint: ModeConstraint) -> np.ndarray:
+    """Preferred mode (M, K) for one block of positions."""
     m, k = h.shape
     if mode_constraint == "altruistic":
-        cand = np.ones((m, 1, k), dtype=bool)
-    elif mode_constraint == "egoistic":
+        return np.ones((m, k), dtype=bool)
+    if mode_constraint == "egoistic":
         cand = np.broadcast_to(np.eye(k, dtype=bool), (m, k, k))
     else:
         best = _scan_rates(h, c_ic, cap, p_max)
@@ -170,7 +173,7 @@ def _choose_block(h: np.ndarray, c_ic: np.ndarray, cap: np.ndarray,
     p = np.minimum(np.where(cand, np.inf, cap[:, None, :]).min(axis=2), p_max)
     x = np.where(cand, h[:, None, :] * p[:, :, None] / c_ic, np.inf)
     r = log2_1p(x.min(axis=2))
-    if mode_constraint != "any":
+    if mode_constraint == "egoistic":
         best = r.max(axis=1)
     size = np.where(r >= best[:, None] - TIE_TOL, cand.sum(axis=2), k + 1)
     keep = size == size.min(axis=1, keepdims=True)
@@ -181,27 +184,43 @@ def _choose_block(h: np.ndarray, c_ic: np.ndarray, cap: np.ndarray,
         byte = packed[:, :, col]
         low = np.where(keep, byte, 255).min(axis=1, keepdims=True)
         keep &= byte == low
-    j = keep.argmax(axis=1)
-    rows = np.arange(m)
-    return cand[rows, j], p[rows, j], r[rows, j]
+    return cand[np.arange(m), keep.argmax(axis=1)]
 
 
-def solve_points(points, scenario: Scenario,
-                 mode_constraint: ModeConstraint = "any") -> Allocation:
-    """Globally optimal allocation at each of M UAV positions, (M, 2)."""
+def solve_mode(tau, points, scenario: Scenario) -> Allocation:
+    """Closed-form optimum for one decoding mode per position, tau (M, K)
+    bool and points (M, 2): IC-site GUs meet their guarantee exactly,
+    TIN-site GUs send at full power, and the UAV sends at the largest power
+    every TIN guarantee allows, at the rate of its weakest IC site."""
+    tau = np.asarray(tau, dtype=bool).reshape(-1, scenario.n_sites)
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    if not tau.any(axis=1).all():
+        raise ValueError("at least one site must decode the UAV")
+    q_ic = _ic_powers(scenario)
+    _, _, cap = _site_terms(points, scenario, q_ic, ~tau)
+    p = np.minimum(np.where(tau, np.inf, cap).min(axis=1), scenario.uav.p_max)
+    q = np.where(tau, q_ic, scenario.q_max_vec)
+    rate = np.column_stack([
+        uav_rate(p, points, q[:, k], site, scenario.channel,
+                 scenario.uav.altitude)
+        for k, site in enumerate(scenario.sites)])
+    return Allocation(tau=tau, q=q, p=p,
+                      r=np.where(tau, rate, np.inf).min(axis=1))
+
+
+def solve_slot(points, scenario: Scenario,
+               mode_constraint: ModeConstraint = "any") -> Allocation:
+    """Globally optimal slot allocation at each of M UAV positions, (M, 2)."""
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     n, k = points.shape[0], scenario.n_sites
     q_ic = _ic_powers(scenario)
     tin_possible = k > 1 and mode_constraint != "altruistic"
     tau = np.empty((n, k), dtype=bool)
-    p = np.empty(n)
-    r = np.empty(n)
     for blk in _blocks(n, k):
         h, c_ic, cap = _site_terms(points[blk], scenario, q_ic, tin_possible)
-        tau[blk], p[blk], r[blk] = _choose_block(
-            h, c_ic, cap, scenario.uav.p_max, mode_constraint)
-    q = np.where(tau, q_ic, scenario.q_max_vec)
-    return Allocation(tau=tau, q=q, p=p, r=r)
+        tau[blk] = _choose_block(h, c_ic, cap, scenario.uav.p_max,
+                                 mode_constraint)
+    return solve_mode(tau, points, scenario)
 
 
 def solve_resource_allocation(
@@ -213,5 +232,5 @@ def solve_resource_allocation(
 
     Slot n is evaluated at waypoint u[n], n = 1..N.
     """
-    alloc = solve_points(trajectory.waypoints[1:], scenario, mode_constraint)
+    alloc = solve_slot(trajectory.waypoints[1:], scenario, mode_constraint)
     return alloc, math.fsum(alloc.r) / len(alloc)

@@ -174,16 +174,6 @@ class Surrogate:
         s = _sqdist(points, self.scenario.site_pos)
         return self.intercept_b - self.coeff_b * s
 
-    def tin_lhs(self, points: np.ndarray) -> np.ndarray:
-        """Surrogate TIN guarantee left-hand side; +inf where not applicable."""
-        sc = self.scenario
-        h = sc.channel.beta0 * (
-            sc.uav.altitude ** 2 + _sqdist(points, sc.site_pos)
-        ) ** (-sc.channel.alpha / 2.0)
-        interference = np.log2(sc.sigma2_vec[None, :] + h * self.p[:, None])
-        lhs = self.tin_log_bounds_all(points) - interference
-        return np.where(self.tin_mask, lhs, np.inf)
-
     def objective(self, points: np.ndarray) -> tuple[float, float]:
         """(true surrogate objective, line-search objective).
 

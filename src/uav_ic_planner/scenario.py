@@ -122,7 +122,7 @@ class UavParams:
 
     def __post_init__(self):
         _check_finite("uav", altitude_m=self.altitude, v_max_mps=self.v_max,
-                      p_max_dbm=self.p_max, u_init=self.u_init,
+                      p_max=self.p_max, u_init=self.u_init,
                       u_final=self.u_final, T_s=self.mission_t,
                       t_max_s=self.t_max)
         if self.altitude <= 0:
@@ -229,6 +229,14 @@ def _number(node: dict, key: str, path: str, required: bool = True,
     return float(value)
 
 
+def _from_db(node: dict, key: str, path: str, to_linear) -> float:
+    """A dB or dBm field in linear units, or the field path if too large."""
+    try:
+        return to_linear(_number(node, key, path))
+    except OverflowError:
+        raise ScenarioError(f"{path}.{key}", "out of range") from None
+
+
 def _point(node: dict, key: str, path: str) -> tuple[float, float]:
     if key not in node:
         raise ScenarioError(f"{path}.{key}", "missing required field")
@@ -259,9 +267,9 @@ def parse_scenario(text: str) -> Scenario:
     ch_node = _require_mapping(doc["channel"], "channel")
     _check_keys(ch_node, _CHANNEL_KEYS, "channel")
     channel = ChannelParams(
-        beta0=db_to_linear(_number(ch_node, "beta0_db", "channel")),
+        beta0=_from_db(ch_node, "beta0_db", "channel", db_to_linear),
         alpha=_number(ch_node, "alpha", "channel"),
-        theta0=db_to_linear(_number(ch_node, "theta0_db", "channel")),
+        theta0=_from_db(ch_node, "theta0_db", "channel", db_to_linear),
         epsilon=_number(ch_node, "epsilon", "channel"),
     )
 
@@ -273,7 +281,7 @@ def parse_scenario(text: str) -> Scenario:
     uav = UavParams(
         altitude=_number(uav_node, "altitude_m", "uav"),
         v_max=_number(uav_node, "v_max_mps", "uav"),
-        p_max=dbm_to_watts(_number(uav_node, "p_max_dbm", "uav")),
+        p_max=_from_db(uav_node, "p_max_dbm", "uav", dbm_to_watts),
         u_init=_point(uav_node, "u_init", "uav"),
         u_final=_point(uav_node, "u_final", "uav"),
         mission_t=_number(uav_node, "T_s", "uav"),
@@ -306,8 +314,8 @@ def parse_scenario(text: str) -> Scenario:
             site = GbsSite(
                 pos=_point(node, "pos", path),
                 g=g,
-                sigma2=dbm_to_watts(_number(node, "sigma2_dbm", path)),
-                q_max=dbm_to_watts(_number(node, "q_max_dbm", path)),
+                sigma2=_from_db(node, "sigma2_dbm", path, dbm_to_watts),
+                q_max=_from_db(node, "q_max_dbm", path, dbm_to_watts),
                 gamma=_number(node, "gamma_bpshz", path),
                 theta=theta,
             )

@@ -17,7 +17,7 @@ import pytest
 from uav_ic_planner.benchmarks import run_scheme, upper_bound
 from uav_ic_planner.channel import uav_rate
 from uav_ic_planner.planner import PlannerConfig, evaluate_plan, solve
-from uav_ic_planner.ra_solver import solve_points, solve_resource_allocation
+from uav_ic_planner.ra_solver import solve_slot, solve_resource_allocation
 from uav_ic_planner.sca_trajectory import (build_surrogate,
                                            straight_line_trajectory,
                                            surrogate_coeff_a,
@@ -115,7 +115,7 @@ def test_criterion_1_closed_form_vs_brute_force():
             continue
         if grid_resolution_bound(u, sc, step=1e-3) > 1.8e-3:
             continue
-        r = float(solve_points([u], sc).r[0])
+        r = float(solve_slot([u], sc).r[0])
         oracle = brute_force_slot_rate(u, sc, step=1e-3)
         worst = max(worst, abs(r - oracle))
         assert abs(r - oracle) <= 2e-3, (

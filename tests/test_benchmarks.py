@@ -10,7 +10,7 @@ from uav_ic_planner.benchmarks import (InsufficientDuration, SchemeConfig,
                                        shortest_site_tour, straight_fly,
                                        successive_hover_fly, upper_bound)
 from uav_ic_planner.planner import InfeasibleScenario, PlannerConfig, evaluate_plan
-from uav_ic_planner.ra_solver import solve_points
+from uav_ic_planner.ra_solver import solve_slot
 from uav_ic_planner.scenario import Scenario
 
 from conftest import make_channel, make_site, make_uav, single_site_scenario
@@ -98,7 +98,7 @@ def test_successive_hover_fly_hover_dominates_default(default_sc):
     assert evaluate_plan(plan, default_sc).all_satisfied
     # Most mission time spent hovering above the single best site.
     wp = plan.trajectory.waypoints
-    best = int(np.argmax(solve_points(default_sc.site_pos, default_sc).r))
+    best = int(np.argmax(solve_slot(default_sc.site_pos, default_sc).r))
     at_best = np.all(np.isclose(wp, default_sc.site_pos[best]), axis=1)
     assert at_best.sum() > wp.shape[0] / 2
 

@@ -6,9 +6,10 @@ import pytest
 
 from uav_ic_planner.channel import gu_rate_ic, gu_rate_tin
 from uav_ic_planner.planner import evaluate_plan, make_plan
+from uav_ic_planner import ra_solver
 from uav_ic_planner.ra_solver import (InfeasibleSite, InternalConsistencyError,
-                                      best_rates, gu_power_ic, solve_points,
-                                      solve_resource_allocation)
+                                      gu_power_ic, slot_rates_on_points,
+                                      solve_resource_allocation, solve_slot)
 from uav_ic_planner.sca_trajectory import Trajectory, straight_line_trajectory
 from uav_ic_planner.scenario import GbsSite, Scenario
 
@@ -22,7 +23,7 @@ MODE_CONSTRAINTS = ("any", "egoistic", "altruistic")
 
 def slot(u, scenario, mode_constraint="any"):
     """The allocation at one UAV position, as (tau tuple, q tuple, p, r)."""
-    a = solve_points([u], scenario, mode_constraint)
+    a = solve_slot([u], scenario, mode_constraint)
     return (tuple(int(t) for t in a.tau[0]), tuple(a.q[0].tolist()),
             float(a.p[0]), float(a.r[0]))
 
@@ -48,7 +49,7 @@ def test_gu_power_ic_infeasible_site():
     assert exc.value.q_needed == pytest.approx(300.0, rel=1e-9)
 
 
-def test_solve_points_raises_infeasible_site():
+def test_solve_slot_raises_infeasible_site():
     sc = Scenario(
         channel=make_channel(),
         sites=(make_site(), make_site(g=1e-10, gamma=2.0, q_max=1.0)),
@@ -56,7 +57,7 @@ def test_solve_points_raises_infeasible_site():
     )
     for mc in MODE_CONSTRAINTS:
         with pytest.raises(InfeasibleSite) as exc:
-            solve_points([(0.0, 0.0)], sc, mc)
+            solve_slot([(0.0, 0.0)], sc, mc)
         assert exc.value.site_index == 1
 
 
@@ -71,7 +72,7 @@ def test_negative_tin_cap_raises_where_tin_is_possible():
                   uav=make_uav(u_init=(0.0, 0.0), u_final=(0.0, 0.0)))
     for mc in ("any", "egoistic"):
         with pytest.raises(InternalConsistencyError, match="site 1"):
-            solve_points([(0.0, 0.0)], sc, mc)
+            solve_slot([(0.0, 0.0)], sc, mc)
     assert slot((0.0, 0.0), sc, "altruistic")[0] == (1, 1)
 
 
@@ -142,6 +143,38 @@ def test_enumerate_modes():
     assert len(list(enumerate_modes(3, "egoistic"))) == 3
     assert list(enumerate_modes(2, "altruistic")) == [(1, 1)]
     assert all(sum(m) == 1 for m in enumerate_modes(4, "egoistic"))
+
+
+def test_vectorized_solve_mode_matches_oracle(rng):
+    """ra_solver.solve_mode solves every mode at every position as the
+    scalar oracle does: tau and q exact, p and r within 1e-12."""
+    for k in (1, 2, 3, 4):
+        sc = random_feasible_scenario(rng, k=k)
+        pts = np.vstack([rng.uniform(-100, 900, size=(6, 2)), sc.site_pos])
+        modes = list(enumerate_modes(k))
+        tau = np.array([t for t in modes for _ in pts], dtype=bool)
+        a = ra_solver.solve_mode(tau, np.tile(pts, (len(modes), 1)), sc)
+        for i, t in enumerate(tau):
+            ref = solve_mode(tuple(int(b) for b in t), pts[i % len(pts)], sc)
+            assert tuple(a.q[i]) == ref.q
+            assert abs(a.p[i] - ref.p) <= 1e-12
+            assert abs(a.r[i] - ref.r) <= 1e-12
+
+
+def test_vectorized_solve_mode_rejects_bad_modes():
+    site = make_site(pos=(0.0, 0.0))
+    q = site.q_max * (1.0 + 5e-10)
+    edge = dataclasses.replace(
+        site, gamma=math.log2(1.0 + site.g * q / site.sigma2))
+    sc = Scenario(channel=make_channel(), sites=(site, edge),
+                  uav=make_uav(u_init=(0.0, 0.0), u_final=(0.0, 0.0)))
+    with pytest.raises(ValueError, match="at least one site"):
+        ra_solver.solve_mode([[False, False]], [(0.0, 0.0)], sc)
+    # Site 1's negative cap matters only where site 1 treats the UAV as noise.
+    with pytest.raises(InternalConsistencyError, match="site 1"):
+        ra_solver.solve_mode([[True, True], [True, False]],
+                             [(0.0, 0.0)] * 2, sc)
+    assert ra_solver.solve_mode([[False, True]], [(0.0, 0.0)], sc).p[0] > 0
 
 
 def test_solve_slot_single_site_equals_solve_mode():
@@ -236,10 +269,10 @@ def test_solve_resource_allocation_matches_per_slot(default_sc):
     assert avg == pytest.approx(np.mean(allocs.r), rel=1e-12)
 
 
-def test_best_rates_matches_solve_points(default_sc, rng):
+def test_slot_rates_on_points_matches_solve_slot(default_sc, rng):
     pts = rng.uniform(-100, 1100, size=(50, 2))
-    rates = best_rates(pts, default_sc)
-    assert np.array_equal(rates, solve_points(pts, default_sc).r)
+    rates = slot_rates_on_points(pts, default_sc)
+    assert np.array_equal(rates, solve_slot(pts, default_sc).r)
     for i in range(50):
         assert abs(rates[i] - enumerate_slot(pts[i], default_sc).r) <= 1e-12
 
@@ -261,7 +294,7 @@ def test_decoding_mode_invariants(rng):
     sc = random_feasible_scenario(rng, k=5, n_slots=4)
     pts = rng.uniform(0, 800, size=(40, 2))
     for mc in MODE_CONSTRAINTS:
-        a = solve_points(pts, sc, mc)
+        a = solve_slot(pts, sc, mc)
         assert a.tau.dtype == bool and a.tau.shape == (40, 5)
         ic = a.tau.sum(axis=1)
         assert ic.min() >= 1
@@ -305,7 +338,7 @@ def _oracle_instance(rng, k):
 
 def _assert_matches_oracle(sc, pts, mc):
     """tau and q exact, p and r within 1e-12; returns the oracle slots."""
-    a = solve_points(pts, sc, mc)
+    a = solve_slot(pts, sc, mc)
     refs = []
     for i, u in enumerate(pts):
         ref = enumerate_slot(u, sc, mc)

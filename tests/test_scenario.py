@@ -168,6 +168,10 @@ def test_place_sites_uniform_bounds(rng):
     ("gamma_bpshz: 2.0", "gamma_bpshz: .nan", "sites[0].gamma_bpshz"),
     ("pos: [500.0, 500.0]", "pos: [.inf, 500.0]", "sites[0].pos"),
     ("u_init: [0.0, 0.0]", "u_init: [0.0, .nan]", "uav.u_init"),
+    # Finite, but too large to convert to watts / linear units.
+    ("p_max_dbm: 30.0", "p_max_dbm: 1.0e+5", "uav.p_max_dbm"),
+    ("q_max_dbm: 30.0", "q_max_dbm: 1.0e+5", "sites[0].q_max_dbm"),
+    ("beta0_db: -30.0", "beta0_db: 1.0e+5", "channel.beta0_db"),
 ])
 def test_parse_rejects_non_finite_numbers(old, new, path):
     assert old in MINIMAL_YAML
@@ -183,3 +187,5 @@ def test_validators_reject_non_finite_values():
         make_site(gamma=math.nan)
     with pytest.raises(ScenarioError, match=r"site\.pos"):
         make_site(pos=(math.inf, 0.0))
+    with pytest.raises(ScenarioError, match=r"uav\.p_max: must be finite"):
+        make_uav(p_max=math.inf)
