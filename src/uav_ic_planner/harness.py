@@ -286,11 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", default="default",
                        help="scenario file path, or 'default'")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--grid-step", type=float, default=DEFAULT_GRID_STEP_M,
-                       help="upper-bound search grid step, m")
         p.add_argument("--outer-max-iters", type=int, default=30)
         p.add_argument("--rel-tol", type=float, default=1e-4)
-        p.add_argument("--workers", type=int, default=1)
+        if scheme_flags:
+            p.add_argument("--grid-step", type=float,
+                           default=DEFAULT_GRID_STEP_M,
+                           help="upper-bound search grid step, m")
+            p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("plan", help="run one scheme and export its tables")
     add_common(p)
@@ -307,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("trace", help="export outer-iteration objective traces")
-    add_common(p)
+    add_common(p, scheme_flags=False)
     p.add_argument("--schemes", default="proposed,egoistic,altruistic")
     p.set_defaults(func=cmd_trace)
 

@@ -5,7 +5,7 @@ and that guarantee enforced at runtime."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from .ra_solver import Allocation, ModeConstraint, solve_resource_allocation
 from .scenario import FeasibilityReport, Scenario, check_feasibility
 
 OUTER_MONOTONE_TOL = 1e-9
+COARSE_SLOTS = 200  # slot count of the coarse level on finer grids
 RESIDUAL_TOL = -1e-8
 
 
@@ -67,6 +68,8 @@ class ConvergenceTrace:
     inner_per_outer: list[list[float]]
     iterations: int
     converged: bool
+    # The COARSE_SLOTS-slot level that seeded this one; None when none ran.
+    coarse: ConvergenceTrace | None = None
 
 
 def _trajectory_step_possible(scenario: Scenario) -> bool:
@@ -77,21 +80,21 @@ def _trajectory_step_possible(scenario: Scenario) -> bool:
     return budget - dist > 1e-6 * max(budget, 1.0)
 
 
-def solve(scenario: Scenario,
-          cfg: PlannerConfig = PlannerConfig(),
-          initial: sca.Trajectory | None = None,
-          scheme_tag: str | None = None) -> tuple[Plan, ConvergenceTrace]:
-    """Run the full alternating algorithm from the straight-fly trajectory."""
-    report = check_feasibility(scenario)
-    if not report.feasible:
-        raise InfeasibleScenario(report)
-    if cfg.outer_max_iters < 1:
-        raise ValueError("outer_max_iters must be >= 1")
+def prolong(traj: sca.Trajectory, n_slots: int) -> sca.Trajectory:
+    """Resample a trajectory at `n_slots` equal time steps by piecewise-linear
+    interpolation in time. The path is traversed at the same speed at every
+    instant, so a speed-feasible trajectory stays speed-feasible for any
+    `n_slots`."""
+    t_old = np.linspace(0.0, 1.0, traj.n_slots + 1)
+    t_new = np.linspace(0.0, 1.0, n_slots + 1)
+    return sca.Trajectory(np.column_stack(
+        [np.interp(t_new, t_old, col) for col in traj.waypoints.T]))
 
-    traj = initial if initial is not None else sca.straight_line_trajectory(scenario.uav)
-    traj.validate(scenario.uav)
+
+def _alternate(traj: sca.Trajectory, scenario: Scenario, cfg: PlannerConfig,
+               ) -> tuple[sca.Trajectory, Allocation, ConvergenceTrace]:
+    """The alternating RA/SCA loop at the scenario's slot count, from `traj`."""
     can_move = _trajectory_step_possible(scenario)
-
     outer: list[float] = []
     inner_per_outer: list[list[float]] = []
     converged = False
@@ -116,12 +119,45 @@ def solve(scenario: Scenario,
         result = sca.optimize_trajectory(traj, allocs, scenario, cfg.sca)
         inner_per_outer.append(result.inner_trace)
         traj = result.trajectory
-
-    tag = scheme_tag or {"any": "proposed", "egoistic": "egoistic",
-                         "altruistic": "altruistic"}[cfg.mode_constraint]
-    plan = make_plan(traj, allocs, outer[-1], tag, scenario)
     trace = ConvergenceTrace(outer=outer, inner_per_outer=inner_per_outer,
                              iterations=len(outer), converged=converged)
+    return traj, allocs, trace
+
+
+def solve(scenario: Scenario,
+          cfg: PlannerConfig = PlannerConfig(),
+          initial: sca.Trajectory | None = None,
+          scheme_tag: str | None = None) -> tuple[Plan, ConvergenceTrace]:
+    """Run the full alternating algorithm from the straight-fly trajectory.
+
+    Without an initial trajectory, a grid finer than COARSE_SLOTS slots is
+    planned at COARSE_SLOTS first; that plan's trajectory, prolonged to the
+    full grid, is where the full-grid loop starts."""
+    report = check_feasibility(scenario)
+    if not report.feasible:
+        raise InfeasibleScenario(report)
+    if cfg.outer_max_iters < 1:
+        raise ValueError("outer_max_iters must be >= 1")
+
+    uav = scenario.uav
+    coarse = None
+    if initial is not None:
+        traj = initial
+    elif uav.n_slots > COARSE_SLOTS and _trajectory_step_possible(scenario):
+        coarse_sc = replace(scenario,
+                            uav=replace(uav, n_slots=COARSE_SLOTS))
+        coarse_traj, _, coarse = _alternate(
+            sca.straight_line_trajectory(coarse_sc.uav), coarse_sc, cfg)
+        traj = prolong(coarse_traj, uav.n_slots)
+    else:
+        traj = sca.straight_line_trajectory(uav)
+    traj.validate(uav)
+
+    traj, allocs, trace = _alternate(traj, scenario, cfg)
+    trace.coarse = coarse
+    tag = scheme_tag or {"any": "proposed", "egoistic": "egoistic",
+                         "altruistic": "altruistic"}[cfg.mode_constraint]
+    plan = make_plan(traj, allocs, trace.outer[-1], tag, scenario)
     return plan, trace
 
 

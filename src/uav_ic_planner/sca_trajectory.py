@@ -12,8 +12,7 @@ point; feasibility of every accepted iterate is verified exactly.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,7 +98,6 @@ class ScaResult:
     inner_trace: list[float]   # true objective per SCA iteration (incl. init)
     converged: bool
     iterations: int
-    stalls: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +432,6 @@ def optimize_trajectory(init: Trajectory, allocs: Allocation,
     trace = [trajectory_objective(init, allocs, scenario)]
     traj = init
     converged = False
-    stalls = 0
     iterations = 0
     for _ in range(cfg.max_iters):
         iterations += 1
@@ -449,7 +446,6 @@ def optimize_trajectory(init: Trajectory, allocs: Allocation,
         trace.append(new_obj)
         traj = new_traj
         if stalled:
-            stalls += 1
             converged = True
             break
         rel = (trace[-1] - trace[-2]) / max(abs(trace[-2]), 1e-12)
@@ -463,5 +459,4 @@ def optimize_trajectory(init: Trajectory, allocs: Allocation,
         inner_trace=trace,
         converged=converged,
         iterations=iterations,
-        stalls=stalls,
     )

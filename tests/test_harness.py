@@ -105,6 +105,14 @@ def test_trace_command(tmp_path, capsys):
         assert vals and all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("flag", [["--workers", "2"], ["--grid-step", "10"]])
+def test_trace_has_no_plan_only_flags(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", "--out", str(tmp_path)] + flag)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_trace_rejects_non_iterative_scheme(tmp_path, capsys):
     code = main(["trace", "--schemes", "straight_fly",
                  "--out", str(tmp_path)])

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from uav_ic_planner import planner
-from uav_ic_planner.planner import (InfeasibleScenario, MonotonicityError,
-                                    PlannerConfig, evaluate_plan, make_plan,
-                                    solve)
+from uav_ic_planner.planner import (COARSE_SLOTS, InfeasibleScenario,
+                                    MonotonicityError, PlannerConfig,
+                                    evaluate_plan, make_plan, prolong, solve)
 from uav_ic_planner.ra_solver import solve_resource_allocation
 from uav_ic_planner.sca_trajectory import (ScaError, optimize_trajectory,
                                            straight_line_trajectory)
-from uav_ic_planner.scenario import default_scenario
+from uav_ic_planner.scenario import ScenarioError, default_scenario
 
 from conftest import random_feasible_scenario
 
@@ -147,3 +147,105 @@ def test_inner_guard_fails_closed_on_nan(default_sc):
     p[3] = math.nan
     with pytest.raises(ScaError):
         optimize_trajectory(traj, dataclasses.replace(allocs, p=p), default_sc)
+
+
+# ---------------------------------------------------------------------------
+# Coarse-to-fine planning on slot grids finer than COARSE_SLOTS
+
+# `proposed` at N=2000 with no coarse level: the loop ran on the full grid
+# from straight-fly.
+SINGLE_LEVEL_N2000_THROUGHPUT = 1.6118933
+
+
+def with_uav(sc, **changes):
+    return dataclasses.replace(sc, uav=dataclasses.replace(sc.uav, **changes))
+
+
+def assert_finite_and_audited(plan, sc):
+    assert np.all(np.isfinite(plan.trajectory.waypoints))
+    for field in ("q", "p", "r"):
+        assert np.all(np.isfinite(getattr(plan.allocations, field)))
+    assert math.isfinite(plan.avg_throughput)
+    report = evaluate_plan(plan, sc)
+    assert report.all_satisfied, report.residuals
+    assert report.objective_matches
+
+
+@pytest.fixture(scope="module")
+def n2000_run(default_sc):
+    sc = with_uav(default_sc, n_slots=2000)
+    plan, trace = solve(sc)
+    return sc, plan, trace
+
+
+@pytest.mark.parametrize("n_slots", [2000, 2001])
+def test_prolonged_trajectory_is_speed_feasible(default_sc, n_slots):
+    coarse, _ = solve(default_sc)
+    fine = prolong(coarse.trajectory, n_slots)
+    assert fine.n_slots == n_slots
+    fine.validate(with_uav(default_sc, n_slots=n_slots).uav)
+    # Every coarse waypoint sits on the resampled path.
+    same = prolong(coarse.trajectory, default_sc.uav.n_slots)
+    assert np.array_equal(same.waypoints, coarse.trajectory.waypoints)
+
+
+def test_no_coarse_level_at_or_below_coarse_slots(default_sc):
+    assert default_sc.uav.n_slots <= COARSE_SLOTS
+    _, trace = solve(default_sc)
+    assert trace.coarse is None
+    _, trace = solve(with_uav(default_sc, n_slots=25))
+    assert trace.coarse is None
+
+
+def test_no_coarse_level_from_initial_or_speed_tight(default_sc):
+    sc = with_uav(default_sc, n_slots=2000)
+    init = straight_line_trajectory(sc.uav)
+    _, trace = solve(sc, PlannerConfig(outer_max_iters=1), initial=init)
+    assert trace.coarse is None
+    _, trace = solve(with_uav(sc, mission_t=28.284))
+    assert trace.coarse is None and trace.iterations == 1
+
+
+def test_fine_grid_plan_audited_and_not_worse(n2000_run):
+    sc, plan, trace = n2000_run
+    assert_finite_and_audited(plan, sc)
+    assert plan.avg_throughput >= SINGLE_LEVEL_N2000_THROUGHPUT
+    assert plan.avg_throughput == trace.outer[-1]
+    assert trace.coarse is not None
+    assert trace.coarse.iterations == len(trace.coarse.outer) >= 1
+
+
+def test_fine_grid_traces_non_decreasing(n2000_run):
+    _, _, trace = n2000_run
+    for level in (trace, trace.coarse):
+        assert all(b >= a - 1e-9 for a, b in zip(level.outer, level.outer[1:]))
+        for inner in level.inner_per_outer:
+            assert all(b >= a - 1e-9 for a, b in zip(inner, inner[1:]))
+    assert trace.iterations == len(trace.outer)
+
+
+# ---------------------------------------------------------------------------
+# Edge cases: each either is rejected or gives a finite, audited plan
+
+def edge_case(name, sc):
+    if name == "one_slot":
+        return with_uav(sc, n_slots=1)
+    if name == "closed_loop":
+        return with_uav(sc, u_final=sc.uav.u_init)
+    gamma = {"all_gamma_zero": 0.0, "gamma_at_boundary": 5.0}[name]
+    return dataclasses.replace(
+        sc, sites=tuple(dataclasses.replace(s, gamma=gamma)
+                        for s in sc.sites))
+
+
+@pytest.mark.parametrize("mode", ["any", "egoistic", "altruistic"])
+@pytest.mark.parametrize("name", ["one_slot", "closed_loop", "all_gamma_zero",
+                                  "gamma_at_boundary"])
+def test_edge_case_rejected_or_audited(default_sc, name, mode):
+    try:
+        sc = edge_case(name, default_sc)
+        plan, trace = solve(sc, PlannerConfig(mode_constraint=mode))
+    except (ScenarioError, InfeasibleScenario):
+        return
+    assert_finite_and_audited(plan, sc)
+    assert all(b >= a - 1e-9 for a, b in zip(trace.outer, trace.outer[1:]))
