@@ -11,8 +11,8 @@ from .sca_trajectory import (ScaConfig, ScaResult, Trajectory,
                              optimize_trajectory, straight_line_trajectory)
 from .planner import (ConvergenceTrace, InfeasibleScenario, Plan,
                       PlannerConfig, evaluate_plan, solve)
-from .benchmarks import (InsufficientDuration, SchemeConfig, UpperBoundResult,
-                         altruistic, egoistic, run_scheme, straight_fly,
+from .benchmarks import (InsufficientDuration, UpperBoundResult, altruistic,
+                         egoistic, run_scheme, straight_fly,
                          successive_hover_fly, upper_bound)
 
 __all__ = [
@@ -26,7 +26,7 @@ __all__ = [
     "straight_line_trajectory",
     "ConvergenceTrace", "InfeasibleScenario", "Plan", "PlannerConfig",
     "evaluate_plan", "solve",
-    "InsufficientDuration", "SchemeConfig", "UpperBoundResult", "altruistic",
+    "InsufficientDuration", "UpperBoundResult", "altruistic",
     "egoistic", "run_scheme", "straight_fly", "successive_hover_fly",
     "upper_bound",
 ]

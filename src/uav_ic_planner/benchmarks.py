@@ -39,18 +39,6 @@ class InsufficientDuration(BenchmarkError):
 
 
 @dataclass(frozen=True)
-class SchemeConfig:
-    scheme: str = "proposed"
-    grid_step: float = DEFAULT_GRID_STEP_M  # upper-bound search only, m
-
-    def __post_init__(self):
-        if self.scheme not in SCHEME_NAMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.grid_step <= 0:
-            raise ValueError("grid_step must be positive")
-
-
-@dataclass(frozen=True)
 class UpperBoundResult:
     hover_point: tuple[float, float]
     throughput: float  # bps/Hz, independent of mission duration
@@ -69,22 +57,19 @@ def straight_fly(scenario: Scenario) -> Plan:
 
 def proposed(scenario: Scenario, cfg: PlannerConfig = PlannerConfig()):
     return planner_mod.solve(
-        scenario, dataclasses.replace(cfg, mode_constraint="any"),
-        scheme_tag="proposed")
+        scenario, dataclasses.replace(cfg, mode_constraint="any"))
 
 
 def egoistic(scenario: Scenario, cfg: PlannerConfig = PlannerConfig()):
     """Exactly one site decodes the UAV in each slot."""
     return planner_mod.solve(
-        scenario, dataclasses.replace(cfg, mode_constraint="egoistic"),
-        scheme_tag="egoistic")
+        scenario, dataclasses.replace(cfg, mode_constraint="egoistic"))
 
 
 def altruistic(scenario: Scenario, cfg: PlannerConfig = PlannerConfig()):
     """Every site decodes the UAV in each slot."""
     return planner_mod.solve(
-        scenario, dataclasses.replace(cfg, mode_constraint="altruistic"),
-        scheme_tag="altruistic")
+        scenario, dataclasses.replace(cfg, mode_constraint="altruistic"))
 
 
 # ---------------------------------------------------------------------------
@@ -112,23 +97,14 @@ def shortest_site_tour(scenario: Scenario) -> tuple[tuple[int, ...], float]:
     return best_order, best_len
 
 
-def allocate_hover_time(rates, total: float, method: str = "closed_form") -> np.ndarray:
+def allocate_hover_time(rates, total: float) -> np.ndarray:
     """Split `total` hover seconds across sites to maximize rate-weighted
-    time. The optimum sits on a simplex vertex: all time at the best rate.
-    The general linear program is kept behind the same interface."""
+    time. This linear program's optimum sits on a simplex vertex: all time
+    at the best rate."""
     rates = np.asarray(rates, dtype=float)
-    if method == "closed_form":
-        t = np.zeros_like(rates)
-        t[int(np.argmax(rates))] = total
-        return t
-    if method == "lp":
-        from scipy.optimize import linprog
-        res = linprog(-rates, A_eq=np.ones((1, rates.size)), b_eq=[total],
-                      bounds=[(0.0, None)] * rates.size, method="highs")
-        if not res.success:
-            raise BenchmarkError(f"hover-time LP failed: {res.message}")
-        return res.x
-    raise ValueError(f"unknown method {method!r}")
+    t = np.zeros_like(rates)
+    t[int(np.argmax(rates))] = total
+    return t
 
 
 def successive_hover_fly(scenario: Scenario) -> Plan:

@@ -126,8 +126,8 @@ def _alternate(traj: sca.Trajectory, scenario: Scenario, cfg: PlannerConfig,
 
 def solve(scenario: Scenario,
           cfg: PlannerConfig = PlannerConfig(),
-          initial: sca.Trajectory | None = None,
-          scheme_tag: str | None = None) -> tuple[Plan, ConvergenceTrace]:
+          initial: sca.Trajectory | None = None
+          ) -> tuple[Plan, ConvergenceTrace]:
     """Run the full alternating algorithm from the straight-fly trajectory.
 
     Without an initial trajectory, a grid finer than COARSE_SLOTS slots is
@@ -155,8 +155,8 @@ def solve(scenario: Scenario,
 
     traj, allocs, trace = _alternate(traj, scenario, cfg)
     trace.coarse = coarse
-    tag = scheme_tag or {"any": "proposed", "egoistic": "egoistic",
-                         "altruistic": "altruistic"}[cfg.mode_constraint]
+    tag = {"any": "proposed", "egoistic": "egoistic",
+           "altruistic": "altruistic"}[cfg.mode_constraint]
     plan = make_plan(traj, allocs, trace.outer[-1], tag, scenario)
     return plan, trace
 

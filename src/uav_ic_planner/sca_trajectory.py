@@ -13,17 +13,20 @@ point; feasibility of every accepted iterate is verified exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .channel import a2g_gain_points, log2_1p
 from .ra_solver import Allocation
-from .scenario import (LN2, REACH_REL_TOL, ChannelParams, GbsSite, Scenario,
-                       UavParams)
+from .scenario import LN2, REACH_REL_TOL, ChannelParams, Scenario, UavParams
 
 SPEED_ABS_TOL = 1e-9      # m, slack on per-segment length checks
 SAFE_STEP_TOL = 1e-8      # bps/Hz, slack on re-verified original constraints
 SURROGATE_FEAS_TOL = 1e-9  # bps/Hz, slack on surrogate constraint checks
+ASCENT_STEPS = 120        # red-black waypoint sweeps per surrogate subproblem
+AUX_WEIGHT = 1e-6         # line-search pull on slots with a negative bound
+ACTIVE_SLACK = 1e-6       # bps/Hz, TIN guarantees this close are active
 
 
 class ScaError(Exception):
@@ -84,16 +87,11 @@ def straight_line_trajectory(uav: UavParams) -> Trajectory:
 class ScaConfig:
     max_iters: int = 50        # surrogate rebuild (outer SCA) iterations
     rel_tol: float = 1e-4      # relative objective change stopping rule
-    ascent_steps: int = 120    # waypoint sweeps per surrogate subproblem
-    trust_ratio: float = 1.0   # per-sweep waypoint move cap, x v_max*delta_t
-    aux_weight: float = 1e-6   # pull on slots whose surrogate rate is < 0
-    active_slack: float = 1e-6  # bps/Hz, treat constraints this close as active
 
 
 @dataclass
 class ScaResult:
     trajectory: Trajectory
-    rates: np.ndarray          # (N,) true per-slot UAV rates, bps/Hz
     objective: float           # bps/Hz
     inner_trace: list[float]   # true objective per SCA iteration (incl. init)
     converged: bool
@@ -101,39 +99,32 @@ class ScaResult:
 
 
 # ---------------------------------------------------------------------------
-# Surrogate coefficients (exact derivatives of the rate expressions with
-# respect to the squared horizontal distance, at the local point)
+# Surrogate construction and evaluation
 
-def surrogate_coeff_a(p: float, local_u, q_k: float, site: GbsSite,
-                      ch: ChannelParams, altitude: float) -> float:
-    """Negative slope, in squared-distance space, of the UAV rate at the
-    local point. Zero when the UAV does not transmit."""
-    if p == 0.0:
-        return 0.0
-    du = np.asarray(local_u, dtype=float) - np.asarray(site.pos)
-    d2 = altitude * altitude + float(du @ du)
-    c = site.sigma2 + site.g * q_k
-    return (ch.alpha * ch.beta0 * p) / (
-        2.0 * LN2 * d2 * (ch.beta0 * p + c * d2 ** (ch.alpha / 2.0)))
+def _geometry(points: np.ndarray, scenario: Scenario):
+    """Site offsets (M, K, 2), squared horizontal distances s (M, K), squared
+    3D distances d2 = H^2 + s and channel gains h at `points` (M, 2)."""
+    diff = points[:, None, :] - scenario.site_pos[None, :, :]
+    s = np.einsum("mki,mki->mk", diff, diff)
+    d2 = scenario.uav.altitude ** 2 + s
+    h = scenario.channel.beta0 * d2 ** (-scenario.channel.alpha / 2.0)
+    return diff, s, d2, h
 
 
-def surrogate_coeff_b(p: float, local_u, q_k: float, site: GbsSite,
-                      ch: ChannelParams, altitude: float) -> float:
-    """Negative slope, in squared-distance space, of the combined received
-    power log-term at the local point."""
-    if p == 0.0:
-        return 0.0
-    du = np.asarray(local_u, dtype=float) - np.asarray(site.pos)
-    d2 = altitude * altitude + float(du @ du)
-    c = site.sigma2 + site.g * q_k
-    return (ch.alpha * ch.beta0 * p) / (
-        2.0 * LN2 * d2 ** (ch.alpha / 2.0 + 1.0)
-        * (c + ch.beta0 * p * d2 ** (-ch.alpha / 2.0)))
+def _log_slope(d2, h, pcol, c, ch: ChannelParams) -> np.ndarray:
+    """Negative slope of log2(c + h * p) in the squared horizontal distance,
+    at squared 3D distance d2 and gain h."""
+    return (ch.alpha * ch.beta0 * pcol) / (
+        2.0 * LN2 * d2 ** (ch.alpha / 2.0 + 1.0) * (c + h * pcol))
 
 
-def _sqdist(points: np.ndarray, site_pos: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - site_pos[None, :, :]
-    return np.einsum("mki,mki->mk", diff, diff)
+class _SlotEval(NamedTuple):
+    """The surrogate of a set of slots at candidate positions (M of them)."""
+    diff: np.ndarray  # (M, K, 2) offsets from the sites
+    d2: np.ndarray    # (M, K) squared 3D distances
+    h: np.ndarray     # (M, K) channel gains
+    rate: np.ndarray  # (M, K) UAV-rate bounds, inf off the IC sites
+    lhs: np.ndarray   # (M, K) TIN guarantee left-hand sides, inf off TIN sites
 
 
 @dataclass
@@ -148,7 +139,6 @@ class Surrogate:
     """
 
     scenario: Scenario
-    local: np.ndarray        # (N+1, 2)
     p: np.ndarray            # (N,)
     ic_mask: np.ndarray      # (N, K) bool
     tin_mask: np.ndarray     # (N, K) bool, only sites with a rate guarantee
@@ -157,31 +147,25 @@ class Surrogate:
     coeff_b: np.ndarray      # (N, K)
     intercept_b: np.ndarray  # (N, K)
 
-    def rate_bounds_all(self, points: np.ndarray) -> np.ndarray:
-        """Surrogate UAV-rate bound for every slot/site pair. points: (N, 2)."""
-        s = _sqdist(points, self.scenario.site_pos)
-        return self.intercept_a - self.coeff_a * s
+    def _at(self, points: np.ndarray, slots=slice(None)) -> _SlotEval:
+        """Evaluate the surrogate of `slots` with their waypoints at
+        `points` (one row per slot)."""
+        sc = self.scenario
+        diff, s, d2, h = _geometry(points, sc)
+        rate = np.where(self.ic_mask[slots],
+                        self.intercept_a[slots] - self.coeff_a[slots] * s,
+                        np.inf)
+        lhs = np.where(self.tin_mask[slots],
+                       self.intercept_b[slots] - self.coeff_b[slots] * s
+                       - np.log2(sc.sigma2_vec[None, :]
+                                 + h * self.p[slots, None]),
+                       np.inf)
+        return _SlotEval(diff, d2, h, rate, lhs)
 
     def rate_bounds(self, points: np.ndarray) -> np.ndarray:
-        """Per-slot min over IC sites of the surrogate UAV rate (unclamped)."""
-        rhat = np.where(self.ic_mask, self.rate_bounds_all(points), np.inf)
-        return rhat.min(axis=1)
-
-    def tin_log_bounds_all(self, points: np.ndarray) -> np.ndarray:
-        """Surrogate lower bound of log2(sigma2 + h*p + g*q), all slots/sites."""
-        s = _sqdist(points, self.scenario.site_pos)
-        return self.intercept_b - self.coeff_b * s
-
-    def objective(self, points: np.ndarray) -> tuple[float, float]:
-        """(true surrogate objective, line-search objective).
-
-        The line-search objective adds a small pull on slots whose surrogate
-        rate bound is negative, so they are not permanently stuck at zero.
-        """
-        rb = self.rate_bounds(points)
-        primary = float(np.maximum(rb, 0.0).mean())
-        aux = float(np.minimum(rb, 0.0).mean())
-        return primary, primary + 1e-6 * aux
+        """Per-slot min over IC sites of the surrogate UAV rate (unclamped).
+        points: (N, 2)."""
+        return self._at(points).rate.min(axis=1)
 
 
 def build_surrogate(local_traj: Trajectory, allocs: Allocation,
@@ -191,33 +175,28 @@ def build_surrogate(local_traj: Trajectory, allocs: Allocation,
     n_slots = local.shape[0] - 1
     if len(allocs) != n_slots:
         raise ValueError(f"{len(allocs)} allocations for {n_slots} slots")
-    pts = local[1:]
     p, q, tau = allocs.p, allocs.q, allocs.tau
     alpha, beta0 = sc.channel.alpha, sc.channel.beta0
 
-    s_loc = _sqdist(pts, sc.site_pos)
-    d2 = sc.uav.altitude ** 2 + s_loc
-    h_loc = beta0 * d2 ** (-alpha / 2.0)
+    _, s_loc, d2, h_loc = _geometry(local[1:], sc)
     c = sc.sigma2_vec[None, :] + sc.g_vec[None, :] * q
     pcol = p[:, None]
 
+    # Exact derivatives of the rate expressions with respect to s at the
+    # local point; zero where the UAV does not transmit.
     with np.errstate(divide="ignore"):
         coeff_a = np.where(
             pcol > 0.0,
             (alpha * beta0 * pcol)
             / (2.0 * LN2 * d2 * (beta0 * pcol + c * d2 ** (alpha / 2.0))),
             0.0)
-        coeff_b = np.where(
-            pcol > 0.0,
-            (alpha * beta0 * pcol)
-            / (2.0 * LN2 * d2 ** (alpha / 2.0 + 1.0) * (c + h_loc * pcol)),
-            0.0)
+        coeff_b = np.where(pcol > 0.0,
+                           _log_slope(d2, h_loc, pcol, c, sc.channel), 0.0)
     intercept_a = log2_1p(h_loc * pcol / c) + coeff_a * s_loc
     intercept_b = np.log2(c + h_loc * pcol) + coeff_b * s_loc
 
     return Surrogate(
         scenario=sc,
-        local=local.copy(),
         p=p,
         ic_mask=tau,
         tin_mask=(~tau) & (sc.gamma_vec[None, :] > 0.0),
@@ -242,121 +221,82 @@ def _clip_to_disc(pts: np.ndarray, centers: np.ndarray, radius: float) -> np.nda
     return pts
 
 
-def solve_surrogate(surrogate: Surrogate, local_traj: Trajectory,
-                    allocs: Allocation, scenario: Scenario,
-                    cfg: ScaConfig = ScaConfig(),
-                    ) -> tuple[Trajectory, np.ndarray, bool]:
-    """Improve the surrogate objective from the local trajectory.
+def _line_search_objective(ev: _SlotEval) -> np.ndarray:
+    """Per-slot surrogate rate, plus a small pull on slots whose bound is
+    negative so they are not permanently stuck at zero."""
+    rhat = ev.rate.min(axis=1)
+    return np.maximum(rhat, 0.0) + AUX_WEIGHT * np.minimum(rhat, 0.0)
 
-    The slot objectives are separable per waypoint and only the speed
-    constraints couple neighbors, so the subproblem is swept Gauss-Seidel
-    style: all odd interior waypoints move together against their fixed even
-    neighbors, then vice versa. Candidate moves follow the slot gradient,
-    are clipped into the two speed discs, and are accepted only if they
-    improve the slot objective and keep the surrogate TIN guarantees
-    satisfied, so every accepted iterate is exactly feasible. Returns
-    (trajectory, per-slot surrogate rate bounds clamped at zero, stalled);
-    if no waypoint can improve, the local trajectory is returned unchanged.
-    """
-    sc = scenario
-    uav = sc.uav
+
+def _ascent_direction(surrogate: Surrogate, ev: _SlotEval,
+                      slots: np.ndarray) -> np.ndarray:
+    """Gradient of each slot's binding surrogate rate bound, projected so
+    that it slides along active surrogate TIN guarantees instead of
+    crossing them."""
+    sc = surrogate.scenario
+    rows = np.arange(slots.size)
+    kstar = np.argmin(ev.rate, axis=1)
+    a_star = surrogate.coeff_a[slots, kstar]
+    g = -2.0 * a_star[:, None] * ev.diff[rows, kstar, :]
+
+    active = ev.lhs - sc.gamma_vec[None, :] < ACTIVE_SLACK
+    if np.any(active):
+        # Slope of the exact log-term log2(sigma2 + h * p) of the guarantee.
+        slope_e = _log_slope(ev.d2, ev.h, surrogate.p[slots, None],
+                             sc.sigma2_vec[None, :], sc.channel)
+        for k in range(sc.n_sites):
+            rows_k = np.nonzero(active[:, k])[0]
+            if rows_k.size == 0:
+                continue
+            grad_lhs = 2.0 * (slope_e[rows_k, k]
+                              - surrogate.coeff_b[slots[rows_k], k])[:, None] \
+                * ev.diff[rows_k, k, :]
+            nrm2 = np.einsum("mi,mi->m", grad_lhs, grad_lhs)
+            dot = np.einsum("mi,mi->m", g[rows_k], grad_lhs)
+            adj = np.nonzero((dot < 0.0) & (nrm2 > 1e-30))[0]
+            if adj.size:
+                g[rows_k[adj]] -= (dot[adj] / nrm2[adj])[:, None] * grad_lhs[adj]
+    return g
+
+
+def _sweep(surrogate: Surrogate, u: np.ndarray) -> bool:
+    """Red-black sweeps over the interior waypoints of `u`, in place; True
+    if any move was accepted. Waypoint n owns slot n, i.e. row n-1 of the
+    per-slot arrays."""
+    uav = surrogate.scenario.uav
     v_step = uav.v_max * uav.delta_t
-    site_pos = sc.site_pos
-    gamma = sc.gamma_vec
-    alpha, beta0 = sc.channel.alpha, sc.channel.beta0
-    alt2 = uav.altitude ** 2
-
-    u = local_traj.waypoints.copy()
+    tin_floor = surrogate.scenario.gamma_vec[None, :] - SURROGATE_FEAS_TOL
     n_wp = u.shape[0]
-    if n_wp <= 2:
-        rates = np.maximum(surrogate.rate_bounds(u[1:]), 0.0)
-        return local_traj, rates, True
-
-    def slot_objective(pts: np.ndarray, slots: np.ndarray) -> np.ndarray:
-        """Per-slot line-search objective at candidate positions."""
-        s = _sqdist(pts, site_pos)
-        rhat = np.where(surrogate.ic_mask[slots],
-                        surrogate.intercept_a[slots] - surrogate.coeff_a[slots] * s,
-                        np.inf).min(axis=1)
-        return np.maximum(rhat, 0.0) + cfg.aux_weight * np.minimum(rhat, 0.0)
-
-    def tin_ok(pts: np.ndarray, slots: np.ndarray) -> np.ndarray:
-        s = _sqdist(pts, site_pos)
-        h = beta0 * (alt2 + s) ** (-alpha / 2.0)
-        lhs = (surrogate.intercept_b[slots] - surrogate.coeff_b[slots] * s
-               - np.log2(sc.sigma2_vec[None, :] + h * surrogate.p[slots, None]))
-        lhs = np.where(surrogate.tin_mask[slots], lhs, np.inf)
-        return np.all(lhs >= gamma[None, :] - SURROGATE_FEAS_TOL, axis=1)
-
-    def slot_gradient(pts: np.ndarray, slots: np.ndarray) -> np.ndarray:
-        m = pts.shape[0]
-        diff = pts[:, None, :] - site_pos[None, :, :]
-        s = np.einsum("mki,mki->mk", diff, diff)
-        rhat = np.where(surrogate.ic_mask[slots],
-                        surrogate.intercept_a[slots] - surrogate.coeff_a[slots] * s,
-                        np.inf)
-        kstar = np.argmin(rhat, axis=1)
-        rows = np.arange(m)
-        a_star = surrogate.coeff_a[slots, kstar]
-        g = -2.0 * a_star[:, None] * diff[rows, kstar, :]
-
-        # Slide along active surrogate TIN guarantees instead of crossing them.
-        d2 = alt2 + s
-        h = beta0 * d2 ** (-alpha / 2.0)
-        pcol = surrogate.p[slots, None]
-        lhs = (surrogate.intercept_b[slots] - surrogate.coeff_b[slots] * s
-               - np.log2(sc.sigma2_vec[None, :] + h * pcol))
-        active = surrogate.tin_mask[slots] & (lhs - gamma[None, :] < cfg.active_slack)
-        if np.any(active):
-            slope_e = (alpha * beta0 * pcol) / (
-                2.0 * LN2 * d2 ** (alpha / 2.0 + 1.0)
-                * (sc.sigma2_vec[None, :] + h * pcol))
-            for k in range(site_pos.shape[0]):
-                rows_k = np.nonzero(active[:, k])[0]
-                if rows_k.size == 0:
-                    continue
-                grad_lhs = 2.0 * (slope_e[rows_k, k]
-                                  - surrogate.coeff_b[slots[rows_k], k])[:, None] \
-                    * diff[rows_k, k, :]
-                nrm2 = np.einsum("mi,mi->m", grad_lhs, grad_lhs)
-                dot = np.einsum("mi,mi->m", g[rows_k], grad_lhs)
-                adj = np.nonzero((dot < 0.0) & (nrm2 > 1e-30))[0]
-                if adj.size:
-                    g[rows_k[adj]] -= (dot[adj] / nrm2[adj])[:, None] * grad_lhs[adj]
-        return g
-
-    # Red-black schedule over interior waypoints; waypoint n owns slot n,
-    # i.e. row n-1 of the per-slot arrays.
     interior = np.arange(1, n_wp - 1)
     groups = [interior[interior % 2 == 1], interior[interior % 2 == 0]]
     step = np.full(n_wp, 0.25 * v_step)
-    obj = {}
-    for grp in groups:
-        obj[grp.tobytes()] = slot_objective(u[grp], grp - 1)
+    objs = [_line_search_objective(surrogate._at(u[grp], grp - 1))
+            for grp in groups]
 
     accepted_any = False
-    for _ in range(cfg.ascent_steps):
+    for _ in range(ASCENT_STEPS):
         moved = False
-        for grp in groups:
+        for grp, old_obj in zip(groups, objs):
             if grp.size == 0:
                 continue
             slots = grp - 1
             cur = u[grp]
-            g = slot_gradient(cur, slots)
+            g = _ascent_direction(surrogate, surrogate._at(cur, slots), slots)
             gnorm = np.linalg.norm(g, axis=1)
             movable = gnorm > 1e-18
             if not np.any(movable):
                 continue
             direction = np.zeros_like(g)
             direction[movable] = g[movable] / gnorm[movable, None]
-            cand = cur + np.minimum(step[grp], cfg.trust_ratio * v_step)[:, None] \
-                * direction
+            # step never exceeds v_step, the reach of one slot.
+            cand = cur + step[grp][:, None] * direction
             cand = _clip_to_disc(cand, u[grp - 1], v_step * (1.0 - 1e-12))
             cand = _clip_to_disc(cand, u[grp + 1], v_step * (1.0 - 1e-12))
             in_left = np.linalg.norm(cand - u[grp - 1], axis=1) <= v_step
-            cand_obj = slot_objective(cand, slots)
-            old_obj = obj[grp.tobytes()]
-            accept = (movable & in_left & tin_ok(cand, slots)
+            ev = surrogate._at(cand, slots)
+            cand_obj = _line_search_objective(ev)
+            accept = (movable & in_left
+                      & np.all(ev.lhs >= tin_floor, axis=1)
                       & (cand_obj > old_obj + 1e-14))
             if np.any(accept):
                 idx = grp[accept]
@@ -371,12 +311,28 @@ def solve_surrogate(surrogate: Surrogate, local_traj: Trajectory,
             # color only through feasibility, which is re-checked anyway.
         if not moved and float(step[interior].max()) < 1e-9 * v_step:
             break
+    return accepted_any
 
-    if not accepted_any:
-        rates = np.maximum(surrogate.rate_bounds(local_traj.waypoints[1:]), 0.0)
-        return local_traj, rates, True
-    rates = np.maximum(surrogate.rate_bounds(u[1:]), 0.0)
-    return Trajectory(u), rates, False
+
+def solve_surrogate(surrogate: Surrogate, local_traj: Trajectory
+                    ) -> tuple[Trajectory, np.ndarray, bool]:
+    """Improve the surrogate objective from the local trajectory.
+
+    The slot objectives are separable per waypoint and only the speed
+    constraints couple neighbors, so the subproblem is swept Gauss-Seidel
+    style: all odd interior waypoints move together against their fixed even
+    neighbors, then vice versa. Candidate moves follow the slot gradient,
+    are clipped into the two speed discs, and are accepted only if they
+    improve the slot objective and keep the surrogate TIN guarantees
+    satisfied, so every accepted iterate is exactly feasible. Returns
+    (trajectory, per-slot surrogate rate bounds clamped at zero, stalled);
+    if no waypoint can improve, the local trajectory is returned unchanged.
+    """
+    u = local_traj.waypoints.copy()
+    moved = u.shape[0] > 2 and _sweep(surrogate, u)
+    traj = Trajectory(u) if moved else local_traj
+    rates = np.maximum(surrogate.rate_bounds(traj.waypoints[1:]), 0.0)
+    return traj, rates, not moved
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +392,7 @@ def optimize_trajectory(init: Trajectory, allocs: Allocation,
     for _ in range(cfg.max_iters):
         iterations += 1
         surro = build_surrogate(traj, allocs, scenario)
-        new_traj, _, stalled = solve_surrogate(surro, traj, allocs, scenario, cfg)
+        new_traj, _, stalled = solve_surrogate(surro, traj)
         verify_safe_step(new_traj, allocs, scenario)
         new_obj = trajectory_objective(new_traj, allocs, scenario)
         if not (new_obj >= trace[-1] - 1e-9):
@@ -454,7 +410,6 @@ def optimize_trajectory(init: Trajectory, allocs: Allocation,
             break
     return ScaResult(
         trajectory=traj,
-        rates=slot_rates(traj, allocs, scenario),
         objective=trace[-1],
         inner_trace=trace,
         converged=converged,

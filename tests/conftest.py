@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from uav_ic_planner.ra_solver import Allocation
+from uav_ic_planner.sca_trajectory import Trajectory, build_surrogate
 from uav_ic_planner.scenario import (ChannelParams, GbsSite, Scenario,
                                      UavParams, check_feasibility,
                                      default_scenario, place_sites_uniform)
@@ -39,6 +42,28 @@ def single_site_scenario(u_init=(0.0, 0.0), u_final=(0.0, 0.0),
         uav=make_uav(u_init=u_init, u_final=u_final, mission_t=mission_t,
                      n_slots=n_slots),
     )
+
+
+def surrogate_coeffs(p, u, q, site, channel, altitude) -> tuple[float, float]:
+    """`build_surrogate`'s (coeff_a, coeff_b) for one slot flown at u with
+    UAV power p, next to one decoding site whose GU transmits at q."""
+    u = (float(u[0]), float(u[1]))
+    uav = make_uav(altitude=altitude, u_init=u, u_final=u, mission_t=10.0,
+                   n_slots=1)
+    sc = Scenario(channel=channel, sites=(site,), uav=uav)
+    allocs = Allocation(tau=np.array([[True]]), q=np.array([[q]], dtype=float),
+                        p=np.array([p], dtype=float), r=np.zeros(1))
+    surro = build_surrogate(Trajectory(np.array([u, u])), allocs, sc)
+    return float(surro.coeff_a[0, 0]), float(surro.coeff_b[0, 0])
+
+
+def surrogate_bounds(surro, points) -> tuple[np.ndarray, np.ndarray]:
+    """The surrogate's UAV-rate bounds and TIN guarantee left-hand sides at
+    `points` (one per slot), for every slot/site pair, not only the pairs
+    the allocation decodes or treats as noise."""
+    on = np.ones_like(surro.ic_mask)
+    ev = dataclasses.replace(surro, ic_mask=on, tin_mask=on)._at(points)
+    return ev.rate, ev.lhs
 
 
 def random_feasible_scenario(rng: np.random.Generator, k: int | None = None,

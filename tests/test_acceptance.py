@@ -19,15 +19,14 @@ from uav_ic_planner.channel import uav_rate
 from uav_ic_planner.planner import PlannerConfig, evaluate_plan, solve
 from uav_ic_planner.ra_solver import solve_slot, solve_resource_allocation
 from uav_ic_planner.sca_trajectory import (build_surrogate,
-                                           straight_line_trajectory,
-                                           surrogate_coeff_a,
-                                           surrogate_coeff_b)
+                                           straight_line_trajectory)
 from uav_ic_planner.scenario import (LN2, ChannelParams, GbsSite, Scenario,
                                      UavParams, check_feasibility,
                                      default_scenario)
 from uav_ic_planner import harness
 
-from conftest import make_channel, make_uav, random_feasible_scenario
+from conftest import (make_channel, make_uav, random_feasible_scenario,
+                      surrogate_bounds, surrogate_coeffs)
 from oracles import (brute_force_slot_rate, fd_derivative_in_sqdist,
                      grid_resolution_bound)
 
@@ -144,23 +143,27 @@ def test_criterion_2_surrogate_validity(default_sc):
         diff = pts[:, None, :] - default_sc.site_pos[None, :, :]
         s = np.einsum("nki,nki->nk", diff, diff)
         h = beta0 * (alt ** 2 + s) ** (-alpha / 2.0)
-        c = default_sc.sigma2_vec[None, :] + default_sc.g_vec[None, :] * q
-        return np.log1p(h * p[:, None] / c) / LN2, np.log2(c + h * p[:, None])
+        gq = default_sc.g_vec[None, :] * q
+        c = default_sc.sigma2_vec[None, :] + gq
+        tin = gq / (default_sc.sigma2_vec[None, :] + h * p[:, None])
+        return np.log1p(h * p[:, None] / c) / LN2, np.log1p(tin) / LN2
 
-    rate_loc, log_loc = true_values(pts_loc)
-    tight_rate = np.max(np.abs(surro.rate_bounds_all(pts_loc) - rate_loc)
+    rate_loc, tin_loc = true_values(pts_loc)
+    rhat_loc, lhs_loc = surrogate_bounds(surro, pts_loc)
+    tight_rate = np.max(np.abs(rhat_loc - rate_loc)
                         / np.maximum(np.abs(rate_loc), 1e-30))
-    tight_log = np.max(np.abs(surro.tin_log_bounds_all(pts_loc) - log_loc)
-                       / np.abs(log_loc))
-    tight_ok = tight_rate < 1e-9 and tight_log < 1e-9
+    tight_tin = np.max(np.abs(lhs_loc - tin_loc)
+                       / np.maximum(np.abs(tin_loc), 1e-30))
+    tight_ok = tight_rate < 1e-9 and tight_tin < 1e-9
 
     under_ok = True
     samples = 0
     for _ in range(50):
         pts = rng.uniform(-300, 1300, size=(traj.n_slots, 2))
-        rate_t, log_t = true_values(pts)
-        under_ok &= bool(np.all(surro.rate_bounds_all(pts) <= rate_t + 1e-9))
-        under_ok &= bool(np.all(surro.tin_log_bounds_all(pts) <= log_t + 1e-9))
+        rate_t, tin_t = true_values(pts)
+        rhat, lhs = surrogate_bounds(surro, pts)
+        under_ok &= bool(np.all(rhat <= rate_t + 1e-9))
+        under_ok &= bool(np.all(lhs <= tin_t + 1e-9))
         samples += rate_t.size
     assert samples >= 10_000
 
@@ -182,8 +185,7 @@ def test_criterion_2_surrogate_validity(default_sc):
             h = beta0 * (alt ** 2 + sv) ** (-alpha / 2.0)
             return math.log2(site.sigma2 + site.g * qq + h * pp)
 
-        a = surrogate_coeff_a(pp, u, qq, site, default_sc.channel, alt)
-        b = surrogate_coeff_b(pp, u, qq, site, default_sc.channel, alt)
+        a, b = surrogate_coeffs(pp, u, qq, site, default_sc.channel, alt)
         rel_a = abs(a + fd_derivative_in_sqdist(rate_fn, s)) / a
         rel_b = abs(b + fd_derivative_in_sqdist(log_fn, s)) / b
         worst_fd = max(worst_fd, rel_a, rel_b)
@@ -191,7 +193,7 @@ def test_criterion_2_surrogate_validity(default_sc):
 
     elapsed = time.monotonic() - start
     report(2, tight_ok and under_ok and fd_ok and elapsed < 30.0,
-           f"tightness rel {max(tight_rate, tight_log):.1e}, "
+           f"tightness rel {max(tight_rate, tight_tin):.1e}, "
            f"{samples} under-estimation samples, worst FD rel {worst_fd:.1e}, "
            f"{elapsed:.1f} s")
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from uav_ic_planner.benchmarks import (InsufficientDuration, SchemeConfig,
+from uav_ic_planner.benchmarks import (InsufficientDuration,
                                        allocate_hover_time, altruistic,
                                        egoistic, run_scheme,
                                        shortest_site_tour, straight_fly,
@@ -16,12 +16,10 @@ from uav_ic_planner.scenario import Scenario
 from conftest import make_channel, make_site, make_uav, single_site_scenario
 
 
-def test_scheme_config_validation():
-    SchemeConfig(scheme="proposed")
-    with pytest.raises(ValueError):
-        SchemeConfig(scheme="bogus")
-    with pytest.raises(ValueError):
-        SchemeConfig(grid_step=0.0)
+def test_upper_bound_rejects_non_positive_grid_step(default_sc):
+    for step in (0.0, -5.0):
+        with pytest.raises(ValueError, match="grid_step"):
+            upper_bound(default_sc, grid_step=step)
 
 
 def test_straight_fly_hover_when_endpoints_equal():
@@ -58,13 +56,17 @@ def test_shortest_site_tour_default(default_sc):
     assert length == pytest.approx(best, rel=1e-12)
 
 
-def test_allocate_hover_time_vertex_and_lp_agree():
+def test_allocate_hover_time_reaches_best_vertex(rng):
+    """The hover-time LP's optimum over the simplex is total * max(rates),
+    reached at the vertex of the best rate."""
     rates = [1.2, 2.4, 0.3]
     closed = allocate_hover_time(rates, 60.0)
     assert closed.tolist() == [0.0, 60.0, 0.0]
-    lp = allocate_hover_time(rates, 60.0, method="lp")
-    assert np.dot(lp, rates) == pytest.approx(np.dot(closed, rates), rel=1e-9)
-    assert lp.sum() == pytest.approx(60.0, rel=1e-9)
+    for _ in range(20):
+        rates = rng.uniform(0.0, 5.0, size=int(rng.integers(1, 9)))
+        t = allocate_hover_time(rates, 60.0)
+        assert np.all(t >= 0.0) and t.sum() == 60.0
+        assert np.dot(t, rates) == 60.0 * rates.max()
 
 
 def test_successive_hover_fly_single_site():

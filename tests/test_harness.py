@@ -1,9 +1,13 @@
 import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import uav_ic_planner
 from uav_ic_planner import harness
 from uav_ic_planner.harness import (EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_IO,
                                     EXIT_OK, SCHEMA_LINE, load_plan, main)
@@ -70,6 +74,22 @@ def test_plan_straight_fly_artifacts(tmp_path, capsys):
     alloc_lines = read(out / "allocation.csv").strip().splitlines()
     assert len(alloc_lines) == 2 + 200
     assert "straight_fly: throughput" in capsys.readouterr().out
+
+
+def test_plan_runs_without_scipy(tmp_path):
+    """The package does not need scipy: a hover-fly plan succeeds in a fresh
+    interpreter where importing scipy fails."""
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "from uav_ic_planner.harness import main\n"
+            "raise SystemExit(main(['plan', '--scheme', "
+            f"'successive_hover_fly', '--out', {str(tmp_path)!r}]))\n")
+    src = str(Path(uav_ic_planner.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert (tmp_path / "summary.csv").exists()
 
 
 def test_plan_round_trip_matches_summary(tmp_path, capsys):

@@ -1,21 +1,23 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from uav_ic_planner.channel import uav_rate
+from uav_ic_planner.channel import gu_rate_tin, uav_rate
 from uav_ic_planner.ra_solver import Allocation, solve_resource_allocation
-from uav_ic_planner.sca_trajectory import (ScaConfig, Trajectory,
-                                           build_surrogate, optimize_trajectory,
-                                           slot_rates, solve_surrogate,
+from uav_ic_planner.sca_trajectory import (ACTIVE_SLACK, ScaConfig, Trajectory,
+                                           _ascent_direction, build_surrogate,
+                                           optimize_trajectory, slot_rates,
+                                           solve_surrogate,
                                            straight_line_trajectory,
-                                           surrogate_coeff_a, surrogate_coeff_b,
                                            trajectory_objective,
                                            verify_safe_step)
 from uav_ic_planner.scenario import LN2, Scenario
 
 from conftest import (make_channel, make_site, make_uav,
-                      random_feasible_scenario, single_site_scenario)
+                      random_feasible_scenario, single_site_scenario,
+                      surrogate_bounds, surrogate_coeffs)
 from oracles import fd_derivative_in_sqdist
 
 CH = make_channel()
@@ -46,7 +48,7 @@ def logterm_of_sqdist(p, q, site, ch, altitude):
 def test_coeff_a_reference_value():
     # alpha=2, beta0=1e-3, p=1, s=0, H=100, sigma2=1e-8, g*q=3e-8
     site = make_site(pos=(0.0, 0.0), g=1e-7, sigma2=1e-8)
-    a = surrogate_coeff_a(1.0, (0.0, 0.0), 0.3, site, CH, 100.0)
+    a, _ = surrogate_coeffs(1.0, (0.0, 0.0), 0.3, site, CH, 100.0)
     expected = (2 * 1e-3) / (2 * LN2 * 1e4 * (1e-3 + 4e-8 * 1e4))
     assert a == pytest.approx(expected, rel=1e-12)
     assert a == pytest.approx(1.031e-4, rel=1e-3)
@@ -54,8 +56,8 @@ def test_coeff_a_reference_value():
 
 def test_coeffs_zero_at_zero_power():
     site = make_site()
-    assert surrogate_coeff_a(0.0, (10.0, 20.0), 0.5, site, CH, 100.0) == 0.0
-    assert surrogate_coeff_b(0.0, (10.0, 20.0), 0.5, site, CH, 100.0) == 0.0
+    assert surrogate_coeffs(0.0, (10.0, 20.0), 0.5, site, CH,
+                            100.0) == (0.0, 0.0)
 
 
 def test_coeffs_positive_for_positive_power(rng):
@@ -64,8 +66,8 @@ def test_coeffs_positive_for_positive_power(rng):
         u = rng.uniform(-500, 500, size=2)
         q = float(rng.uniform(0.0, 1.0))
         site = make_site(pos=(0.0, 0.0))
-        assert surrogate_coeff_a(p, u, q, site, CH, 100.0) > 0.0
-        assert surrogate_coeff_b(p, u, q, site, CH, 100.0) > 0.0
+        a, b = surrogate_coeffs(p, u, q, site, CH, 100.0)
+        assert a > 0.0 and b > 0.0
 
 
 def test_coeffs_match_finite_differences(rng):
@@ -81,12 +83,11 @@ def test_coeffs_match_finite_differences(rng):
         u = (offset, 0.0)
         s = offset ** 2
 
-        a = surrogate_coeff_a(p, u, q, site, ch, 100.0)
+        a, b = surrogate_coeffs(p, u, q, site, ch, 100.0)
         fd_a = -fd_derivative_in_sqdist(
             rate_of_sqdist(p, q, site, ch, 100.0), s)
         assert a == pytest.approx(fd_a, rel=1e-4)
 
-        b = surrogate_coeff_b(p, u, q, site, ch, 100.0)
         fd_b = -fd_derivative_in_sqdist(
             logterm_of_sqdist(p, q, site, ch, 100.0), s)
         assert b == pytest.approx(fd_b, rel=1e-4)
@@ -102,23 +103,19 @@ def test_surrogate_tight_at_local_point(default_sc):
     traj, allocs, surro = _surrogate_fixture(default_sc)
     pts = traj.waypoints[1:]
     p, q = allocs.p, allocs.q
-    rhat = surro.rate_bounds_all(pts)
-    log_lb = surro.tin_log_bounds_all(pts)
+    rhat, lhs = surrogate_bounds(surro, pts)
     for n in range(pts.shape[0]):
         for k, site in enumerate(default_sc.sites):
-            true_rate = uav_rate(p[n], pts[n], q[n][k], site,
-                                 default_sc.channel, default_sc.uav.altitude)
-            assert rhat[n, k] == pytest.approx(true_rate, rel=1e-9, abs=1e-12)
-            h = default_sc.channel.beta0 * (
-                default_sc.uav.altitude ** 2
-                + np.sum((pts[n] - np.array(site.pos)) ** 2)) ** (-1.0)
-            true_log = math.log2(site.sigma2 + site.g * q[n][k] + h * p[n])
-            assert log_lb[n, k] == pytest.approx(true_log, rel=1e-9)
+            args = (p[n], pts[n], q[n][k], site, default_sc.channel,
+                    default_sc.uav.altitude)
+            assert rhat[n, k] == pytest.approx(uav_rate(*args), rel=1e-9,
+                                               abs=1e-12)
+            assert lhs[n, k] == pytest.approx(gu_rate_tin(*args), rel=1e-9)
 
 
 def test_surrogate_global_underestimator(default_sc, rng):
-    """At 10^4 random points both surrogate families stay at or below the
-    true expressions."""
+    """At 10^4 random points the surrogate UAV rates and TIN left-hand sides
+    stay at or below the true UAV and GU TIN rates."""
     traj, allocs, surro = _surrogate_fixture(default_sc)
     n = traj.n_slots
     p, q = allocs.p, allocs.q
@@ -132,9 +129,11 @@ def test_surrogate_global_underestimator(default_sc, rng):
         h = beta0 * (alt ** 2 + s) ** (-alpha / 2.0)
         c = default_sc.sigma2_vec[None, :] + default_sc.g_vec[None, :] * q
         true_rate = np.log1p(h * p[:, None] / c) / LN2
-        true_log = np.log2(c + h * p[:, None])
-        assert np.all(surro.rate_bounds_all(pts) <= true_rate + 1e-9)
-        assert np.all(surro.tin_log_bounds_all(pts) <= true_log + 1e-9)
+        true_tin = np.log1p(default_sc.g_vec[None, :] * q / (
+            default_sc.sigma2_vec[None, :] + h * p[:, None])) / LN2
+        rhat, lhs = surrogate_bounds(surro, pts)
+        assert np.all(rhat <= true_rate + 1e-9)
+        assert np.all(lhs <= true_tin + 1e-9)
         total += s.size
     assert total >= 10_000
 
@@ -157,7 +156,7 @@ def test_solve_surrogate_fixed_point_returns_local():
     traj = Trajectory(wp)
     allocs, _ = solve_resource_allocation(traj, sc)
     surro = build_surrogate(traj, allocs, sc)
-    new_traj, rates, stalled = solve_surrogate(surro, traj, allocs, sc)
+    new_traj, rates, stalled = solve_surrogate(surro, traj)
     assert stalled
     assert np.array_equal(new_traj.waypoints, wp)
     assert rates == pytest.approx([math.log2(3.5)] * 4, rel=1e-9)
@@ -171,9 +170,13 @@ def test_solve_surrogate_matches_disc_grid_search():
     traj = straight_line_trajectory(sc.uav)
     allocs, _ = solve_resource_allocation(traj, sc)
     surro = build_surrogate(traj, allocs, sc)
-    new_traj, _, stalled = solve_surrogate(surro, traj, allocs, sc)
+    new_traj, _, stalled = solve_surrogate(surro, traj)
     assert not stalled
-    got, _ = surro.objective(new_traj.waypoints[1:])
+
+    def objective(pts):
+        return float(np.maximum(surro.rate_bounds(pts), 0.0).mean())
+
+    got = objective(new_traj.waypoints[1:])
 
     v_step = sc.uav.v_max * sc.uav.delta_t  # 100 m reach
     xs = np.arange(-v_step, v_step + 0.5, 1.0)
@@ -184,10 +187,47 @@ def test_solve_surrogate_matches_disc_grid_search():
     best = -math.inf
     fixed = new_traj.waypoints[2][None, :]
     for point in cand:
-        val, _ = surro.objective(np.vstack([point[None, :], fixed]))
-        best = max(best, val)
+        best = max(best, objective(np.vstack([point[None, :], fixed])))
     # 1 m grid resolution: allow the corresponding objective slack
     assert got >= best - 1e-4
+
+
+def test_ascent_direction_slides_along_active_tin_guarantee():
+    """Where a surrogate TIN guarantee is active, the projected ascent
+    direction must not decrease its left-hand side to first order, even
+    though the unprojected gradient (toward the decoding site, past the
+    noise-treating one) would."""
+    u = (100.0, 10.0)
+    ch = make_channel()
+    ic_site, tin_site = make_site(pos=(0.0, 0.0)), make_site(pos=(50.0, -40.0))
+    p, q = 0.5, (0.3, 1.0)
+    # The guarantee of the noise-treating site holds with equality at u.
+    gamma = float(gu_rate_tin(p, u, q[1], tin_site, ch, 100.0))
+    tin_site = dataclasses.replace(tin_site, gamma=gamma)
+    sc = Scenario(channel=ch, sites=(ic_site, tin_site),
+                  uav=make_uav(u_init=u, u_final=u, mission_t=10.0,
+                               n_slots=2))
+    traj = Trajectory(np.array([u, u, u]))
+    allocs = uniform_allocation(2, tau=(True, False), q=q, p=p, r=0.0)
+    surro = build_surrogate(traj, allocs, sc)
+    slots = np.array([0])
+    point = traj.waypoints[1]
+    ev = surro._at(point[None, :], slots)
+    assert abs(ev.lhs[0, 1] - gamma) < ACTIVE_SLACK
+
+    def lhs(x):
+        return surro._at(x[None, :], slots).lhs[0, 1]
+
+    step = 1e-3
+    grad_lhs = np.array([(lhs(point + step * e) - lhs(point - step * e))
+                         / (2.0 * step) for e in np.eye(2)])
+    raw = -2.0 * surro.coeff_a[0, 0] * (point - np.asarray(ic_site.pos))
+    scale = np.linalg.norm(grad_lhs)
+    assert raw @ grad_lhs < -0.1 * np.linalg.norm(raw) * scale
+
+    g = _ascent_direction(surro, ev, slots)[0]
+    assert np.linalg.norm(g) > 0.1 * np.linalg.norm(raw)
+    assert g @ grad_lhs >= -1e-6 * np.linalg.norm(g) * scale
 
 
 def test_verify_safe_step_detects_violation():
