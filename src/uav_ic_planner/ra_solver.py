@@ -99,7 +99,7 @@ def _site_terms(points: np.ndarray, scenario: Scenario, q_ic: np.ndarray,
     c_ic = scenario.sigma2_vec + q_ic * scenario.g_vec
     numer = np.array([
         site.g * site.q_max / (2.0 ** site.gamma - 1.0) - site.sigma2
-        if site.gamma > 0.0 else math.inf for site in scenario.sites])
+        if 2.0 ** site.gamma > 1.0 else math.inf for site in scenario.sites])
     cap = numer / h
     negative = (cap < -1e-12 * scenario.uav.p_max) & tin
     if negative.any():

@@ -12,7 +12,7 @@ point; feasibility of every accepted iterate is verified exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -147,20 +147,24 @@ class Surrogate:
     coeff_b: np.ndarray      # (N, K)
     intercept_b: np.ndarray  # (N, K)
 
-    def _at(self, points: np.ndarray, slots=slice(None)) -> _SlotEval:
-        """Evaluate the surrogate of `slots` with their waypoints at
-        `points` (one row per slot)."""
+    def _at(self, points: np.ndarray) -> _SlotEval:
+        """Evaluate the surrogate with the waypoints at `points` (one row
+        per slot). Row-wise: a row depends on its own point and slot only."""
         sc = self.scenario
         diff, s, d2, h = _geometry(points, sc)
-        rate = np.where(self.ic_mask[slots],
-                        self.intercept_a[slots] - self.coeff_a[slots] * s,
+        rate = np.where(self.ic_mask, self.intercept_a - self.coeff_a * s,
                         np.inf)
-        lhs = np.where(self.tin_mask[slots],
-                       self.intercept_b[slots] - self.coeff_b[slots] * s
-                       - np.log2(sc.sigma2_vec[None, :]
-                                 + h * self.p[slots, None]),
+        lhs = np.where(self.tin_mask,
+                       self.intercept_b - self.coeff_b * s
+                       - np.log2(sc.sigma2_vec[None, :] + h * self.p[:, None]),
                        np.inf)
         return _SlotEval(diff, d2, h, rate, lhs)
+
+    def rows(self, sel: slice) -> Surrogate:
+        """The surrogate of the slots `sel`, on views of the per-slot
+        arrays."""
+        return replace(self, **{f.name: getattr(self, f.name)[sel]
+                                for f in fields(self) if f.name != "scenario"})
 
     def rate_bounds(self, points: np.ndarray) -> np.ndarray:
         """Per-slot min over IC sites of the surrogate UAV rate (unclamped).
@@ -213,7 +217,7 @@ def build_surrogate(local_traj: Trajectory, allocs: Allocation,
 def _clip_to_disc(pts: np.ndarray, centers: np.ndarray, radius: float) -> np.ndarray:
     """Pull points back onto discs of `radius` around `centers` (rowwise)."""
     delta = pts - centers
-    dist = np.linalg.norm(delta, axis=1)
+    dist = np.sqrt(np.einsum("mi,mi->m", delta, delta))
     over = dist > radius
     if np.any(over):
         pts = pts.copy()
@@ -228,32 +232,29 @@ def _line_search_objective(ev: _SlotEval) -> np.ndarray:
     return np.maximum(rhat, 0.0) + AUX_WEIGHT * np.minimum(rhat, 0.0)
 
 
-def _ascent_direction(surrogate: Surrogate, ev: _SlotEval,
-                      slots: np.ndarray) -> np.ndarray:
+def _ascent_direction(surrogate: Surrogate, ev: _SlotEval) -> np.ndarray:
     """Gradient of each slot's binding surrogate rate bound, projected so
     that it slides along active surrogate TIN guarantees instead of
-    crossing them."""
+    crossing them. `ev` holds one row per slot of `surrogate`."""
     sc = surrogate.scenario
-    rows = np.arange(slots.size)
+    rows = np.arange(ev.rate.shape[0])
     kstar = np.argmin(ev.rate, axis=1)
-    a_star = surrogate.coeff_a[slots, kstar]
+    a_star = surrogate.coeff_a[rows, kstar]
     g = -2.0 * a_star[:, None] * ev.diff[rows, kstar, :]
 
     active = ev.lhs - sc.gamma_vec[None, :] < ACTIVE_SLACK
     if np.any(active):
         # Slope of the exact log-term log2(sigma2 + h * p) of the guarantee.
-        slope_e = _log_slope(ev.d2, ev.h, surrogate.p[slots, None],
+        slope_e = _log_slope(ev.d2, ev.h, surrogate.p[:, None],
                              sc.sigma2_vec[None, :], sc.channel)
-        for k in range(sc.n_sites):
-            rows_k = np.nonzero(active[:, k])[0]
-            if rows_k.size == 0:
-                continue
+        for k in np.flatnonzero(active.any(axis=0)):
+            rows_k = np.flatnonzero(active[:, k])
             grad_lhs = 2.0 * (slope_e[rows_k, k]
-                              - surrogate.coeff_b[slots[rows_k], k])[:, None] \
+                              - surrogate.coeff_b[rows_k, k])[:, None] \
                 * ev.diff[rows_k, k, :]
             nrm2 = np.einsum("mi,mi->m", grad_lhs, grad_lhs)
             dot = np.einsum("mi,mi->m", g[rows_k], grad_lhs)
-            adj = np.nonzero((dot < 0.0) & (nrm2 > 1e-30))[0]
+            adj = np.flatnonzero((dot < 0.0) & (nrm2 > 1e-30))
             if adj.size:
                 g[rows_k[adj]] -= (dot[adj] / nrm2[adj])[:, None] * grad_lhs[adj]
     return g
@@ -262,54 +263,57 @@ def _ascent_direction(surrogate: Surrogate, ev: _SlotEval,
 def _sweep(surrogate: Surrogate, u: np.ndarray) -> bool:
     """Red-black sweeps over the interior waypoints of `u`, in place; True
     if any move was accepted. Waypoint n owns slot n, i.e. row n-1 of the
-    per-slot arrays."""
+    per-slot arrays.
+
+    Each colour (odd, then even waypoints) works on basic-slice views: its
+    waypoints, their neighbours, its slots' surrogate and its step sizes.
+    The kernel is row-wise, so the evaluation at the current waypoints is
+    carried from pass to pass, taking the accepted rows of the candidates'
+    evaluation, and each pass evaluates the candidates only."""
     uav = surrogate.scenario.uav
     v_step = uav.v_max * uav.delta_t
     tin_floor = surrogate.scenario.gamma_vec[None, :] - SURROGATE_FEAS_TOL
     n_wp = u.shape[0]
-    interior = np.arange(1, n_wp - 1)
-    groups = [interior[interior % 2 == 1], interior[interior % 2 == 0]]
-    step = np.full(n_wp, 0.25 * v_step)
-    objs = [_line_search_objective(surrogate._at(u[grp], grp - 1))
-            for grp in groups]
+    steps = np.full(n_wp, 0.25 * v_step)
+    colours = []
+    for first in range(1, min(n_wp - 1, 3)):  # odd, then even waypoints
+        wp = slice(first, n_wp - 1, 2)
+        sub = surrogate.rows(slice(first - 1, n_wp - 2, 2))
+        ev = sub._at(u[wp])
+        colours.append((sub, u[wp], u[first - 1:n_wp - 2:2], u[first + 1::2],
+                        steps[wp], ev, _line_search_objective(ev)))
 
     accepted_any = False
     for _ in range(ASCENT_STEPS):
         moved = False
-        for grp, old_obj in zip(groups, objs):
-            if grp.size == 0:
-                continue
-            slots = grp - 1
-            cur = u[grp]
-            g = _ascent_direction(surrogate, surrogate._at(cur, slots), slots)
-            gnorm = np.linalg.norm(g, axis=1)
+        for sub, cur, left, right, step, ev, obj in colours:
+            g = _ascent_direction(sub, ev)
+            gnorm = np.sqrt(np.einsum("mi,mi->m", g, g))
             movable = gnorm > 1e-18
             if not np.any(movable):
                 continue
             direction = np.zeros_like(g)
             direction[movable] = g[movable] / gnorm[movable, None]
             # step never exceeds v_step, the reach of one slot.
-            cand = cur + step[grp][:, None] * direction
-            cand = _clip_to_disc(cand, u[grp - 1], v_step * (1.0 - 1e-12))
-            cand = _clip_to_disc(cand, u[grp + 1], v_step * (1.0 - 1e-12))
-            in_left = np.linalg.norm(cand - u[grp - 1], axis=1) <= v_step
-            ev = surrogate._at(cand, slots)
-            cand_obj = _line_search_objective(ev)
+            cand = cur + step[:, None] * direction
+            cand = _clip_to_disc(cand, left, v_step * (1.0 - 1e-12))
+            cand = _clip_to_disc(cand, right, v_step * (1.0 - 1e-12))
+            delta = cand - left
+            in_left = np.sqrt(np.einsum("mi,mi->m", delta, delta)) <= v_step
+            cand_ev = sub._at(cand)
+            cand_obj = _line_search_objective(cand_ev)
             accept = (movable & in_left
-                      & np.all(ev.lhs >= tin_floor, axis=1)
-                      & (cand_obj > old_obj + 1e-14))
+                      & np.all(cand_ev.lhs >= tin_floor, axis=1)
+                      & (cand_obj > obj + 1e-14))
             if np.any(accept):
-                idx = grp[accept]
-                u[idx] = cand[accept]
-                old_obj[accept] = cand_obj[accept]
-                step[idx] = np.minimum(step[idx] * 1.5, v_step)
-                moved = True
-                accepted_any = True
-            reject = movable & ~accept
-            step[grp[reject]] *= 0.5
-            # Neighbor moves invalidate the cached objective of the other
-            # color only through feasibility, which is re-checked anyway.
-        if not moved and float(step[interior].max()) < 1e-9 * v_step:
+                cur[accept] = cand[accept]
+                obj[accept] = cand_obj[accept]
+                for held, new in zip(ev, cand_ev):
+                    held[accept] = new[accept]
+                step[accept] = np.minimum(step[accept] * 1.5, v_step)
+                moved = accepted_any = True
+            step[movable & ~accept] *= 0.5
+        if not moved and float(steps[1:-1].max()) < 1e-9 * v_step:
             break
     return accepted_any
 

@@ -8,6 +8,11 @@ swept over a grid, keeping only combinations that satisfy the constraints
 evaluated through the channel module. Guarantee checks carry the same 1e-9
 bps/Hz slack as the scenario feasibility test, so grid points landing
 exactly on a constraint boundary are not rejected by float rounding.
+
+`reference_sweep` is the reference for `sca_trajectory._sweep`: the
+red-black waypoint sweeps written plainly, evaluating the surrogate kernel at
+the current waypoints and at the candidates in every colour pass, on
+fancy-indexed slot rows.
 """
 
 from __future__ import annotations
@@ -21,6 +26,10 @@ import numpy as np
 from uav_ic_planner.channel import a2g_gain, log2_1p, uav_rate
 from uav_ic_planner.ra_solver import (TIE_TOL, InternalConsistencyError,
                                       gu_power_ic)
+from uav_ic_planner.sca_trajectory import (ACTIVE_SLACK, ASCENT_STEPS,
+                                           SURROGATE_FEAS_TOL, Surrogate,
+                                           _geometry, _line_search_objective,
+                                           _log_slope, _SlotEval)
 from uav_ic_planner.scenario import LN2, Scenario
 
 
@@ -159,3 +168,111 @@ def fd_derivative_in_sqdist(fn, s: float, rel_step: float = 1e-6) -> float:
     """Central finite difference of fn(s) with an s-proportional step."""
     ds = max(abs(s), 1.0) * rel_step
     return (fn(s + ds) - fn(s - ds)) / (2.0 * ds)
+
+
+# ---------------------------------------------------------------------------
+# Red-black surrogate sweeps, two kernel evaluations per colour pass
+
+def _surrogate_at(surrogate: Surrogate, points: np.ndarray,
+                  slots: np.ndarray) -> _SlotEval:
+    """The surrogate of `slots` with their waypoints at `points`."""
+    sc = surrogate.scenario
+    diff, s, d2, h = _geometry(points, sc)
+    rate = np.where(surrogate.ic_mask[slots],
+                    surrogate.intercept_a[slots] - surrogate.coeff_a[slots] * s,
+                    np.inf)
+    lhs = np.where(surrogate.tin_mask[slots],
+                   surrogate.intercept_b[slots] - surrogate.coeff_b[slots] * s
+                   - np.log2(sc.sigma2_vec[None, :]
+                             + h * surrogate.p[slots, None]),
+                   np.inf)
+    return _SlotEval(diff, d2, h, rate, lhs)
+
+
+def _clip_to_disc(pts, centers, radius):
+    delta = pts - centers
+    dist = np.linalg.norm(delta, axis=1)
+    over = dist > radius
+    if np.any(over):
+        pts = pts.copy()
+        pts[over] = centers[over] + delta[over] * (radius / dist[over])[:, None]
+    return pts
+
+
+def _ascent_direction(surrogate: Surrogate, ev: _SlotEval,
+                      slots: np.ndarray) -> np.ndarray:
+    sc = surrogate.scenario
+    rows = np.arange(slots.size)
+    kstar = np.argmin(ev.rate, axis=1)
+    a_star = surrogate.coeff_a[slots, kstar]
+    g = -2.0 * a_star[:, None] * ev.diff[rows, kstar, :]
+
+    active = ev.lhs - sc.gamma_vec[None, :] < ACTIVE_SLACK
+    if np.any(active):
+        slope_e = _log_slope(ev.d2, ev.h, surrogate.p[slots, None],
+                             sc.sigma2_vec[None, :], sc.channel)
+        for k in range(sc.n_sites):
+            rows_k = np.nonzero(active[:, k])[0]
+            if rows_k.size == 0:
+                continue
+            grad_lhs = 2.0 * (slope_e[rows_k, k]
+                              - surrogate.coeff_b[slots[rows_k], k])[:, None] \
+                * ev.diff[rows_k, k, :]
+            nrm2 = np.einsum("mi,mi->m", grad_lhs, grad_lhs)
+            dot = np.einsum("mi,mi->m", g[rows_k], grad_lhs)
+            adj = np.nonzero((dot < 0.0) & (nrm2 > 1e-30))[0]
+            if adj.size:
+                g[rows_k[adj]] -= (dot[adj] / nrm2[adj])[:, None] * grad_lhs[adj]
+    return g
+
+
+def reference_sweep(surrogate: Surrogate, u: np.ndarray) -> bool:
+    """Red-black sweeps over the interior waypoints of `u`, in place; True
+    if any move was accepted."""
+    uav = surrogate.scenario.uav
+    v_step = uav.v_max * uav.delta_t
+    tin_floor = surrogate.scenario.gamma_vec[None, :] - SURROGATE_FEAS_TOL
+    n_wp = u.shape[0]
+    interior = np.arange(1, n_wp - 1)
+    groups = [interior[interior % 2 == 1], interior[interior % 2 == 0]]
+    step = np.full(n_wp, 0.25 * v_step)
+    objs = [_line_search_objective(_surrogate_at(surrogate, u[grp], grp - 1))
+            for grp in groups]
+
+    accepted_any = False
+    for _ in range(ASCENT_STEPS):
+        moved = False
+        for grp, old_obj in zip(groups, objs):
+            if grp.size == 0:
+                continue
+            slots = grp - 1
+            cur = u[grp]
+            g = _ascent_direction(surrogate,
+                                  _surrogate_at(surrogate, cur, slots), slots)
+            gnorm = np.linalg.norm(g, axis=1)
+            movable = gnorm > 1e-18
+            if not np.any(movable):
+                continue
+            direction = np.zeros_like(g)
+            direction[movable] = g[movable] / gnorm[movable, None]
+            cand = cur + step[grp][:, None] * direction
+            cand = _clip_to_disc(cand, u[grp - 1], v_step * (1.0 - 1e-12))
+            cand = _clip_to_disc(cand, u[grp + 1], v_step * (1.0 - 1e-12))
+            in_left = np.linalg.norm(cand - u[grp - 1], axis=1) <= v_step
+            ev = _surrogate_at(surrogate, cand, slots)
+            cand_obj = _line_search_objective(ev)
+            accept = (movable & in_left
+                      & np.all(ev.lhs >= tin_floor, axis=1)
+                      & (cand_obj > old_obj + 1e-14))
+            if np.any(accept):
+                idx = grp[accept]
+                u[idx] = cand[accept]
+                old_obj[accept] = cand_obj[accept]
+                step[idx] = np.minimum(step[idx] * 1.5, v_step)
+                moved = True
+                accepted_any = True
+            reject = movable & ~accept
+            step[grp[reject]] *= 0.5
+        if not moved and float(step[interior].max()) < 1e-9 * v_step:
+            break
+    return accepted_any

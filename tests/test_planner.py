@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uav_ic_planner import planner
 from uav_ic_planner.planner import (COARSE_SLOTS, InfeasibleScenario,
@@ -11,7 +14,8 @@ from uav_ic_planner.planner import (COARSE_SLOTS, InfeasibleScenario,
 from uav_ic_planner.ra_solver import solve_resource_allocation
 from uav_ic_planner.sca_trajectory import (ScaError, optimize_trajectory,
                                            straight_line_trajectory)
-from uav_ic_planner.scenario import ScenarioError, default_scenario
+from uav_ic_planner.scenario import (DEFAULT_SCENARIO_YAML, ScenarioError,
+                                     default_scenario, parse_scenario)
 
 from conftest import random_feasible_scenario
 
@@ -232,7 +236,8 @@ def edge_case(name, sc):
         return with_uav(sc, n_slots=1)
     if name == "closed_loop":
         return with_uav(sc, u_final=sc.uav.u_init)
-    gamma = {"all_gamma_zero": 0.0, "gamma_at_boundary": 5.0}[name]
+    gamma = {"all_gamma_zero": 0.0, "gamma_at_boundary": 5.0,
+             "gamma_below_float_resolution": 1e-130}[name]
     return dataclasses.replace(
         sc, sites=tuple(dataclasses.replace(s, gamma=gamma)
                         for s in sc.sites))
@@ -240,7 +245,8 @@ def edge_case(name, sc):
 
 @pytest.mark.parametrize("mode", ["any", "egoistic", "altruistic"])
 @pytest.mark.parametrize("name", ["one_slot", "closed_loop", "all_gamma_zero",
-                                  "gamma_at_boundary"])
+                                  "gamma_at_boundary",
+                                  "gamma_below_float_resolution"])
 def test_edge_case_rejected_or_audited(default_sc, name, mode):
     try:
         sc = edge_case(name, default_sc)
@@ -249,3 +255,47 @@ def test_edge_case_rejected_or_audited(default_sc, name, mode):
         return
     assert_finite_and_audited(plan, sc)
     assert all(b >= a - 1e-9 for a, b in zip(trace.outer, trace.outer[1:]))
+
+
+# ---------------------------------------------------------------------------
+# Fuzz over scenario documents: each is rejected or gives audited plans
+
+COORD = st.floats(0.0, 1000.0)
+
+
+@st.composite
+def scenario_documents(draw):
+    """Documents with 1-4 sites and 1-12 slots at random positions. Each
+    guarantee is a multiple (0-1.5, or exactly 1) of the site's supportable
+    maximum, so some sites are infeasible and some sit on the boundary."""
+    doc = yaml.safe_load(DEFAULT_SCENARIO_YAML)
+    ch, uav = doc["channel"], doc["uav"]
+    uav["N"] = draw(st.integers(1, 12))
+    uav["T_s"] = draw(st.floats(1.0, 120.0))
+    uav["u_init"] = [draw(COORD), draw(COORD)]
+    uav["u_final"] = [draw(COORD), draw(COORD)]
+    sites = []
+    for _ in range(draw(st.integers(1, 4))):
+        theta = draw(st.floats(5.0, 20.0))
+        g = 10.0 ** (ch["theta0_db"] / 10.0) * theta ** -ch["epsilon"]
+        q_max_dbm = draw(st.floats(20.0, 33.0))
+        gamma_max = math.log2(1.0 + g * 10.0 ** ((q_max_dbm + 50.0) / 10.0))
+        factor = draw(st.one_of(st.just(1.0), st.floats(0.0, 1.5)))
+        sites.append({"pos": [draw(COORD), draw(COORD)], "theta_m": theta,
+                      "sigma2_dbm": -50.0, "q_max_dbm": q_max_dbm,
+                      "gamma_bpshz": factor * gamma_max})
+    doc["sites"] = sites
+    return yaml.safe_dump(doc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(text=scenario_documents())
+def test_fuzzed_documents_rejected_or_audited(text):
+    for mode in ("any", "egoistic", "altruistic"):
+        try:
+            sc = parse_scenario(text)
+            plan, trace = solve(sc, PlannerConfig(mode_constraint=mode))
+        except (ScenarioError, InfeasibleScenario):
+            continue
+        assert_finite_and_audited(plan, sc)
+        assert all(b >= a - 1e-9 for a, b in zip(trace.outer, trace.outer[1:]))

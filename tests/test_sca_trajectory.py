@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from uav_ic_planner.channel import gu_rate_tin, uav_rate
+from uav_ic_planner.planner import prolong, solve
 from uav_ic_planner.ra_solver import Allocation, solve_resource_allocation
 from uav_ic_planner.sca_trajectory import (ACTIVE_SLACK, ScaConfig, Trajectory,
-                                           _ascent_direction, build_surrogate,
+                                           _ascent_direction, _sweep,
+                                           build_surrogate,
                                            optimize_trajectory, slot_rates,
                                            solve_surrogate,
                                            straight_line_trajectory,
@@ -18,7 +20,7 @@ from uav_ic_planner.scenario import LN2, Scenario
 from conftest import (make_channel, make_site, make_uav,
                       random_feasible_scenario, single_site_scenario,
                       surrogate_bounds, surrogate_coeffs)
-from oracles import fd_derivative_in_sqdist
+from oracles import fd_derivative_in_sqdist, reference_sweep
 
 CH = make_channel()
 
@@ -209,14 +211,13 @@ def test_ascent_direction_slides_along_active_tin_guarantee():
                                n_slots=2))
     traj = Trajectory(np.array([u, u, u]))
     allocs = uniform_allocation(2, tau=(True, False), q=q, p=p, r=0.0)
-    surro = build_surrogate(traj, allocs, sc)
-    slots = np.array([0])
+    surro = build_surrogate(traj, allocs, sc).rows(slice(0, 1))
     point = traj.waypoints[1]
-    ev = surro._at(point[None, :], slots)
+    ev = surro._at(point[None, :])
     assert abs(ev.lhs[0, 1] - gamma) < ACTIVE_SLACK
 
     def lhs(x):
-        return surro._at(x[None, :], slots).lhs[0, 1]
+        return surro._at(x[None, :]).lhs[0, 1]
 
     step = 1e-3
     grad_lhs = np.array([(lhs(point + step * e) - lhs(point - step * e))
@@ -225,9 +226,78 @@ def test_ascent_direction_slides_along_active_tin_guarantee():
     scale = np.linalg.norm(grad_lhs)
     assert raw @ grad_lhs < -0.1 * np.linalg.norm(raw) * scale
 
-    g = _ascent_direction(surro, ev, slots)[0]
+    g = _ascent_direction(surro, ev)[0]
     assert np.linalg.norm(g) > 0.1 * np.linalg.norm(raw)
     assert g @ grad_lhs >= -1e-6 * np.linalg.norm(g) * scale
+
+
+def _dense_sites_draw(default_sc, seed=3, k=8, n_slots=25, mission_t=40.0):
+    """K sites uniform along the (0,0)->(1000,1000) diagonal within +-150 m
+    of it, GU distance 6-14 m, guarantee 0.3-0.8 of the site's IC cap."""
+    rng = np.random.default_rng(seed)
+    template = default_sc.sites[0]
+    ch = default_sc.channel
+    sites = []
+    for _ in range(k):
+        along = rng.uniform(0.0, 1000.0)
+        off = rng.uniform(-150.0, 150.0) / math.sqrt(2.0)
+        g = ch.theta0 * float(rng.uniform(6.0, 14.0)) ** (-ch.epsilon)
+        cap = math.log2(1.0 + g * template.q_max / template.sigma2)
+        sites.append(dataclasses.replace(
+            template, pos=(float(along + off), float(along - off)), g=g,
+            gamma=float(rng.uniform(0.3, 0.8) * cap)))
+    uav = dataclasses.replace(default_sc.uav, n_slots=n_slots,
+                              mission_t=mission_t)
+    return Scenario(channel=ch, sites=tuple(sites), uav=uav)
+
+
+def _sweep_case(name, default_sc):
+    """(surrogate, local waypoints) of one named sweep case."""
+    if name == "active_tin":
+        # The noise-treating site's guarantee holds with equality at u.
+        u, ch, p, q = (100.0, 10.0), make_channel(), 0.5, (0.3, 1.0)
+        tin_site = make_site(pos=(50.0, -40.0))
+        gamma = float(gu_rate_tin(p, u, q[1], tin_site, ch, 100.0))
+        sites = (make_site(pos=(0.0, 0.0)),
+                 dataclasses.replace(tin_site, gamma=gamma))
+        sc = Scenario(channel=ch, sites=sites,
+                      uav=make_uav(u_init=u, u_final=u, mission_t=10.0,
+                                   n_slots=4))
+        traj = Trajectory(np.tile(u, (5, 1)))
+        allocs = uniform_allocation(4, tau=(True, False), q=q, p=p, r=0.0)
+        return build_surrogate(traj, allocs, sc), traj.waypoints
+    if name == "dense_sites":
+        sc = _dense_sites_draw(default_sc)
+    else:
+        n_slots = {"n2": 2, "n3": 3, "prolonged_n2000": 2000}.get(
+            name, default_sc.uav.n_slots)
+        sc = dataclasses.replace(default_sc, uav=dataclasses.replace(
+            default_sc.uav, n_slots=n_slots))
+    if name == "prolonged_n2000":
+        traj = prolong(solve(default_sc)[0].trajectory, 2000)
+    else:
+        traj = straight_line_trajectory(sc.uav)
+    if name == "zero_power":
+        allocs = uniform_allocation(traj.n_slots, tau=(True, False, False),
+                                    q=(0.3, 1.0, 1.0), p=0.0, r=0.0)
+    else:
+        mode = name if name in ("egoistic", "altruistic") else "any"
+        allocs, _ = solve_resource_allocation(traj, sc, mode)
+    return build_surrogate(traj, allocs, sc), traj.waypoints
+
+
+@pytest.mark.parametrize("name", ["any", "egoistic", "altruistic",
+                                  "dense_sites", "prolonged_n2000", "n2", "n3",
+                                  "zero_power", "active_tin"])
+def test_sweep_matches_reference(default_sc, name):
+    """The sweeps on per-colour views, carrying the current-point evaluation,
+    move every waypoint bit for bit as the plain two-evaluation sweeps do."""
+    surro, local = _sweep_case(name, default_sc)
+    want, got = local.copy(), local.copy()
+    want_moved = reference_sweep(surro, want)
+    assert _sweep(surro, got) is want_moved
+    assert got.tobytes() == want.tobytes()
+    assert want_moved is (name != "zero_power")
 
 
 def test_verify_safe_step_detects_violation():
