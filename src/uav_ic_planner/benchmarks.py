@@ -161,6 +161,9 @@ def upper_bound(scenario: Scenario,
     constraints; valid as the unlimited-duration throughput bound."""
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
+    report = check_feasibility(scenario)
+    if report.failing_sites:
+        raise InfeasibleScenario(report)
     pts = np.vstack([scenario.site_pos,
                      np.asarray(scenario.uav.u_init)[None, :],
                      np.asarray(scenario.uav.u_final)[None, :]])

@@ -1,6 +1,8 @@
-"""Channel gains and achievable-rate expressions.
+"""The channel model for M UAV positions and all K sites at once.
 
-Stateless pure functions. Rates are computed through log1p so that tiny
+Stateless pure functions. Gains are (M, K); the rates take gains, UAV
+powers and GU powers that broadcast to (M, K), e.g. p as an (M, 1) column
+and q as (M, K) or (K,). Rates are computed through log1p so that tiny
 SINRs near the feasibility boundary keep full relative accuracy.
 """
 
@@ -8,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .scenario import LN2, ChannelParams, GbsSite
+from .scenario import LN2, Scenario
 
 
 def log2_1p(x):
@@ -16,39 +18,32 @@ def log2_1p(x):
     return np.log1p(x) / LN2
 
 
-def a2g_gain(u, site: GbsSite, ch: ChannelParams, altitude: float):
-    """Air-to-ground channel gain from UAV at horizontal position u to a GBS;
-    u may also be an (M, 2) array of positions, giving (M,) gains."""
-    du = np.asarray(u, dtype=float) - np.asarray(site.pos)
-    d2 = altitude * altitude + np.einsum("...i,...i->...", du, du)
-    return ch.beta0 * d2 ** (-ch.alpha / 2.0)
+def geometry(points, scenario: Scenario):
+    """Site offsets (M, K, 2), squared horizontal distances s (M, K),
+    squared 3D distances d2 = H^2 + s and A2G gains h = beta0 d2^(-alpha/2)
+    between UAV positions `points` (M, 2) and the sites."""
+    diff = points[:, None, :] - scenario.site_pos[None, :, :]
+    s = np.einsum("mki,mki->mk", diff, diff)
+    d2 = scenario.uav.altitude ** 2 + s
+    ch = scenario.channel
+    return diff, s, d2, ch.beta0 * d2 ** (-ch.alpha / 2.0)
 
 
-def a2g_gain_points(points: np.ndarray, site_pos: np.ndarray,
-                    ch: ChannelParams, altitude: float) -> np.ndarray:
-    """Gains for M UAV positions x K sites. points: (M, 2), site_pos: (K, 2).
-
-    Returns (M, K).
-    """
-    diff = points[:, None, :] - site_pos[None, :, :]
-    d2 = altitude * altitude + np.einsum("mki,mki->mk", diff, diff)
-    return ch.beta0 * d2 ** (-ch.alpha / 2.0)
+def a2g_gain(points, scenario: Scenario) -> np.ndarray:
+    """A2G gains (M, K) from UAV positions `points` (M, 2) to the sites."""
+    return geometry(points, scenario)[3]
 
 
-# Rates also work elementwise: arrays p, q_k and (M, 2) positions u give (M,).
-
-def uav_rate(p, u, q_k, site: GbsSite, ch: ChannelParams, altitude: float):
+def uav_rate(h, p, q, scenario: Scenario):
     """UAV -> GBS rate with GU interference, bps/Hz."""
-    h = a2g_gain(u, site, ch, altitude)
-    return log2_1p(h * p / (site.sigma2 + q_k * site.g))
+    return log2_1p(h * p / (scenario.sigma2_vec + q * scenario.g_vec))
 
 
-def gu_rate_ic(q_k, site: GbsSite):
+def gu_rate_ic(q, scenario: Scenario):
     """GU rate when the GBS cancels the UAV's interference, bps/Hz."""
-    return log2_1p(site.g * q_k / site.sigma2)
+    return log2_1p(scenario.g_vec * q / scenario.sigma2_vec)
 
 
-def gu_rate_tin(p, u, q_k, site: GbsSite, ch: ChannelParams, altitude: float):
+def gu_rate_tin(h, p, q, scenario: Scenario):
     """GU rate when the UAV's interference is treated as noise, bps/Hz."""
-    h = a2g_gain(u, site, ch, altitude)
-    return log2_1p(site.g * q_k / (site.sigma2 + h * p))
+    return log2_1p(scenario.g_vec * q / (scenario.sigma2_vec + h * p))

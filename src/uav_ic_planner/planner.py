@@ -10,9 +10,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import sca_trajectory as sca
-# a2g_gain is not called here; it stays bound by this name, as the other
-# channel functions are, because the traced benchmark run hooks it here.
-from .channel import a2g_gain, gu_rate_ic, gu_rate_tin, uav_rate  # noqa: F401
+from .channel import a2g_gain, gu_rate_ic, gu_rate_tin, uav_rate
 from .ra_solver import Allocation, ModeConstraint, solve_resource_allocation
 from .scenario import FeasibilityReport, Scenario, check_feasibility
 
@@ -205,15 +203,10 @@ def evaluate_plan(plan: Plan, scenario: Scenario) -> ResidualReport:
     seg = np.linalg.norm(np.diff(wp, axis=0), axis=1)
     ends = [np.linalg.norm(wp[0] - np.asarray(uav.u_init)),
             np.linalg.norm(wp[-1] - np.asarray(uav.u_final))]
-    # Rates from the channel model, one site (column) at a time.
-    u, ch = wp[1:], scenario.channel
-    rate = np.column_stack([
-        uav_rate(p, u, q[:, k], site, ch, uav.altitude)
-        for k, site in enumerate(scenario.sites)])
-    gu = np.column_stack([
-        np.where(tau[:, k], gu_rate_ic(q[:, k], site),
-                 gu_rate_tin(p, u, q[:, k], site, ch, uav.altitude))
-        for k, site in enumerate(scenario.sites)])
+    h = a2g_gain(wp[1:], scenario)
+    rate = uav_rate(h, p[:, None], q, scenario)
+    gu = np.where(tau, gu_rate_ic(q, scenario),
+                  gu_rate_tin(h, p[:, None], q, scenario))
     res = {
         "speed": v_step - seg.max(),
         "endpoints": -np.max(ends),

@@ -93,9 +93,7 @@ def _site_terms(points: np.ndarray, scenario: Scenario, q_ic: np.ndarray,
     its guarantee while site k treats the UAV as noise. A negative cap is
     raised where `tin` (bool, broadcastable to (M, K)) allows TIN.
     """
-    ch, altitude = scenario.channel, scenario.uav.altitude
-    h = np.column_stack([a2g_gain(points, site, ch, altitude)
-                         for site in scenario.sites])
+    h = a2g_gain(points, scenario)
     c_ic = scenario.sigma2_vec + q_ic * scenario.g_vec
     numer = np.array([
         site.g * site.q_max / (2.0 ** site.gamma - 1.0) - site.sigma2
@@ -197,13 +195,10 @@ def solve_mode(tau, points, scenario: Scenario) -> Allocation:
     if not tau.any(axis=1).all():
         raise ValueError("at least one site must decode the UAV")
     q_ic = _ic_powers(scenario)
-    _, _, cap = _site_terms(points, scenario, q_ic, ~tau)
+    h, _, cap = _site_terms(points, scenario, q_ic, ~tau)
     p = np.minimum(np.where(tau, np.inf, cap).min(axis=1), scenario.uav.p_max)
     q = np.where(tau, q_ic, scenario.q_max_vec)
-    rate = np.column_stack([
-        uav_rate(p, points, q[:, k], site, scenario.channel,
-                 scenario.uav.altitude)
-        for k, site in enumerate(scenario.sites)])
+    rate = uav_rate(h, p[:, None], q, scenario)
     return Allocation(tau=tau, q=q, p=p,
                       r=np.where(tau, rate, np.inf).min(axis=1))
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import a2g_gain_points, log2_1p
+from .channel import a2g_gain, geometry, gu_rate_tin, uav_rate
 from .ra_solver import Allocation
 from .scenario import LN2, REACH_REL_TOL, ChannelParams, Scenario, UavParams
 
@@ -101,16 +101,6 @@ class ScaResult:
 # ---------------------------------------------------------------------------
 # Surrogate construction and evaluation
 
-def _geometry(points: np.ndarray, scenario: Scenario):
-    """Site offsets (M, K, 2), squared horizontal distances s (M, K), squared
-    3D distances d2 = H^2 + s and channel gains h at `points` (M, 2)."""
-    diff = points[:, None, :] - scenario.site_pos[None, :, :]
-    s = np.einsum("mki,mki->mk", diff, diff)
-    d2 = scenario.uav.altitude ** 2 + s
-    h = scenario.channel.beta0 * d2 ** (-scenario.channel.alpha / 2.0)
-    return diff, s, d2, h
-
-
 def _log_slope(d2, h, pcol, c, ch: ChannelParams) -> np.ndarray:
     """Negative slope of log2(c + h * p) in the squared horizontal distance,
     at squared 3D distance d2 and gain h."""
@@ -131,10 +121,12 @@ class _SlotEval(NamedTuple):
 class Surrogate:
     """Per-slot, per-site linearization around a local trajectory.
 
-    The UAV-rate bound is affine in s = ||u - site||^2:
-        rhat[n,k](u) = intercept_a[n,k] - coeff_a[n,k] * s
+    Both log-terms log2(1 + h p / c) and log2(c + h p), c = sigma2_k +
+    g_k q[n,k], have the same slope in s = ||u - site||^2, so one `coeff`
+    serves both. The UAV-rate bound is affine in s:
+        rhat[n,k](u) = intercept_a[n,k] - coeff[n,k] * s
     The TIN guarantee bound keeps its exact second log-term:
-        lhs[n,k](u) = intercept_b[n,k] - coeff_b[n,k] * s
+        lhs[n,k](u) = intercept_b[n,k] - coeff[n,k] * s
                       - log2(sigma2_k + h_k(u) * p[n])
     """
 
@@ -142,20 +134,19 @@ class Surrogate:
     p: np.ndarray            # (N,)
     ic_mask: np.ndarray      # (N, K) bool
     tin_mask: np.ndarray     # (N, K) bool, only sites with a rate guarantee
-    coeff_a: np.ndarray      # (N, K)
+    coeff: np.ndarray        # (N, K)
     intercept_a: np.ndarray  # (N, K)
-    coeff_b: np.ndarray      # (N, K)
     intercept_b: np.ndarray  # (N, K)
 
     def _at(self, points: np.ndarray) -> _SlotEval:
         """Evaluate the surrogate with the waypoints at `points` (one row
         per slot). Row-wise: a row depends on its own point and slot only."""
         sc = self.scenario
-        diff, s, d2, h = _geometry(points, sc)
-        rate = np.where(self.ic_mask, self.intercept_a - self.coeff_a * s,
+        diff, s, d2, h = geometry(points, sc)
+        rate = np.where(self.ic_mask, self.intercept_a - self.coeff * s,
                         np.inf)
         lhs = np.where(self.tin_mask,
-                       self.intercept_b - self.coeff_b * s
+                       self.intercept_b - self.coeff * s
                        - np.log2(sc.sigma2_vec[None, :] + h * self.p[:, None]),
                        np.inf)
         return _SlotEval(diff, d2, h, rate, lhs)
@@ -180,34 +171,25 @@ def build_surrogate(local_traj: Trajectory, allocs: Allocation,
     if len(allocs) != n_slots:
         raise ValueError(f"{len(allocs)} allocations for {n_slots} slots")
     p, q, tau = allocs.p, allocs.q, allocs.tau
-    alpha, beta0 = sc.channel.alpha, sc.channel.beta0
 
-    _, s_loc, d2, h_loc = _geometry(local[1:], sc)
+    _, s_loc, d2, h_loc = geometry(local[1:], sc)
     c = sc.sigma2_vec[None, :] + sc.g_vec[None, :] * q
     pcol = p[:, None]
 
-    # Exact derivatives of the rate expressions with respect to s at the
-    # local point; zero where the UAV does not transmit.
+    # Exact derivative of the log-terms with respect to s at the local
+    # point; zero where the UAV does not transmit.
     with np.errstate(divide="ignore"):
-        coeff_a = np.where(
-            pcol > 0.0,
-            (alpha * beta0 * pcol)
-            / (2.0 * LN2 * d2 * (beta0 * pcol + c * d2 ** (alpha / 2.0))),
-            0.0)
-        coeff_b = np.where(pcol > 0.0,
-                           _log_slope(d2, h_loc, pcol, c, sc.channel), 0.0)
-    intercept_a = log2_1p(h_loc * pcol / c) + coeff_a * s_loc
-    intercept_b = np.log2(c + h_loc * pcol) + coeff_b * s_loc
+        coeff = np.where(pcol > 0.0,
+                         _log_slope(d2, h_loc, pcol, c, sc.channel), 0.0)
 
     return Surrogate(
         scenario=sc,
         p=p,
         ic_mask=tau,
         tin_mask=(~tau) & (sc.gamma_vec[None, :] > 0.0),
-        coeff_a=coeff_a,
-        intercept_a=intercept_a,
-        coeff_b=coeff_b,
-        intercept_b=intercept_b,
+        coeff=coeff,
+        intercept_a=uav_rate(h_loc, pcol, q, sc) + coeff * s_loc,
+        intercept_b=np.log2(c + h_loc * pcol) + coeff * s_loc,
     )
 
 
@@ -239,7 +221,7 @@ def _ascent_direction(surrogate: Surrogate, ev: _SlotEval) -> np.ndarray:
     sc = surrogate.scenario
     rows = np.arange(ev.rate.shape[0])
     kstar = np.argmin(ev.rate, axis=1)
-    a_star = surrogate.coeff_a[rows, kstar]
+    a_star = surrogate.coeff[rows, kstar]
     g = -2.0 * a_star[:, None] * ev.diff[rows, kstar, :]
 
     active = ev.lhs - sc.gamma_vec[None, :] < ACTIVE_SLACK
@@ -250,7 +232,7 @@ def _ascent_direction(surrogate: Surrogate, ev: _SlotEval) -> np.ndarray:
         for k in np.flatnonzero(active.any(axis=0)):
             rows_k = np.flatnonzero(active[:, k])
             grad_lhs = 2.0 * (slope_e[rows_k, k]
-                              - surrogate.coeff_b[rows_k, k])[:, None] \
+                              - surrogate.coeff[rows_k, k])[:, None] \
                 * ev.diff[rows_k, k, :]
             nrm2 = np.einsum("mi,mi->m", grad_lhs, grad_lhs)
             dot = np.einsum("mi,mi->m", g[rows_k], grad_lhs)
@@ -346,12 +328,9 @@ def slot_rates(traj: Trajectory, allocs: Allocation,
                scenario: Scenario) -> np.ndarray:
     """True per-slot UAV rates for a fixed allocation: min over IC sites,
     clamped at zero."""
-    sc = scenario
-    pts = traj.waypoints[1:]
-    p, q, tau = allocs.p, allocs.q, allocs.tau
-    h = a2g_gain_points(pts, sc.site_pos, sc.channel, sc.uav.altitude)
-    rate = log2_1p(h * p[:, None] / (sc.sigma2_vec[None, :] + sc.g_vec[None, :] * q))
-    rate = np.where(tau, rate, np.inf).min(axis=1)
+    h = a2g_gain(traj.waypoints[1:], scenario)
+    rate = uav_rate(h, allocs.p[:, None], allocs.q, scenario)
+    rate = np.where(allocs.tau, rate, np.inf).min(axis=1)
     return np.maximum(rate, 0.0)
 
 
@@ -365,11 +344,9 @@ def verify_safe_step(traj: Trajectory, allocs: Allocation,
     """Re-check the original constraints with the exact rate expressions."""
     sc = scenario
     traj.validate(sc.uav, tol=SPEED_ABS_TOL)
-    pts = traj.waypoints[1:]
-    p, q, tau = allocs.p, allocs.q, allocs.tau
-    h = a2g_gain_points(pts, sc.site_pos, sc.channel, sc.uav.altitude)
-    tin_rate = log2_1p(sc.g_vec[None, :] * q / (sc.sigma2_vec[None, :] + h * p[:, None]))
-    tin_mask = (~tau) & (sc.gamma_vec[None, :] > 0.0)
+    h = a2g_gain(traj.waypoints[1:], sc)
+    tin_rate = gu_rate_tin(h, allocs.p[:, None], allocs.q, sc)
+    tin_mask = (~allocs.tau) & (sc.gamma_vec[None, :] > 0.0)
     slack = np.where(tin_mask, tin_rate - sc.gamma_vec[None, :], np.inf)
     worst = float(slack.min())
     if not (worst >= -SAFE_STEP_TOL):  # NaN fails too

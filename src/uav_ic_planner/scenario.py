@@ -433,10 +433,3 @@ def check_feasibility(s: Scenario) -> FeasibilityReport:
         min_mission_t=dist / s.uav.v_max,
         failing_sites=failing,
     )
-
-
-def place_sites_uniform(rng: np.random.Generator, k: int,
-                        x_max: float, y_max: float) -> list[tuple[float, float]]:
-    """Uniform random site positions inside [0, x_max] x [0, y_max]."""
-    pts = rng.uniform([0.0, 0.0], [x_max, y_max], size=(k, 2))
-    return [(float(x), float(y)) for x, y in pts]

@@ -12,7 +12,7 @@ from uav_ic_planner.ra_solver import Allocation
 from uav_ic_planner.sca_trajectory import Trajectory, build_surrogate
 from uav_ic_planner.scenario import (ChannelParams, GbsSite, Scenario,
                                      UavParams, check_feasibility,
-                                     default_scenario, place_sites_uniform)
+                                     default_scenario)
 
 
 def make_site(pos=(0.0, 0.0), g=1e-7, sigma2=1e-8, q_max=1.0,
@@ -44,9 +44,9 @@ def single_site_scenario(u_init=(0.0, 0.0), u_final=(0.0, 0.0),
     )
 
 
-def surrogate_coeffs(p, u, q, site, channel, altitude) -> tuple[float, float]:
-    """`build_surrogate`'s (coeff_a, coeff_b) for one slot flown at u with
-    UAV power p, next to one decoding site whose GU transmits at q."""
+def surrogate_coeff(p, u, q, site, channel, altitude) -> float:
+    """`build_surrogate`'s slope `coeff` for one slot flown at u with UAV
+    power p, next to one decoding site whose GU transmits at q."""
     u = (float(u[0]), float(u[1]))
     uav = make_uav(altitude=altitude, u_init=u, u_final=u, mission_t=10.0,
                    n_slots=1)
@@ -54,7 +54,7 @@ def surrogate_coeffs(p, u, q, site, channel, altitude) -> tuple[float, float]:
     allocs = Allocation(tau=np.array([[True]]), q=np.array([[q]], dtype=float),
                         p=np.array([p], dtype=float), r=np.zeros(1))
     surro = build_surrogate(Trajectory(np.array([u, u])), allocs, sc)
-    return float(surro.coeff_a[0, 0]), float(surro.coeff_b[0, 0])
+    return float(surro.coeff[0, 0])
 
 
 def surrogate_bounds(surro, points) -> tuple[np.ndarray, np.ndarray]:
@@ -64,6 +64,13 @@ def surrogate_bounds(surro, points) -> tuple[np.ndarray, np.ndarray]:
     on = np.ones_like(surro.ic_mask)
     ev = dataclasses.replace(surro, ic_mask=on, tin_mask=on)._at(points)
     return ev.rate, ev.lhs
+
+
+def place_sites_uniform(rng: np.random.Generator, k: int,
+                        x_max: float, y_max: float) -> list[tuple[float, float]]:
+    """Uniform random site positions inside [0, x_max] x [0, y_max]."""
+    pts = rng.uniform([0.0, 0.0], [x_max, y_max], size=(k, 2))
+    return [(float(x), float(y)) for x, y in pts]
 
 
 def random_feasible_scenario(rng: np.random.Generator, k: int | None = None,

@@ -1,18 +1,26 @@
 """Independent brute-force oracles used to validate the closed-form solvers.
 
+The channel model is written out here once more, for one UAV position and
+one site with scalar math, from the paper's expressions: the A2G gain
+beta0 (H^2 + ||u - w_k||^2)^(-alpha/2), the UAV rate log2(1 + h p / (sigma2
++ g q)) and the GU rates log2(1 + g q / sigma2) under IC and log2(1 + g q /
+(sigma2 + h p)) under TIN. The slot oracles use only these, not
+`uav_ic_planner.channel`, so they do not check the kernel against itself.
+
 `enumerate_slot` is the reference for the threshold scan: it enumerates every
 admissible decoding mode at one UAV position with scalar closed forms and
 applies the tie rule literally. `brute_force_slot_rate` avoids the closed
 forms altogether: GU powers are searched on a grid and the UAV power is
 swept over a grid, keeping only combinations that satisfy the constraints
-evaluated through the channel module. Guarantee checks carry the same 1e-9
+evaluated through these scalar formulas. Guarantee checks carry the same 1e-9
 bps/Hz slack as the scenario feasibility test, so grid points landing
 exactly on a constraint boundary are not rejected by float rounding.
 
 `reference_sweep` is the reference for `sca_trajectory._sweep`: the
 red-black waypoint sweeps written plainly, evaluating the surrogate kernel at
 the current waypoints and at the candidates in every colour pass, on
-fancy-indexed slot rows.
+fancy-indexed slot rows. It shares the geometry function and the surrogate
+arithmetic with `_sweep`, since it must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -23,15 +31,45 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from uav_ic_planner.channel import a2g_gain, log2_1p, uav_rate
+from uav_ic_planner.channel import geometry
 from uav_ic_planner.ra_solver import (TIE_TOL, InternalConsistencyError,
                                       gu_power_ic)
 from uav_ic_planner.sca_trajectory import (ACTIVE_SLACK, ASCENT_STEPS,
                                            SURROGATE_FEAS_TOL, Surrogate,
-                                           _geometry, _line_search_objective,
-                                           _log_slope, _SlotEval)
+                                           _line_search_objective, _log_slope,
+                                           _SlotEval)
 from uav_ic_planner.scenario import LN2, Scenario
 
+
+# ---------------------------------------------------------------------------
+# The channel model at one UAV position u (horizontal, 2-vector) and one site
+
+def _log2_1p(x: float) -> float:
+    return math.log1p(x) / math.log(2.0)
+
+
+def a2g_gain(u, site, ch, altitude: float) -> float:
+    dx = float(u[0]) - site.pos[0]
+    dy = float(u[1]) - site.pos[1]
+    return ch.beta0 * (altitude ** 2 + (dx * dx + dy * dy)) ** (-ch.alpha / 2.0)
+
+
+def uav_rate(p, u, q, site, ch, altitude: float) -> float:
+    h = a2g_gain(u, site, ch, altitude)
+    return _log2_1p(h * p / (site.sigma2 + site.g * q))
+
+
+def gu_rate_ic(q, site) -> float:
+    return _log2_1p(site.g * q / site.sigma2)
+
+
+def gu_rate_tin(p, u, q, site, ch, altitude: float) -> float:
+    h = a2g_gain(u, site, ch, altitude)
+    return _log2_1p(site.g * q / (site.sigma2 + h * p))
+
+
+# ---------------------------------------------------------------------------
+# Slot allocation
 
 class ModeAllocation(NamedTuple):
     tau: tuple[int, ...]  # 1 = decode the UAV (IC), 0 = treat as noise (TIN)
@@ -128,8 +166,8 @@ def brute_force_slot_rate(u, scenario: Scenario, step: float = 1e-3,
             q[k] = site.q_max
             if site.gamma == 0.0:
                 continue
-            tin = log2_1p(site.g * site.q_max
-                          / (site.sigma2 + h[k] * p_grid))
+            tin = np.log1p(site.g * site.q_max
+                           / (site.sigma2 + h[k] * p_grid)) / LN2
             feasible &= tin >= site.gamma - 1e-9
         if not feasible.any():
             continue
@@ -137,7 +175,8 @@ def brute_force_slot_rate(u, scenario: Scenario, step: float = 1e-3,
         for k in ic_sites:
             site = scenario.sites[k]
             r = np.minimum(
-                r, log2_1p(h[k] * p_grid / (site.sigma2 + site.g * q[k])))
+                r, np.log1p(h[k] * p_grid / (site.sigma2 + site.g * q[k]))
+                / LN2)
         best = max(best, float(r[feasible].max()))
     return max(best, 0.0)
 
@@ -177,12 +216,12 @@ def _surrogate_at(surrogate: Surrogate, points: np.ndarray,
                   slots: np.ndarray) -> _SlotEval:
     """The surrogate of `slots` with their waypoints at `points`."""
     sc = surrogate.scenario
-    diff, s, d2, h = _geometry(points, sc)
+    diff, s, d2, h = geometry(points, sc)
     rate = np.where(surrogate.ic_mask[slots],
-                    surrogate.intercept_a[slots] - surrogate.coeff_a[slots] * s,
+                    surrogate.intercept_a[slots] - surrogate.coeff[slots] * s,
                     np.inf)
     lhs = np.where(surrogate.tin_mask[slots],
-                   surrogate.intercept_b[slots] - surrogate.coeff_b[slots] * s
+                   surrogate.intercept_b[slots] - surrogate.coeff[slots] * s
                    - np.log2(sc.sigma2_vec[None, :]
                              + h * surrogate.p[slots, None]),
                    np.inf)
@@ -204,7 +243,7 @@ def _ascent_direction(surrogate: Surrogate, ev: _SlotEval,
     sc = surrogate.scenario
     rows = np.arange(slots.size)
     kstar = np.argmin(ev.rate, axis=1)
-    a_star = surrogate.coeff_a[slots, kstar]
+    a_star = surrogate.coeff[slots, kstar]
     g = -2.0 * a_star[:, None] * ev.diff[rows, kstar, :]
 
     active = ev.lhs - sc.gamma_vec[None, :] < ACTIVE_SLACK
@@ -216,7 +255,7 @@ def _ascent_direction(surrogate: Surrogate, ev: _SlotEval,
             if rows_k.size == 0:
                 continue
             grad_lhs = 2.0 * (slope_e[rows_k, k]
-                              - surrogate.coeff_b[slots[rows_k], k])[:, None] \
+                              - surrogate.coeff[slots[rows_k], k])[:, None] \
                 * ev.diff[rows_k, k, :]
             nrm2 = np.einsum("mi,mi->m", grad_lhs, grad_lhs)
             dot = np.einsum("mi,mi->m", g[rows_k], grad_lhs)

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from uav_ic_planner.benchmarks import run_scheme, upper_bound
-from uav_ic_planner.channel import uav_rate
 from uav_ic_planner.planner import PlannerConfig, evaluate_plan, solve
 from uav_ic_planner.ra_solver import solve_slot, solve_resource_allocation
 from uav_ic_planner.sca_trajectory import (build_surrogate,
@@ -26,7 +25,7 @@ from uav_ic_planner.scenario import (LN2, ChannelParams, GbsSite, Scenario,
 from uav_ic_planner import harness
 
 from conftest import (make_channel, make_uav, random_feasible_scenario,
-                      surrogate_bounds, surrogate_coeffs)
+                      surrogate_bounds, surrogate_coeff)
 from oracles import (brute_force_slot_rate, fd_derivative_in_sqdist,
                      grid_resolution_bound)
 
@@ -185,9 +184,9 @@ def test_criterion_2_surrogate_validity(default_sc):
             h = beta0 * (alt ** 2 + sv) ** (-alpha / 2.0)
             return math.log2(site.sigma2 + site.g * qq + h * pp)
 
-        a, b = surrogate_coeffs(pp, u, qq, site, default_sc.channel, alt)
-        rel_a = abs(a + fd_derivative_in_sqdist(rate_fn, s)) / a
-        rel_b = abs(b + fd_derivative_in_sqdist(log_fn, s)) / b
+        coeff = surrogate_coeff(pp, u, qq, site, default_sc.channel, alt)
+        rel_a = abs(coeff + fd_derivative_in_sqdist(rate_fn, s)) / coeff
+        rel_b = abs(coeff + fd_derivative_in_sqdist(log_fn, s)) / coeff
         worst_fd = max(worst_fd, rel_a, rel_b)
         fd_ok &= rel_a <= 1e-4 and rel_b <= 1e-4
 

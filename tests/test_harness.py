@@ -153,16 +153,25 @@ def test_sweep_marks_infeasible_points(tmp_path, capsys):
 def test_sweep_gamma_boundary(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["sweep", "--param", "gamma_all_sites",
-                 "--values", "1,3,5,6", "--schemes", "straight_fly",
-                 "--out", str(out)])
+                 "--values", "1,3,5,6,2000",
+                 "--schemes", "straight_fly,upper_bound", "--out", str(out)])
     assert code == EXIT_OK
     _, rows = harness._read_table(out / "summary.csv")
-    status = {r[2]: r[5] for r in rows}
-    assert status["1"] == status["3"] == status["5"] == "OK"
-    assert status["6"] == "INFEASIBLE"
-    # Throughput falls as the guarantee tightens.
-    vals = [float(r[3]) for r in rows if r[5] == "OK"]
-    assert vals == sorted(vals, reverse=True)
+    for scheme in ("straight_fly", "upper_bound"):
+        status = {r[2]: r[5] for r in rows if r[0] == scheme}
+        assert status["1"] == status["3"] == status["5"] == "OK"
+        # 2^2000 overflows a float: the feasibility check must reject the
+        # guarantee before any closed form evaluates it.
+        assert status["6"] == status["2000"] == "INFEASIBLE"
+        # Throughput falls as the guarantee tightens.
+        vals = [float(r[3]) for r in rows if r[0] == scheme and r[5] == "OK"]
+        assert vals == sorted(vals, reverse=True)
+    path = tmp_path / "huge_gamma.yaml"
+    path.write_text(DEFAULT_SCENARIO_YAML.replace("gamma_bpshz: 2.0",
+                                                  "gamma_bpshz: 2000.0", 1))
+    for scheme in ("upper_bound", "successive_hover_fly", "proposed"):
+        assert main(["plan", "--scenario", str(path), "--scheme", scheme,
+                     "--out", str(tmp_path / scheme)]) == EXIT_INFEASIBLE
 
 
 def test_sweep_rejects_unsorted_values(tmp_path, capsys):

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from uav_ic_planner.channel import gu_rate_ic, gu_rate_tin
 from uav_ic_planner.planner import evaluate_plan, make_plan
 from uav_ic_planner import ra_solver
 from uav_ic_planner.ra_solver import (InfeasibleSite, InternalConsistencyError,
@@ -16,7 +15,7 @@ from uav_ic_planner.scenario import GbsSite, Scenario
 from conftest import (make_channel, make_site, make_uav,
                       random_feasible_scenario, single_site_scenario)
 from oracles import (brute_force_slot_rate, enumerate_modes, enumerate_slot,
-                     solve_mode)
+                     gu_rate_ic, gu_rate_tin, solve_mode)
 
 MODE_CONSTRAINTS = ("any", "egoistic", "altruistic")
 

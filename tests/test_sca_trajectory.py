@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from uav_ic_planner.channel import gu_rate_tin, uav_rate
 from uav_ic_planner.planner import prolong, solve
 from uav_ic_planner.ra_solver import Allocation, solve_resource_allocation
 from uav_ic_planner.sca_trajectory import (ACTIVE_SLACK, ScaConfig, Trajectory,
@@ -19,8 +18,9 @@ from uav_ic_planner.scenario import LN2, Scenario
 
 from conftest import (make_channel, make_site, make_uav,
                       random_feasible_scenario, single_site_scenario,
-                      surrogate_bounds, surrogate_coeffs)
-from oracles import fd_derivative_in_sqdist, reference_sweep
+                      surrogate_bounds, surrogate_coeff)
+from oracles import (fd_derivative_in_sqdist, gu_rate_tin, reference_sweep,
+                     uav_rate)
 
 CH = make_channel()
 
@@ -48,9 +48,10 @@ def logterm_of_sqdist(p, q, site, ch, altitude):
 
 
 def test_coeff_a_reference_value():
-    # alpha=2, beta0=1e-3, p=1, s=0, H=100, sigma2=1e-8, g*q=3e-8
+    # The slope of the UAV-rate term at alpha=2, beta0=1e-3, p=1, s=0,
+    # H=100, sigma2=1e-8, g*q=3e-8.
     site = make_site(pos=(0.0, 0.0), g=1e-7, sigma2=1e-8)
-    a, _ = surrogate_coeffs(1.0, (0.0, 0.0), 0.3, site, CH, 100.0)
+    a = surrogate_coeff(1.0, (0.0, 0.0), 0.3, site, CH, 100.0)
     expected = (2 * 1e-3) / (2 * LN2 * 1e4 * (1e-3 + 4e-8 * 1e4))
     assert a == pytest.approx(expected, rel=1e-12)
     assert a == pytest.approx(1.031e-4, rel=1e-3)
@@ -58,8 +59,7 @@ def test_coeff_a_reference_value():
 
 def test_coeffs_zero_at_zero_power():
     site = make_site()
-    assert surrogate_coeffs(0.0, (10.0, 20.0), 0.5, site, CH,
-                            100.0) == (0.0, 0.0)
+    assert surrogate_coeff(0.0, (10.0, 20.0), 0.5, site, CH, 100.0) == 0.0
 
 
 def test_coeffs_positive_for_positive_power(rng):
@@ -68,13 +68,12 @@ def test_coeffs_positive_for_positive_power(rng):
         u = rng.uniform(-500, 500, size=2)
         q = float(rng.uniform(0.0, 1.0))
         site = make_site(pos=(0.0, 0.0))
-        a, b = surrogate_coeffs(p, u, q, site, CH, 100.0)
-        assert a > 0.0 and b > 0.0
+        assert surrogate_coeff(p, u, q, site, CH, 100.0) > 0.0
 
 
 def test_coeffs_match_finite_differences(rng):
-    """Both coefficients are the negative derivative, in squared distance,
-    of their expressions; checked by central differences at random points."""
+    """The one coefficient is the negative derivative, in squared distance,
+    of both log-terms; checked by central differences at random points."""
     for _ in range(100):
         p = float(rng.uniform(1e-2, 2.0))
         q = float(rng.uniform(0.0, 1.0))
@@ -85,14 +84,14 @@ def test_coeffs_match_finite_differences(rng):
         u = (offset, 0.0)
         s = offset ** 2
 
-        a, b = surrogate_coeffs(p, u, q, site, ch, 100.0)
+        coeff = surrogate_coeff(p, u, q, site, ch, 100.0)
         fd_a = -fd_derivative_in_sqdist(
             rate_of_sqdist(p, q, site, ch, 100.0), s)
-        assert a == pytest.approx(fd_a, rel=1e-4)
+        assert coeff == pytest.approx(fd_a, rel=1e-4)
 
         fd_b = -fd_derivative_in_sqdist(
             logterm_of_sqdist(p, q, site, ch, 100.0), s)
-        assert b == pytest.approx(fd_b, rel=1e-4)
+        assert coeff == pytest.approx(fd_b, rel=1e-4)
 
 
 def _surrogate_fixture(scenario):
@@ -145,8 +144,7 @@ def test_surrogate_constant_for_zero_power():
     traj = straight_line_trajectory(sc.uav)
     allocs = uniform_allocation(3, tau=(True,), q=(0.3,), p=0.0, r=0.0)
     surro = build_surrogate(traj, allocs, sc)
-    assert np.all(surro.coeff_a == 0.0)
-    assert np.all(surro.coeff_b == 0.0)
+    assert np.all(surro.coeff == 0.0)
 
 
 def test_solve_surrogate_fixed_point_returns_local():
@@ -222,7 +220,7 @@ def test_ascent_direction_slides_along_active_tin_guarantee():
     step = 1e-3
     grad_lhs = np.array([(lhs(point + step * e) - lhs(point - step * e))
                          / (2.0 * step) for e in np.eye(2)])
-    raw = -2.0 * surro.coeff_a[0, 0] * (point - np.asarray(ic_site.pos))
+    raw = -2.0 * surro.coeff[0, 0] * (point - np.asarray(ic_site.pos))
     scale = np.linalg.norm(grad_lhs)
     assert raw @ grad_lhs < -0.1 * np.linalg.norm(raw) * scale
 

@@ -9,9 +9,9 @@ from uav_ic_planner.scenario import (DEFAULT_SCENARIO_YAML, GbsSite, Scenario,
                                      ScenarioError, check_feasibility,
                                      db_to_linear, dbm_to_watts,
                                      default_scenario, parse_scenario,
-                                     place_sites_uniform, serialize_scenario)
+                                     serialize_scenario)
 
-from conftest import make_channel, make_site, make_uav
+from conftest import make_channel, make_site, make_uav, place_sites_uniform
 
 
 MINIMAL_YAML = """\
