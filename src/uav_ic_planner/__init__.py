@@ -7,13 +7,12 @@ from .scenario import (ChannelParams, FeasibilityReport, GbsSite, Scenario,
 from .channel import a2g_gain, gu_rate_ic, gu_rate_tin, uav_rate
 from .ra_solver import (Allocation, InfeasibleSite, slot_rates_on_points,
                         solve_mode, solve_resource_allocation, solve_slot)
-from .sca_trajectory import (ScaConfig, ScaResult, Trajectory,
-                             optimize_trajectory, straight_line_trajectory)
+from .sca_trajectory import (ScaResult, Trajectory, optimize_trajectory,
+                             straight_line_trajectory)
 from .planner import (ConvergenceTrace, InfeasibleScenario, Plan,
                       PlannerConfig, evaluate_plan, solve)
-from .benchmarks import (InsufficientDuration, UpperBoundResult, altruistic,
-                         egoistic, run_scheme, straight_fly,
-                         successive_hover_fly, upper_bound)
+from .benchmarks import (InsufficientDuration, UpperBoundResult, run_scheme,
+                         straight_fly, successive_hover_fly, upper_bound)
 
 __all__ = [
     "ChannelParams", "FeasibilityReport", "GbsSite", "Scenario",
@@ -22,11 +21,10 @@ __all__ = [
     "a2g_gain", "gu_rate_ic", "gu_rate_tin", "uav_rate",
     "Allocation", "InfeasibleSite", "slot_rates_on_points", "solve_mode",
     "solve_resource_allocation", "solve_slot",
-    "ScaConfig", "ScaResult", "Trajectory", "optimize_trajectory",
+    "ScaResult", "Trajectory", "optimize_trajectory",
     "straight_line_trajectory",
     "ConvergenceTrace", "InfeasibleScenario", "Plan", "PlannerConfig",
     "evaluate_plan", "solve",
-    "InsufficientDuration", "UpperBoundResult", "altruistic",
-    "egoistic", "run_scheme", "straight_fly", "successive_hover_fly",
-    "upper_bound",
+    "InsufficientDuration", "UpperBoundResult", "run_scheme", "straight_fly",
+    "successive_hover_fly", "upper_bound",
 ]

@@ -1,5 +1,6 @@
-"""Comparison schemes: straight-fly, successive hover-fly, egoistic and
-altruistic decoding, and the hover-anywhere upper bound."""
+"""Comparison schemes: straight-fly, successive hover-fly and the
+hover-anywhere upper bound. Egoistic and altruistic decoding are the
+planner under a mode constraint (`planner.SCHEME_MODES`)."""
 
 from __future__ import annotations
 
@@ -53,23 +54,6 @@ def straight_fly(scenario: Scenario) -> Plan:
     traj = straight_line_trajectory(scenario.uav)
     allocs, avg = solve_resource_allocation(traj, scenario)
     return make_plan(traj, allocs, avg, "straight_fly", scenario)
-
-
-def proposed(scenario: Scenario, cfg: PlannerConfig = PlannerConfig()):
-    return planner_mod.solve(
-        scenario, dataclasses.replace(cfg, mode_constraint="any"))
-
-
-def egoistic(scenario: Scenario, cfg: PlannerConfig = PlannerConfig()):
-    """Exactly one site decodes the UAV in each slot."""
-    return planner_mod.solve(
-        scenario, dataclasses.replace(cfg, mode_constraint="egoistic"))
-
-
-def altruistic(scenario: Scenario, cfg: PlannerConfig = PlannerConfig()):
-    """Every site decodes the UAV in each slot."""
-    return planner_mod.solve(
-        scenario, dataclasses.replace(cfg, mode_constraint="altruistic"))
 
 
 # ---------------------------------------------------------------------------
@@ -186,17 +170,15 @@ def run_scheme(name: str, scenario: Scenario,
                cfg: PlannerConfig = PlannerConfig(),
                grid_step: float = DEFAULT_GRID_STEP_M):
     """Dispatch a scheme by name. Returns (Plan, ConvergenceTrace | None) for
-    trajectory schemes and (UpperBoundResult, None) for the upper bound."""
-    if name == "proposed":
-        return proposed(scenario, cfg)
+    trajectory schemes and (UpperBoundResult, None) for the upper bound.
+    Each scheme function is called through its module global."""
+    if name in planner_mod.SCHEME_MODES:
+        return planner_mod.solve(scenario, dataclasses.replace(
+            cfg, mode_constraint=planner_mod.SCHEME_MODES[name]))
     if name == "straight_fly":
         return straight_fly(scenario), None
     if name == "successive_hover_fly":
         return successive_hover_fly(scenario), None
-    if name == "egoistic":
-        return egoistic(scenario, cfg)
-    if name == "altruistic":
-        return altruistic(scenario, cfg)
     if name == "upper_bound":
         return upper_bound(scenario, grid_step), None
     raise ValueError(f"unknown scheme {name!r}")

@@ -22,13 +22,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import benchmarks
 from .benchmarks import (DEFAULT_GRID_STEP_M, SCHEME_NAMES, InsufficientDuration,
                          UpperBoundResult, run_scheme)
-from .planner import (ConvergenceTrace, InfeasibleScenario, Plan,
-                      PlannerConfig, make_plan)
+from .planner import (SCHEME_MODES, ConvergenceTrace, InfeasibleScenario,
+                      Plan, PlannerConfig, make_plan)
 from .ra_solver import Allocation, InfeasibleSite
-from .sca_trajectory import ScaConfig, Trajectory
+from .sca_trajectory import Trajectory
 from .scenario import (DEFAULT_SCENARIO_YAML, Scenario, ScenarioError,
                        check_feasibility, default_scenario, parse_scenario)
 
@@ -145,11 +144,8 @@ def _normalize_scheme(name: str) -> str:
 
 
 def _planner_cfg(args) -> PlannerConfig:
-    return PlannerConfig(
-        outer_max_iters=args.outer_max_iters,
-        outer_rel_tol=args.rel_tol,
-        sca=ScaConfig(rel_tol=args.rel_tol),
-    )
+    return PlannerConfig(outer_max_iters=args.outer_max_iters,
+                         rel_tol=args.rel_tol)
 
 
 def cmd_plan(args) -> int:
@@ -244,7 +240,7 @@ def cmd_trace(args) -> int:
     traces: dict[str, list[float]] = {}
     cfg = _planner_cfg(args)
     for scheme in schemes:
-        if scheme in ("straight_fly", "successive_hover_fly", "upper_bound"):
+        if scheme not in SCHEME_MODES:
             raise ValueError(f"scheme {scheme!r} has no iteration trace")
         _, trace = run_scheme(scheme, scenario, cfg)
         traces[scheme] = trace.outer

@@ -5,7 +5,7 @@ and that guarantee enforced at runtime."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,6 +17,12 @@ from .scenario import FeasibilityReport, Scenario, check_feasibility
 OUTER_MONOTONE_TOL = 1e-9
 COARSE_SLOTS = 200  # slot count of the coarse level on finer grids
 RESIDUAL_TOL = -1e-8
+
+# The planner's schemes: one alternating algorithm under each decoding-mode
+# constraint. `solve` tags its plans with the name, `run_scheme` dispatches
+# on it, and only these schemes have an iteration trace.
+SCHEME_MODES: dict[str, ModeConstraint] = {
+    "proposed": "any", "egoistic": "egoistic", "altruistic": "altruistic"}
 
 
 class PlannerError(Exception):
@@ -46,8 +52,7 @@ class MonotonicityError(PlannerError):
 @dataclass(frozen=True)
 class PlannerConfig:
     outer_max_iters: int = 30
-    outer_rel_tol: float = 1e-4
-    sca: sca.ScaConfig = field(default_factory=sca.ScaConfig)
+    rel_tol: float = 1e-4  # relative objective gain that stops either loop
     mode_constraint: ModeConstraint = "any"
 
 
@@ -55,8 +60,7 @@ class PlannerConfig:
 class Plan:
     trajectory: sca.Trajectory
     allocations: Allocation
-    avg_throughput: float                  # bps/Hz
-    constraint_residuals: dict[str, float]  # worst slack per constraint family
+    avg_throughput: float  # bps/Hz
     scheme_tag: str
 
 
@@ -107,14 +111,14 @@ def _alternate(traj: sca.Trajectory, scenario: Scenario, cfg: PlannerConfig,
         outer.append(obj)
         if prev is not None:
             rel = (obj - prev) / max(abs(prev), 1e-12)
-            if rel < cfg.outer_rel_tol:
+            if rel < cfg.rel_tol:
                 converged = True
                 break
         if i == cfg.outer_max_iters - 1 or not can_move:
             if not can_move:
                 converged = True
             break
-        result = sca.optimize_trajectory(traj, allocs, scenario, cfg.sca)
+        result = sca.optimize_trajectory(traj, allocs, scenario, cfg.rel_tol)
         inner_per_outer.append(result.inner_trace)
         traj = result.trajectory
     trace = ConvergenceTrace(outer=outer, inner_per_outer=inner_per_outer,
@@ -153,8 +157,8 @@ def solve(scenario: Scenario,
 
     traj, allocs, trace = _alternate(traj, scenario, cfg)
     trace.coarse = coarse
-    tag = {"any": "proposed", "egoistic": "egoistic",
-           "altruistic": "altruistic"}[cfg.mode_constraint]
+    tag = {mode: name for name, mode in SCHEME_MODES.items()}[
+        cfg.mode_constraint]
     plan = make_plan(traj, allocs, trace.outer[-1], tag, scenario)
     return plan, trace
 
@@ -162,11 +166,13 @@ def solve(scenario: Scenario,
 def make_plan(traj: sca.Trajectory, allocs: Allocation,
               avg_throughput: float, scheme_tag: str,
               scenario: Scenario) -> Plan:
+    """A plan that passes the full constraint audit; raises PlannerError
+    otherwise, so a NaN or a violation never leaves the planner."""
     plan = Plan(trajectory=traj, allocations=allocs,
-                avg_throughput=avg_throughput,
-                constraint_residuals={}, scheme_tag=scheme_tag)
+                avg_throughput=avg_throughput, scheme_tag=scheme_tag)
     report = evaluate_plan(plan, scenario)
-    plan.constraint_residuals = report.residuals
+    if not (report.all_satisfied and report.objective_matches):
+        raise PlannerError(f"{scheme_tag} plan fails its audit: {report}")
     return plan
 
 
@@ -196,20 +202,14 @@ def evaluate_plan(plan: Plan, scenario: Scenario) -> ResidualReport:
         raise PlannerError("plan dimensions do not match the scenario")
     tau, q, p, r = alloc.tau, alloc.q, alloc.p, alloc.r
 
-    # Speed is checked with the same relative margin as the feasibility
-    # test, so boundary missions (straight line exactly fills the distance
-    # budget) report non-negative slack.
-    v_step = uav.v_max * uav.delta_t * (1.0 + sca.REACH_REL_TOL)
-    seg = np.linalg.norm(np.diff(wp, axis=0), axis=1)
-    ends = [np.linalg.norm(wp[0] - np.asarray(uav.u_init)),
-            np.linalg.norm(wp[-1] - np.asarray(uav.u_final))]
+    speed, ends = plan.trajectory.flight_slacks(uav)
     h = a2g_gain(wp[1:], scenario)
     rate = uav_rate(h, p[:, None], q, scenario)
     gu = np.where(tau, gu_rate_ic(q, scenario),
                   gu_rate_tin(h, p[:, None], q, scenario))
     res = {
-        "speed": v_step - seg.max(),
-        "endpoints": -np.max(ends),
+        "speed": speed,
+        "endpoints": ends,
         "power_uav": np.min([p.min(), uav.p_max - p.max()]),
         "power_gu": np.min([q.min(), (scenario.q_max_vec - q).min()]),
         "mode_count": tau.sum(axis=1).min() - 1,

@@ -78,7 +78,10 @@ class Allocation:
 
 def gu_power_ic(site, site_index: int = -1) -> float:
     """Minimum GU power meeting the rate guarantee under IC."""
-    q = (2.0 ** site.gamma - 1.0) * site.sigma2 / site.g
+    try:
+        q = (2.0 ** site.gamma - 1.0) * site.sigma2 / site.g
+    except OverflowError:  # 2^gamma is past the float range
+        q = math.inf
     if q > site.q_max * (1.0 + Q_CAP_REL_TOL):
         raise InfeasibleSite(site_index, q, site.q_max)
     return min(q, site.q_max)

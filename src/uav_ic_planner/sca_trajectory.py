@@ -25,6 +25,7 @@ SPEED_ABS_TOL = 1e-9      # m, slack on per-segment length checks
 SAFE_STEP_TOL = 1e-8      # bps/Hz, slack on re-verified original constraints
 SURROGATE_FEAS_TOL = 1e-9  # bps/Hz, slack on surrogate constraint checks
 ASCENT_STEPS = 120        # red-black waypoint sweeps per surrogate subproblem
+SCA_MAX_ITERS = 50        # surrogate rebuilds per trajectory update
 AUX_WEIGHT = 1e-6         # line-search pull on slots with a negative bound
 ACTIVE_SLACK = 1e-6       # bps/Hz, TIN guarantees this close are active
 
@@ -57,22 +58,28 @@ class Trajectory:
     def segment_lengths(self) -> np.ndarray:
         return np.linalg.norm(np.diff(self.waypoints, axis=0), axis=1)
 
-    def validate(self, uav: UavParams, tol: float = SPEED_ABS_TOL) -> None:
+    def flight_slacks(self, uav: UavParams) -> tuple[float, float]:
+        """Worst (speed, endpoint) slacks in m; negative or NaN is a
+        violation. The speed budget has the feasibility check's relative
+        margin, which accepts missions whose straight line is within that
+        fraction of the distance budget; such trajectories must pass too."""
+        v_step = uav.v_max * uav.delta_t * (1.0 + REACH_REL_TOL)
+        ends = [np.linalg.norm(self.waypoints[0] - np.asarray(uav.u_init)),
+                np.linalg.norm(self.waypoints[-1] - np.asarray(uav.u_final))]
+        return (float(v_step - self.segment_lengths().max()),
+                float(-np.max(ends)))
+
+    def validate(self, uav: UavParams) -> None:
         if self.n_slots != uav.n_slots:
             raise ValueError(
                 f"trajectory has {self.n_slots} slots, scenario {uav.n_slots}")
-        if (np.linalg.norm(self.waypoints[0] - np.asarray(uav.u_init)) > tol
-                or np.linalg.norm(self.waypoints[-1] - np.asarray(uav.u_final)) > tol):
+        speed, ends = self.flight_slacks(uav)
+        # Written so that a NaN waypoint fails.
+        if not (ends >= -SPEED_ABS_TOL):
             raise ValueError("trajectory endpoints do not match the mission")
-        # The relative margin matches the feasibility check, which accepts
-        # missions whose straight line is within that fraction of the
-        # distance budget; such trajectories must validate too.
-        v_step = uav.v_max * uav.delta_t * (1.0 + REACH_REL_TOL)
-        worst = float(self.segment_lengths().max())
-        if worst > v_step + tol:
+        if not (speed >= -SPEED_ABS_TOL):
             raise ValueError(
-                f"segment length {worst:.6g} m exceeds speed limit "
-                f"{v_step:.6g} m per slot")
+                f"a segment exceeds the speed limit by {-speed:.6g} m")
 
 
 def straight_line_trajectory(uav: UavParams) -> Trajectory:
@@ -81,12 +88,6 @@ def straight_line_trajectory(uav: UavParams) -> Trajectory:
     u_i = np.asarray(uav.u_init, dtype=float)
     u_f = np.asarray(uav.u_final, dtype=float)
     return Trajectory((1.0 - frac) * u_i + frac * u_f)
-
-
-@dataclass(frozen=True)
-class ScaConfig:
-    max_iters: int = 50        # surrogate rebuild (outer SCA) iterations
-    rel_tol: float = 1e-4      # relative objective change stopping rule
 
 
 @dataclass
@@ -343,7 +344,7 @@ def verify_safe_step(traj: Trajectory, allocs: Allocation,
                      scenario: Scenario) -> None:
     """Re-check the original constraints with the exact rate expressions."""
     sc = scenario
-    traj.validate(sc.uav, tol=SPEED_ABS_TOL)
+    traj.validate(sc.uav)
     h = a2g_gain(traj.waypoints[1:], sc)
     tin_rate = gu_rate_tin(h, allocs.p[:, None], allocs.q, sc)
     tin_mask = (~allocs.tau) & (sc.gamma_vec[None, :] > 0.0)
@@ -357,9 +358,9 @@ def verify_safe_step(traj: Trajectory, allocs: Allocation,
 
 
 def optimize_trajectory(init: Trajectory, allocs: Allocation,
-                        scenario: Scenario,
-                        cfg: ScaConfig = ScaConfig()) -> ScaResult:
-    """Iterate surrogate construction and improvement from `init`.
+                        scenario: Scenario, rel_tol: float = 1e-4) -> ScaResult:
+    """Iterate surrogate construction and improvement from `init` until the
+    relative objective gain falls below `rel_tol`.
 
     The reported trace holds the true fixed-allocation objective, which is
     non-decreasing because each surrogate is tight at its local point and a
@@ -370,7 +371,7 @@ def optimize_trajectory(init: Trajectory, allocs: Allocation,
     traj = init
     converged = False
     iterations = 0
-    for _ in range(cfg.max_iters):
+    for _ in range(SCA_MAX_ITERS):
         iterations += 1
         surro = build_surrogate(traj, allocs, scenario)
         new_traj, _, stalled = solve_surrogate(surro, traj)
@@ -386,7 +387,7 @@ def optimize_trajectory(init: Trajectory, allocs: Allocation,
             converged = True
             break
         rel = (trace[-1] - trace[-2]) / max(abs(trace[-2]), 1e-12)
-        if rel < cfg.rel_tol:
+        if rel < rel_tol:
             converged = True
             break
     return ScaResult(

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from uav_ic_planner.benchmarks import (InsufficientDuration,
-                                       allocate_hover_time, altruistic,
-                                       egoistic, run_scheme,
-                                       shortest_site_tour, straight_fly,
-                                       successive_hover_fly, upper_bound)
+from uav_ic_planner.benchmarks import (SCHEME_NAMES, InsufficientDuration,
+                                       UpperBoundResult, allocate_hover_time,
+                                       run_scheme, shortest_site_tour,
+                                       straight_fly, successive_hover_fly,
+                                       upper_bound)
 from uav_ic_planner.planner import InfeasibleScenario, PlannerConfig, evaluate_plan
 from uav_ic_planner.ra_solver import solve_slot
 from uav_ic_planner.scenario import Scenario
@@ -135,8 +135,8 @@ def test_single_site_schemes_coincide():
                               site_pos=(100.0, 0.0))
     cfg = PlannerConfig()
     p_any, _ = run_scheme("proposed", sc, cfg)
-    p_ego, _ = egoistic(sc, cfg)
-    p_alt, _ = altruistic(sc, cfg)
+    p_ego, _ = run_scheme("egoistic", sc, cfg)
+    p_alt, _ = run_scheme("altruistic", sc, cfg)
     assert p_any.avg_throughput == pytest.approx(p_ego.avg_throughput,
                                                  rel=1e-12)
     assert p_any.avg_throughput == pytest.approx(p_alt.avg_throughput,
@@ -144,10 +144,17 @@ def test_single_site_schemes_coincide():
 
 
 def test_run_scheme_dispatch(default_sc):
-    plan, trace = run_scheme("straight_fly", default_sc)
-    assert plan.scheme_tag == "straight_fly" and trace is None
-    result, trace = run_scheme("upper_bound", default_sc)
-    assert trace is None and result.throughput > 0
+    sc = dataclasses.replace(
+        default_sc, uav=dataclasses.replace(default_sc.uav, n_slots=20))
+    for name in SCHEME_NAMES:
+        result, trace = run_scheme(name, sc, PlannerConfig(outer_max_iters=2))
+        if name == "upper_bound":
+            assert isinstance(result, UpperBoundResult) and trace is None
+            assert result.throughput > 0
+            continue
+        assert result.scheme_tag == name
+        has_trace = name in ("proposed", "egoistic", "altruistic")
+        assert (trace is not None) == has_trace, name
     with pytest.raises(ValueError):
         run_scheme("bogus", default_sc)
 

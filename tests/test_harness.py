@@ -133,10 +133,12 @@ def test_trace_has_no_plan_only_flags(tmp_path, capsys, flag):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_trace_rejects_non_iterative_scheme(tmp_path, capsys):
-    code = main(["trace", "--schemes", "straight_fly",
-                 "--out", str(tmp_path)])
+@pytest.mark.parametrize("scheme", ["straight_fly", "successive_hover_fly",
+                                    "upper_bound"])
+def test_trace_rejects_non_iterative_scheme(scheme, tmp_path, capsys):
+    code = main(["trace", "--schemes", scheme, "--out", str(tmp_path)])
     assert code == EXIT_INTERNAL
+    assert "has no iteration trace" in capsys.readouterr().err
 
 
 def test_sweep_marks_infeasible_points(tmp_path, capsys):

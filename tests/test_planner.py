@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from uav_ic_planner import planner
 from uav_ic_planner.planner import (COARSE_SLOTS, InfeasibleScenario,
-                                    MonotonicityError, PlannerConfig,
-                                    evaluate_plan, make_plan, prolong, solve)
+                                    MonotonicityError, Plan, PlannerConfig,
+                                    PlannerError, evaluate_plan, make_plan,
+                                    prolong, solve)
 from uav_ic_planner.ra_solver import solve_resource_allocation
-from uav_ic_planner.sca_trajectory import (ScaError, optimize_trajectory,
+from uav_ic_planner.sca_trajectory import (ScaError, Trajectory,
+                                           optimize_trajectory,
                                            straight_line_trajectory)
 from uav_ic_planner.scenario import (DEFAULT_SCENARIO_YAML, ScenarioError,
                                      default_scenario, parse_scenario)
@@ -95,8 +97,7 @@ def test_evaluate_plan_flags_excess_power(default_sc):
     bad_allocs = dataclasses.replace(
         plan.allocations, p=np.full(len(plan.allocations),
                                     2.0 * default_sc.uav.p_max))
-    bad = make_plan(plan.trajectory, bad_allocs, plan.avg_throughput,
-                    "corrupt", default_sc)
+    bad = Plan(plan.trajectory, bad_allocs, plan.avg_throughput, "corrupt")
     report = evaluate_plan(bad, default_sc)
     assert report.residuals["power_uav"] < 0.0
     assert not report.all_satisfied
@@ -106,8 +107,8 @@ def test_evaluate_plan_flags_inflated_rate(default_sc):
     plan, _ = solve(default_sc, PlannerConfig(outer_max_iters=1))
     bad_allocs = dataclasses.replace(plan.allocations,
                                      r=plan.allocations.r + 0.1)
-    bad = make_plan(plan.trajectory, bad_allocs,
-                    plan.avg_throughput + 0.1, "corrupt", default_sc)
+    bad = Plan(plan.trajectory, bad_allocs, plan.avg_throughput + 0.1,
+               "corrupt")
     report = evaluate_plan(bad, default_sc)
     assert report.residuals["uav_rate"] == pytest.approx(-0.1, abs=1e-9)
     assert not report.all_satisfied
@@ -125,14 +126,29 @@ def test_evaluate_plan_fails_closed_on_nan_rate(default_sc):
     plan, _ = solve(default_sc, PlannerConfig(outer_max_iters=1))
     r = plan.allocations.r.copy()
     r[7] = math.nan
-    bad = make_plan(plan.trajectory,
-                    dataclasses.replace(plan.allocations, r=r),
-                    plan.avg_throughput, "corrupt", default_sc)
+    bad = Plan(plan.trajectory, dataclasses.replace(plan.allocations, r=r),
+               plan.avg_throughput, "corrupt")
     report = evaluate_plan(bad, default_sc)
     assert math.isnan(report.residuals["rate_nonneg"])
     assert math.isnan(report.residuals["uav_rate"])
     assert not report.all_satisfied
     assert not report.objective_matches
+    with pytest.raises(PlannerError, match="rate_nonneg"):
+        make_plan(bad.trajectory, bad.allocations, bad.avg_throughput,
+                  "corrupt", default_sc)
+
+
+def test_nan_initial_trajectory_is_rejected(default_sc):
+    wp = straight_line_trajectory(default_sc.uav).waypoints.copy()
+    wp[5] = math.nan
+    init = Trajectory(wp)
+    with pytest.raises(ValueError, match="speed"):
+        solve(default_sc, PlannerConfig(outer_max_iters=1), initial=init)
+    speed, ends = init.flight_slacks(default_sc.uav)
+    assert math.isnan(speed) and ends == 0.0
+    wp[-1] = math.nan
+    with pytest.raises(ValueError, match="endpoints"):
+        Trajectory(wp).validate(default_sc.uav)
 
 
 def test_outer_guard_fails_closed_on_nan(default_sc, monkeypatch):

@@ -60,6 +60,22 @@ def test_solve_slot_raises_infeasible_site():
         assert exc.value.site_index == 1
 
 
+def test_unrepresentable_guarantee_raises_infeasible_site():
+    # 2^2000 is past the float range: the site is infeasible, not an
+    # arithmetic error.
+    sc = Scenario(channel=make_channel(),
+                  sites=(make_site(), make_site(gamma=2000.0)),
+                  uav=make_uav(u_init=(0.0, 0.0), u_final=(0.0, 0.0)))
+    calls = [lambda: ra_solver.solve_slot([(0.0, 0.0)], sc),
+             lambda: ra_solver.solve_mode([[True, True]], [(0.0, 0.0)], sc),
+             lambda: slot_rates_on_points([(0.0, 0.0)], sc)]
+    for call in calls:
+        with pytest.raises(InfeasibleSite) as exc:
+            call()
+        assert exc.value.site_index == 1
+        assert exc.value.q_needed == math.inf
+
+
 def test_negative_tin_cap_raises_where_tin_is_possible():
     # Site 1's guarantee needs 5e-10 more than its power limit: accepted as
     # rounding for IC, but it leaves a negative UAV power cap under TIN.

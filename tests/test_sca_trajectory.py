@@ -6,7 +6,7 @@ import pytest
 
 from uav_ic_planner.planner import prolong, solve
 from uav_ic_planner.ra_solver import Allocation, solve_resource_allocation
-from uav_ic_planner.sca_trajectory import (ACTIVE_SLACK, ScaConfig, Trajectory,
+from uav_ic_planner.sca_trajectory import (ACTIVE_SLACK, Trajectory,
                                            _ascent_direction, _sweep,
                                            build_surrogate,
                                            optimize_trajectory, slot_rates,
@@ -325,15 +325,6 @@ def test_optimize_trajectory_zero_power_converges_immediately():
     assert result.objective == 0.0
     assert result.iterations == 1
     assert result.converged
-
-
-def test_optimize_trajectory_max_iters_zero_returns_init(default_sc):
-    traj = straight_line_trajectory(default_sc.uav)
-    allocs, _ = solve_resource_allocation(traj, default_sc)
-    result = optimize_trajectory(traj, allocs, default_sc,
-                                 ScaConfig(max_iters=0))
-    assert np.array_equal(result.trajectory.waypoints, traj.waypoints)
-    assert result.iterations == 0
 
 
 def test_optimize_trajectory_monotone_and_improving(default_sc):
