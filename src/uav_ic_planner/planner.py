@@ -11,7 +11,8 @@ import numpy as np
 
 from . import sca_trajectory as sca
 from .channel import a2g_gain, gu_rate_ic, gu_rate_tin, uav_rate
-from .ra_solver import Allocation, ModeConstraint, solve_resource_allocation
+from .ra_solver import (Allocation, ModeConstraint, check_mode_constraint,
+                        solve_resource_allocation)
 from .scenario import FeasibilityReport, Scenario, check_feasibility
 
 OUTER_MONOTONE_TOL = 1e-9
@@ -54,6 +55,9 @@ class PlannerConfig:
     outer_max_iters: int = 30
     rel_tol: float = 1e-4  # relative objective gain that stops either loop
     mode_constraint: ModeConstraint = "any"
+
+    def __post_init__(self):
+        check_mode_constraint(self.mode_constraint)
 
 
 @dataclass

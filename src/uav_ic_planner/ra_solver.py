@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -39,6 +39,14 @@ Q_CAP_REL_TOL = 1e-9
 BLOCK_ELEMS = 1 << 18
 
 ModeConstraint = Literal["any", "egoistic", "altruistic"]
+
+
+def check_mode_constraint(mode_constraint) -> None:
+    """Raise ValueError unless `mode_constraint` is a ModeConstraint."""
+    allowed = get_args(ModeConstraint)
+    if mode_constraint not in allowed:
+        raise ValueError(f"unknown mode constraint {mode_constraint!r}; "
+                         f"expected one of {', '.join(allowed)}")
 
 
 class RaError(Exception):
@@ -209,6 +217,7 @@ def solve_mode(tau, points, scenario: Scenario) -> Allocation:
 def solve_slot(points, scenario: Scenario,
                mode_constraint: ModeConstraint = "any") -> Allocation:
     """Globally optimal slot allocation at each of M UAV positions, (M, 2)."""
+    check_mode_constraint(mode_constraint)
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     n, k = points.shape[0], scenario.n_sites
     q_ic = _ic_powers(scenario)

@@ -225,21 +225,27 @@ def _ascent_direction(surrogate: Surrogate, ev: _SlotEval) -> np.ndarray:
     a_star = surrogate.coeff[rows, kstar]
     g = -2.0 * a_star[:, None] * ev.diff[rows, kstar, :]
 
-    active = ev.lhs - sc.gamma_vec[None, :] < ACTIVE_SLACK
-    if np.any(active):
-        # Slope of the exact log-term log2(sigma2 + h * p) of the guarantee.
-        slope_e = _log_slope(ev.d2, ev.h, surrogate.p[:, None],
-                             sc.sigma2_vec[None, :], sc.channel)
-        for k in np.flatnonzero(active.any(axis=0)):
-            rows_k = np.flatnonzero(active[:, k])
-            grad_lhs = 2.0 * (slope_e[rows_k, k]
-                              - surrogate.coeff[rows_k, k])[:, None] \
-                * ev.diff[rows_k, k, :]
-            nrm2 = np.einsum("mi,mi->m", grad_lhs, grad_lhs)
-            dot = np.einsum("mi,mi->m", g[rows_k], grad_lhs)
-            adj = np.flatnonzero((dot < 0.0) & (nrm2 > 1e-30))
+    rows_a, k_a = np.nonzero(ev.lhs - sc.gamma_vec[None, :] < ACTIVE_SLACK)
+    if rows_a.size:
+        # Gradient of each active guarantee; _log_slope gives the slope of
+        # its exact log-term log2(sigma2 + h * p).
+        slope_e = _log_slope(ev.d2[rows_a, k_a], ev.h[rows_a, k_a],
+                             surrogate.p[rows_a], sc.sigma2_vec[k_a],
+                             sc.channel)
+        grad_lhs = 2.0 * (slope_e - surrogate.coeff[rows_a, k_a])[:, None] \
+            * ev.diff[rows_a, k_a, :]
+        nrm2 = np.einsum("mi,mi->m", grad_lhs, grad_lhs)
+        # Each row projects onto its active sites in ascending site order;
+        # pass i takes the i-th active site of every row at once (nonzero
+        # lists the entries row by row).
+        rank = np.arange(rows_a.size) - np.searchsorted(rows_a, rows_a)
+        for i in range(int(rank.max()) + 1):
+            at = rank == i
+            rows_i, grad_i, nrm2_i = rows_a[at], grad_lhs[at], nrm2[at]
+            dot = np.einsum("mi,mi->m", g[rows_i], grad_i)
+            adj = np.flatnonzero((dot < 0.0) & (nrm2_i > 1e-30))
             if adj.size:
-                g[rows_k[adj]] -= (dot[adj] / nrm2[adj])[:, None] * grad_lhs[adj]
+                g[rows_i[adj]] -= (dot[adj] / nrm2_i[adj])[:, None] * grad_i[adj]
     return g
 
 
@@ -269,6 +275,7 @@ def _sweep(surrogate: Surrogate, u: np.ndarray) -> bool:
     accepted_any = False
     for _ in range(ASCENT_STEPS):
         moved = False
+        live_step = 0.0  # largest step of this sweep's movable waypoints
         for sub, cur, left, right, step, ev, obj in colours:
             g = _ascent_direction(sub, ev)
             gnorm = np.sqrt(np.einsum("mi,mi->m", g, g))
@@ -296,7 +303,10 @@ def _sweep(surrogate: Surrogate, u: np.ndarray) -> bool:
                 step[accept] = np.minimum(step[accept] * 1.5, v_step)
                 moved = accepted_any = True
             step[movable & ~accept] *= 0.5
-        if not moved and float(steps[1:-1].max()) < 1e-9 * v_step:
+            live_step = max(live_step, float(step[movable].max()))
+        # A waypoint with a zero direction never moves, so its direction
+        # stays zero (the kernel is row-wise) and its step is left out.
+        if not moved and live_step < 1e-9 * v_step:
             break
     return accepted_any
 

@@ -12,7 +12,7 @@ from uav_ic_planner.planner import (COARSE_SLOTS, InfeasibleScenario,
                                     MonotonicityError, Plan, PlannerConfig,
                                     PlannerError, evaluate_plan, make_plan,
                                     prolong, solve)
-from uav_ic_planner.ra_solver import solve_resource_allocation
+from uav_ic_planner.ra_solver import solve_resource_allocation, solve_slot
 from uav_ic_planner.sca_trajectory import (ScaError, Trajectory,
                                            optimize_trajectory,
                                            straight_line_trajectory)
@@ -49,6 +49,16 @@ def test_outer_trace_monotone_and_converged(default_sc):
     assert plan.avg_throughput >= trace.outer[0]
     for inner in trace.inner_per_outer:
         assert all(b >= a - 1e-9 for a, b in zip(inner, inner[1:]))
+
+
+def test_unknown_mode_constraint_fails_fast(default_sc):
+    """A misspelt constraint is rejected on entry, naming the allowed values,
+    instead of running as "any"."""
+    allowed = "expected one of any, egoistic, altruistic"
+    with pytest.raises(ValueError, match=allowed):
+        PlannerConfig(mode_constraint="egoist")
+    with pytest.raises(ValueError, match=allowed):
+        solve_slot([(0.0, 0.0)], default_sc, "egoist")
 
 
 def test_mode_constraint_dominance_first_iteration(default_sc):

@@ -6,7 +6,9 @@ import pytest
 
 from uav_ic_planner.planner import prolong, solve
 from uav_ic_planner.ra_solver import Allocation, solve_resource_allocation
-from uav_ic_planner.sca_trajectory import (ACTIVE_SLACK, Trajectory,
+from uav_ic_planner import sca_trajectory
+from uav_ic_planner.sca_trajectory import (ACTIVE_SLACK, ASCENT_STEPS,
+                                           Trajectory,
                                            _ascent_direction, _sweep,
                                            build_surrogate,
                                            optimize_trajectory, slot_rates,
@@ -251,18 +253,33 @@ def _dense_sites_draw(default_sc, seed=3, k=8, n_slots=25, mission_t=40.0):
 
 def _sweep_case(name, default_sc):
     """(surrogate, local waypoints) of one named sweep case."""
-    if name == "active_tin":
-        # The noise-treating site's guarantee holds with equality at u.
-        u, ch, p, q = (100.0, 10.0), make_channel(), 0.5, (0.3, 1.0)
-        tin_site = make_site(pos=(50.0, -40.0))
-        gamma = float(gu_rate_tin(p, u, q[1], tin_site, ch, 100.0))
-        sites = (make_site(pos=(0.0, 0.0)),
-                 dataclasses.replace(tin_site, gamma=gamma))
+    if name in ("active_tin", "two_active_tin"):
+        # The noise-treating sites' guarantees hold with equality at u; with
+        # two, the ascent direction is projected off both.
+        n_tin = 1 if name == "active_tin" else 2
+        tin_sites = [make_site(pos=pos)
+                     for pos in ((50.0, -40.0), (-60.0, -60.0))[:n_tin]]
+        u, ch, p = (100.0, 10.0), make_channel(), 0.5
+        sites = (make_site(pos=(0.0, 0.0)),) + tuple(
+            dataclasses.replace(site, gamma=float(
+                gu_rate_tin(p, u, 1.0, site, ch, 100.0)))
+            for site in tin_sites)
         sc = Scenario(channel=ch, sites=sites,
                       uav=make_uav(u_init=u, u_final=u, mission_t=10.0,
                                    n_slots=4))
         traj = Trajectory(np.tile(u, (5, 1)))
-        allocs = uniform_allocation(4, tau=(True, False), q=q, p=p, r=0.0)
+        allocs = uniform_allocation(
+            4, tau=(True,) + (False,) * n_tin, q=(0.3,) + (1.0,) * n_tin,
+            p=p, r=0.0)
+        return build_surrogate(traj, allocs, sc), traj.waypoints
+    if name == "k64":
+        # The trajectory step slides waypoints along active guarantees
+        # until a second one binds; re-allocate there.
+        sc = _dense_sites_draw(default_sc, seed=0, k=64, n_slots=10)
+        traj = straight_line_trajectory(sc.uav)
+        allocs, _ = solve_resource_allocation(traj, sc, "any")
+        traj = optimize_trajectory(traj, allocs, sc).trajectory
+        allocs, _ = solve_resource_allocation(traj, sc, "any")
         return build_surrogate(traj, allocs, sc), traj.waypoints
     if name == "dense_sites":
         sc = _dense_sites_draw(default_sc)
@@ -286,16 +303,44 @@ def _sweep_case(name, default_sc):
 
 @pytest.mark.parametrize("name", ["any", "egoistic", "altruistic",
                                   "dense_sites", "prolonged_n2000", "n2", "n3",
-                                  "zero_power", "active_tin"])
+                                  "zero_power", "active_tin",
+                                  "two_active_tin", "k64"])
 def test_sweep_matches_reference(default_sc, name):
     """The sweeps on per-colour views, carrying the current-point evaluation,
     move every waypoint bit for bit as the plain two-evaluation sweeps do."""
     surro, local = _sweep_case(name, default_sc)
+    if name in ("two_active_tin", "k64"):
+        ev = surro._at(local[1:])
+        active = ev.lhs - surro.scenario.gamma_vec[None, :] < ACTIVE_SLACK
+        assert active.sum(axis=1).max() >= 2
     want, got = local.copy(), local.copy()
     want_moved = reference_sweep(surro, want)
     assert _sweep(surro, got) is want_moved
     assert got.tobytes() == want.tobytes()
     assert want_moved is (name != "zero_power")
+
+
+def test_sweep_stops_when_movable_waypoints_converge(default_sc,
+                                                    monkeypatch):
+    """At the default plan, u[150] sits above the site at (750, 750) that
+    decodes it, with a zero direction; the sweeps end once the movable
+    waypoints' steps have collapsed instead of running all ASCENT_STEPS,
+    and move nothing the reference would."""
+    plan, _ = solve(default_sc)
+    local = plan.trajectory.waypoints
+    surro = build_surrogate(plan.trajectory, plan.allocations, default_sc)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _ascent_direction(*args)
+
+    monkeypatch.setattr(sca_trajectory, "_ascent_direction", counted)
+    want, got = local.copy(), local.copy()
+    assert reference_sweep(surro, want) is False
+    assert _sweep(surro, got) is False
+    assert len(calls) < 2 * ASCENT_STEPS
+    assert got.tobytes() == want.tobytes()
 
 
 def test_verify_safe_step_detects_violation():
