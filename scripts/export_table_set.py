@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Export the byte-identity table set: 39 tables from 15 CLI runs.
 
-Usage: python3 scripts/export_table_set.py OUT
+Usage: python3 scripts/export_table_set.py OUT [--against REF]
 
 Writes one directory per run under OUT:
   default_<scheme>   `plan` for each of the six schemes, built-in scenario
@@ -12,13 +12,18 @@ Writes one directory per run under OUT:
   sweep_gamma        `sweep --param gamma_all_sites --values 0,1,2,3,4,5`
   trace              `trace` with its default schemes
 The scenario documents used are written to OUT/scenarios. Run it from the
-repository root with src/ importable, once on each of two commits, and
-compare the outputs with `diff -r`. Exits 1 if a run does not exit 0 or a
+repository root with src/ importable. Exits 1 if a run does not exit 0 or a
 table holds a non-finite number.
+
+With --against REF, the tables are also compared byte for byte with an
+export REF made the same way on another commit (this replaces a manual
+`diff -r`); each table that differs, or exists on one side only, is named
+and the exit code is 1.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import math
 import sys
@@ -73,7 +78,18 @@ def non_finite_cells(path: Path) -> list[str]:
         return bad
 
 
-def export(out: Path) -> int:
+def compare(out: Path, ref: Path) -> list[str]:
+    """Every table that differs between the exports `out` and `ref`."""
+    mine = {p.relative_to(out) for p in out.rglob("*.csv")}
+    theirs = {p.relative_to(ref) for p in ref.rglob("*.csv")}
+    lines = [f"{name}: missing in {out}" for name in sorted(theirs - mine)]
+    lines += [f"{name}: missing in {ref}" for name in sorted(mine - theirs)]
+    lines += [f"{name}: differs from {ref}" for name in sorted(mine & theirs)
+              if (out / name).read_bytes() != (ref / name).read_bytes()]
+    return lines
+
+
+def export(out: Path, ref: Path | None = None) -> int:
     failures = []
     for name, argv in runs(out / "scenarios"):
         code = main(argv + ["--out", str(out / name)])
@@ -84,14 +100,18 @@ def export(out: Path) -> int:
         bad = non_finite_cells(table)
         if bad:
             failures.append(f"{table.relative_to(out)}: non-finite {bad[:3]}")
+    if ref is not None:
+        failures += compare(out, ref)
     for line in failures:
         print(f"FAIL {line}", file=sys.stderr)
-    print(f"{len(tables)} tables in {out}")
+    print(f"{len(tables)} tables in {out}"
+          + (f", compared with {ref}" if ref is not None else ""))
     return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        print(__doc__.splitlines()[2], file=sys.stderr)
-        raise SystemExit(1)
-    raise SystemExit(export(Path(sys.argv[1])))
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", type=Path)
+    parser.add_argument("--against", type=Path, metavar="REF")
+    args = parser.parse_args()
+    raise SystemExit(export(args.out, args.against))

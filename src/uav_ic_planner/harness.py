@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .benchmarks import (DEFAULT_GRID_STEP_M, SCHEME_NAMES, InsufficientDuration,
-                         UpperBoundResult, run_scheme)
+from .benchmarks import (DEFAULT_GRID_STEP_M, SCHEME_NAMES, BenchmarkError,
+                         InsufficientDuration, UpperBoundResult, run_scheme)
 from .planner import (SCHEME_MODES, ConvergenceTrace, InfeasibleScenario,
                       Plan, PlannerConfig, make_plan)
 from .ra_solver import Allocation, InfeasibleSite
@@ -191,6 +191,8 @@ def _sweep_point(task):
         result, trace = run_scheme(scheme, point, cfg, grid_step=grid_step)
     except _INFEASIBLE_ERRORS:
         return [scheme, param, _fmt(value), "", "", "INFEASIBLE"]
+    except BenchmarkError:  # a scheme refused the scenario (e.g. K too large)
+        return [scheme, param, _fmt(value), "", "", "REFUSED"]
     if isinstance(result, UpperBoundResult):
         return [scheme, param, _fmt(value), _fmt(result.throughput), 1, "OK"]
     iters = trace.iterations if trace is not None else 1
@@ -329,7 +331,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ScenarioError, ValueError) as exc:
+    except (ScenarioError, ValueError, BenchmarkError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except Exception as exc:  # noqa: BLE001 - CLI boundary

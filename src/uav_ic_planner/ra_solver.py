@@ -95,21 +95,19 @@ def gu_power_ic(site, site_index: int = -1) -> float:
     return min(q, site.q_max)
 
 
-def _site_terms(points: np.ndarray, scenario: Scenario, q_ic: np.ndarray,
+def _site_terms(points: np.ndarray, scenario: Scenario,
                 tin) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(h, c_ic, cap): gains (M, K), IC-mode noise plus GU interference (K,),
     and per-site TIN caps on the UAV power (M, K), +inf without a guarantee.
 
     cap[m, k] is the largest UAV power keeping site k's GU (at q = Q_k) at
     its guarantee while site k treats the UAV as noise. A negative cap is
-    raised where `tin` (bool, broadcastable to (M, K)) allows TIN.
+    raised where `tin` (bool, broadcastable to (M, K)) allows TIN. Raises
+    InfeasibleSite first if a guarantee cannot be met under IC.
     """
+    c_ic = scenario.sigma2_vec + scenario.q_ic_vec * scenario.g_vec
     h = a2g_gain(points, scenario)
-    c_ic = scenario.sigma2_vec + q_ic * scenario.g_vec
-    numer = np.array([
-        site.g * site.q_max / (2.0 ** site.gamma - 1.0) - site.sigma2
-        if 2.0 ** site.gamma > 1.0 else math.inf for site in scenario.sites])
-    cap = numer / h
+    cap = scenario.tin_cap_numer / h
     negative = (cap < -1e-12 * scenario.uav.p_max) & tin
     if negative.any():
         k = int(negative.any(axis=0).argmax())
@@ -137,11 +135,6 @@ def _scan_rates(h: np.ndarray, c_ic: np.ndarray, cap: np.ndarray,
     return log2_1p(best)
 
 
-def _ic_powers(scenario: Scenario) -> np.ndarray:
-    return np.array([gu_power_ic(site, k)
-                     for k, site in enumerate(scenario.sites)])
-
-
 def _blocks(n_points: int, n_sites: int):
     rows = max(1, BLOCK_ELEMS // (n_sites * n_sites))
     return (slice(lo, lo + rows) for lo in range(0, n_points, rows))
@@ -153,11 +146,9 @@ def slot_rates_on_points(points, scenario: Scenario) -> np.ndarray:
     Uses only the rate part of the threshold scan, with O(M K) temporaries.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 2)
-    q_ic = _ic_powers(scenario)
     rates = np.empty(points.shape[0])
     for blk in _blocks(points.shape[0], scenario.n_sites):
-        h, c_ic, cap = _site_terms(points[blk], scenario, q_ic,
-                                   scenario.n_sites > 1)
+        h, c_ic, cap = _site_terms(points[blk], scenario, scenario.n_sites > 1)
         rates[blk] = _scan_rates(h, c_ic, cap, scenario.uav.p_max)
     return rates
 
@@ -205,10 +196,9 @@ def solve_mode(tau, points, scenario: Scenario) -> Allocation:
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     if not tau.any(axis=1).all():
         raise ValueError("at least one site must decode the UAV")
-    q_ic = _ic_powers(scenario)
-    h, _, cap = _site_terms(points, scenario, q_ic, ~tau)
+    h, _, cap = _site_terms(points, scenario, ~tau)
     p = np.minimum(np.where(tau, np.inf, cap).min(axis=1), scenario.uav.p_max)
-    q = np.where(tau, q_ic, scenario.q_max_vec)
+    q = np.where(tau, scenario.q_ic_vec, scenario.q_max_vec)
     rate = uav_rate(h, p[:, None], q, scenario)
     return Allocation(tau=tau, q=q, p=p,
                       r=np.where(tau, rate, np.inf).min(axis=1))
@@ -220,11 +210,10 @@ def solve_slot(points, scenario: Scenario,
     check_mode_constraint(mode_constraint)
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     n, k = points.shape[0], scenario.n_sites
-    q_ic = _ic_powers(scenario)
     tin_possible = k > 1 and mode_constraint != "altruistic"
     tau = np.empty((n, k), dtype=bool)
     for blk in _blocks(n, k):
-        h, c_ic, cap = _site_terms(points[blk], scenario, q_ic, tin_possible)
+        h, c_ic, cap = _site_terms(points[blk], scenario, tin_possible)
         tau[blk] = _choose_block(h, c_ic, cap, scenario.uav.p_max,
                                  mode_constraint)
     return solve_mode(tau, points, scenario)

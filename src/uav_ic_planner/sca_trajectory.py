@@ -110,7 +110,8 @@ def _log_slope(d2, h, pcol, c, ch: ChannelParams) -> np.ndarray:
 
 
 class _SlotEval(NamedTuple):
-    """The surrogate of a set of slots at candidate positions (M of them)."""
+    """The surrogate of a set of slots at candidate positions (M of them);
+    d2, h and lhs are None where the TIN guarantees were skipped."""
     diff: np.ndarray  # (M, K, 2) offsets from the sites
     d2: np.ndarray    # (M, K) squared 3D distances
     h: np.ndarray     # (M, K) channel gains
@@ -139,15 +140,17 @@ class Surrogate:
     intercept_a: np.ndarray  # (N, K)
     intercept_b: np.ndarray  # (N, K)
 
-    def _at(self, points: np.ndarray) -> _SlotEval:
+    def _at(self, points: np.ndarray, tin: bool = True) -> _SlotEval:
         """Evaluate the surrogate with the waypoints at `points` (one row
-        per slot). Row-wise: a row depends on its own point and slot only."""
+        per slot), skipping the TIN guarantees unless `tin`. Row-wise: a
+        row depends on its own point and slot only."""
         sc = self.scenario
         diff, s, d2, h = geometry(points, sc)
-        rate = np.where(self.ic_mask, self.intercept_a - self.coeff * s,
-                        np.inf)
-        lhs = np.where(self.tin_mask,
-                       self.intercept_b - self.coeff * s
+        cs = self.coeff * s
+        rate = np.where(self.ic_mask, self.intercept_a - cs, np.inf)
+        if not tin:
+            return _SlotEval(diff, None, None, rate, None)
+        lhs = np.where(self.tin_mask, self.intercept_b - cs
                        - np.log2(sc.sigma2_vec[None, :] + h * self.p[:, None]),
                        np.inf)
         return _SlotEval(diff, d2, h, rate, lhs)
@@ -161,7 +164,7 @@ class Surrogate:
     def rate_bounds(self, points: np.ndarray) -> np.ndarray:
         """Per-slot min over IC sites of the surrogate UAV rate (unclamped).
         points: (N, 2)."""
-        return self._at(points).rate.min(axis=1)
+        return self._at(points, tin=False).rate.min(axis=1)
 
 
 def build_surrogate(local_traj: Trajectory, allocs: Allocation,
@@ -197,35 +200,37 @@ def build_surrogate(local_traj: Trajectory, allocs: Allocation,
 # ---------------------------------------------------------------------------
 # Surrogate subproblem
 
-def _clip_to_disc(pts: np.ndarray, centers: np.ndarray, radius: float) -> np.ndarray:
-    """Pull points back onto discs of `radius` around `centers` (rowwise)."""
+def _clip_to_disc(pts: np.ndarray, centers: np.ndarray, radius: float) -> None:
+    """Pull points back onto discs of `radius` around `centers`, in place."""
     delta = pts - centers
     dist = np.sqrt(np.einsum("mi,mi->m", delta, delta))
     over = dist > radius
-    if np.any(over):
-        pts = pts.copy()
-        pts[over] = centers[over] + delta[over] * (radius / dist[over])[:, None]
-    return pts
+    if over.any():  # max(dist, radius) is dist where over, and never 0
+        np.copyto(pts, centers + delta * (radius / np.maximum(dist, radius))
+                  [:, None], where=over[:, None])
 
 
 def _line_search_objective(ev: _SlotEval) -> np.ndarray:
     """Per-slot surrogate rate, plus a small pull on slots whose bound is
     negative so they are not permanently stuck at zero."""
     rhat = ev.rate.min(axis=1)
-    return np.maximum(rhat, 0.0) + AUX_WEIGHT * np.minimum(rhat, 0.0)
+    return np.where(rhat >= 0.0, rhat, AUX_WEIGHT * rhat)
 
 
-def _ascent_direction(surrogate: Surrogate, ev: _SlotEval) -> np.ndarray:
+def _ascent_direction(surrogate: Surrogate, ev: _SlotEval,
+                      rows: np.ndarray | None = None) -> np.ndarray:
     """Gradient of each slot's binding surrogate rate bound, projected so
-    that it slides along active surrogate TIN guarantees instead of
-    crossing them. `ev` holds one row per slot of `surrogate`."""
+    it slides along the active TIN guarantees in `ev` instead of crossing
+    them. `ev` has a row per slot of `surrogate`, `rows` is arange(M)."""
     sc = surrogate.scenario
-    rows = np.arange(ev.rate.shape[0])
-    kstar = np.argmin(ev.rate, axis=1)
+    if rows is None:
+        rows = np.arange(ev.rate.shape[0])
+    kstar = ev.rate.argmin(axis=1)
     a_star = surrogate.coeff[rows, kstar]
     g = -2.0 * a_star[:, None] * ev.diff[rows, kstar, :]
-
-    rows_a, k_a = np.nonzero(ev.lhs - sc.gamma_vec[None, :] < ACTIVE_SLACK)
+    if ev.lhs is None:
+        return g
+    rows_a, k_a = (ev.lhs - sc.gamma_vec[None, :] < ACTIVE_SLACK).nonzero()
     if rows_a.size:
         # Gradient of each active guarantee; _log_slope gives the slope of
         # its exact log-term log2(sigma2 + h * p).
@@ -258,7 +263,8 @@ def _sweep(surrogate: Surrogate, u: np.ndarray) -> bool:
     waypoints, their neighbours, its slots' surrogate and its step sizes.
     The kernel is row-wise, so the evaluation at the current waypoints is
     carried from pass to pass, taking the accepted rows of the candidates'
-    evaluation, and each pass evaluates the candidates only."""
+    evaluation, and each pass evaluates the candidates only. A colour none
+    of whose slots has a TIN guarantee skips the TIN terms throughout."""
     uav = surrogate.scenario.uav
     v_step = uav.v_max * uav.delta_t
     tin_floor = surrogate.scenario.gamma_vec[None, :] - SURROGATE_FEAS_TOL
@@ -268,42 +274,46 @@ def _sweep(surrogate: Surrogate, u: np.ndarray) -> bool:
     for first in range(1, min(n_wp - 1, 3)):  # odd, then even waypoints
         wp = slice(first, n_wp - 1, 2)
         sub = surrogate.rows(slice(first - 1, n_wp - 2, 2))
-        ev = sub._at(u[wp])
-        colours.append((sub, u[wp], u[first - 1:n_wp - 2:2], u[first + 1::2],
-                        steps[wp], ev, _line_search_objective(ev)))
+        tin = bool(sub.tin_mask.any())
+        ev = sub._at(u[wp], tin)
+        colours.append((sub, tin, np.arange(ev.rate.shape[0]), u[wp],
+                        u[first - 1:n_wp - 2:2], u[first + 1::2], steps[wp],
+                        ev, _line_search_objective(ev)))
 
     accepted_any = False
     for _ in range(ASCENT_STEPS):
         moved = False
         live_step = 0.0  # largest step of this sweep's movable waypoints
-        for sub, cur, left, right, step, ev, obj in colours:
-            g = _ascent_direction(sub, ev)
+        for sub, tin, rows, cur, left, right, step, ev, obj in colours:
+            g = _ascent_direction(sub, ev, rows)
             gnorm = np.sqrt(np.einsum("mi,mi->m", g, g))
             movable = gnorm > 1e-18
-            if not np.any(movable):
+            if not movable.any():
                 continue
-            direction = np.zeros_like(g)
-            direction[movable] = g[movable] / gnorm[movable, None]
+            direction = np.divide(g, gnorm[:, None], out=np.zeros_like(g),
+                                  where=movable[:, None])
             # step never exceeds v_step, the reach of one slot.
             cand = cur + step[:, None] * direction
-            cand = _clip_to_disc(cand, left, v_step * (1.0 - 1e-12))
-            cand = _clip_to_disc(cand, right, v_step * (1.0 - 1e-12))
+            _clip_to_disc(cand, left, v_step * (1.0 - 1e-12))
+            _clip_to_disc(cand, right, v_step * (1.0 - 1e-12))
             delta = cand - left
             in_left = np.sqrt(np.einsum("mi,mi->m", delta, delta)) <= v_step
-            cand_ev = sub._at(cand)
+            cand_ev = sub._at(cand, tin)
             cand_obj = _line_search_objective(cand_ev)
-            accept = (movable & in_left
-                      & np.all(cand_ev.lhs >= tin_floor, axis=1)
-                      & (cand_obj > obj + 1e-14))
-            if np.any(accept):
-                cur[accept] = cand[accept]
-                obj[accept] = cand_obj[accept]
-                for held, new in zip(ev, cand_ev):
-                    held[accept] = new[accept]
-                step[accept] = np.minimum(step[accept] * 1.5, v_step)
+            accept = movable & in_left & (cand_obj > obj + 1e-14)
+            if tin:
+                accept &= (cand_ev.lhs >= tin_floor).all(axis=1)
+            if accept.any():
+                # One mask per ndim: (M,), (M, 2) or (M, K), and (M, K, 2).
+                where = (None, accept, accept[:, None], accept[:, None, None])
+                for held, new in zip((cur, obj, *ev),
+                                     (cand, cand_obj, *cand_ev)):
+                    if held is not None:
+                        np.copyto(held, new, where=where[held.ndim])
+                np.copyto(step, np.minimum(step * 1.5, v_step), where=accept)
                 moved = accepted_any = True
-            step[movable & ~accept] *= 0.5
-            live_step = max(live_step, float(step[movable].max()))
+            np.multiply(step, 0.5, out=step, where=movable & ~accept)
+            live_step = max(live_step, step.max(where=movable, initial=0.0))
         # A waypoint with a zero direction never moves, so its direction
         # stays zero (the kernel is row-wise) and its step is left out.
         if not moved and live_step < 1e-9 * v_step:

@@ -182,6 +182,20 @@ class Scenario:
     def gamma_vec(self) -> np.ndarray:
         return np.array([s.gamma for s in self.sites], dtype=float)
 
+    @cached_property
+    def q_ic_vec(self) -> np.ndarray:
+        # IC-mode GU powers; raises InfeasibleSite while one is out of reach.
+        from .ra_solver import gu_power_ic  # ra_solver imports this module
+        return np.array([gu_power_ic(s, k) for k, s in enumerate(self.sites)])
+
+    @cached_property
+    def tin_cap_numer(self) -> np.ndarray:
+        # h times the TIN cap on the UAV power, inf without a guarantee. The
+        # scalar 2.0 ** gamma: numpy's array power can differ in the last bit.
+        return np.array([s.g * s.q_max / (2.0 ** s.gamma - 1.0) - s.sigma2
+                         if 2.0 ** s.gamma > 1.0 else math.inf
+                         for s in self.sites])
+
 
 @dataclass(frozen=True)
 class FeasibilityReport:

@@ -152,6 +152,35 @@ def test_sweep_marks_infeasible_points(tmp_path, capsys):
     assert by_value["40"] == "OK"
 
 
+def test_sweep_marks_refused_points(tmp_path, capsys):
+    """Hover-fly refuses K > 8 sites (exhaustive tour search); the sweep
+    keeps the other scheme's rows and marks the refused ones, and `plan`
+    reports the refusal as a user error."""
+    sc = random_feasible_scenario(np.random.default_rng(10), k=10,
+                                  n_slots=20)
+    path = tmp_path / "k10.yaml"
+    path.write_text(serialize_scenario(sc))
+    out = tmp_path / "out"
+    code = main(["sweep", "--scenario", str(path), "--param", "mission_T",
+                 "--values", "40,100",
+                 "--schemes", "straight_fly,successive_hover_fly",
+                 "--out", str(out)])
+    assert code == EXIT_OK
+    _, rows = harness._read_table(out / "summary.csv")
+    status = {(r[0], r[2]): r[5] for r in rows}
+    assert status == {("straight_fly", "40"): "OK",
+                      ("straight_fly", "100"): "OK",
+                      ("successive_hover_fly", "40"): "REFUSED",
+                      ("successive_hover_fly", "100"): "REFUSED"}
+    capsys.readouterr()
+    code = main(["plan", "--scenario", str(path),
+                 "--scheme", "successive_hover_fly",
+                 "--out", str(tmp_path / "plan")])
+    assert code == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("error: exhaustive tour search refused for K=10")
+
+
 def test_sweep_gamma_boundary(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["sweep", "--param", "gamma_all_sites",

@@ -253,10 +253,13 @@ def _dense_sites_draw(default_sc, seed=3, k=8, n_slots=25, mission_t=40.0):
 
 def _sweep_case(name, default_sc):
     """(surrogate, local waypoints) of one named sweep case."""
-    if name in ("active_tin", "two_active_tin"):
+    if name in ("active_tin", "two_active_tin", "mixed_colours"):
         # The noise-treating sites' guarantees hold with equality at u; with
-        # two, the ascent direction is projected off both.
-        n_tin = 1 if name == "active_tin" else 2
+        # two, the ascent direction is projected off both. In mixed_colours
+        # the odd waypoints' slots decode at both sites, so the first colour
+        # has no guarantee and the second one has.
+        n_tin = 2 if name == "two_active_tin" else 1
+        n_slots = 6 if name == "mixed_colours" else 4
         tin_sites = [make_site(pos=pos)
                      for pos in ((50.0, -40.0), (-60.0, -60.0))[:n_tin]]
         u, ch, p = (100.0, 10.0), make_channel(), 0.5
@@ -265,12 +268,14 @@ def _sweep_case(name, default_sc):
                 gu_rate_tin(p, u, 1.0, site, ch, 100.0)))
             for site in tin_sites)
         sc = Scenario(channel=ch, sites=sites,
-                      uav=make_uav(u_init=u, u_final=u, mission_t=10.0,
-                                   n_slots=4))
-        traj = Trajectory(np.tile(u, (5, 1)))
+                      uav=make_uav(u_init=u, u_final=u,
+                                   mission_t=2.5 * n_slots, n_slots=n_slots))
+        traj = Trajectory(np.tile(u, (n_slots + 1, 1)))
         allocs = uniform_allocation(
-            4, tau=(True,) + (False,) * n_tin, q=(0.3,) + (1.0,) * n_tin,
-            p=p, r=0.0)
+            n_slots, tau=(True,) + (False,) * n_tin,
+            q=(0.3,) + (1.0,) * n_tin, p=p, r=0.0)
+        if name == "mixed_colours":
+            allocs.tau[::2] = True
         return build_surrogate(traj, allocs, sc), traj.waypoints
     if name == "k64":
         # The trajectory step slides waypoints along active guarantees
@@ -283,6 +288,9 @@ def _sweep_case(name, default_sc):
         return build_surrogate(traj, allocs, sc), traj.waypoints
     if name == "dense_sites":
         sc = _dense_sites_draw(default_sc)
+    elif name == "no_tin_any":
+        sc = dataclasses.replace(default_sc, sites=tuple(
+            dataclasses.replace(site, gamma=0.0) for site in default_sc.sites))
     else:
         n_slots = {"n2": 2, "n3": 3, "prolonged_n2000": 2000}.get(
             name, default_sc.uav.n_slots)
@@ -304,15 +312,23 @@ def _sweep_case(name, default_sc):
 @pytest.mark.parametrize("name", ["any", "egoistic", "altruistic",
                                   "dense_sites", "prolonged_n2000", "n2", "n3",
                                   "zero_power", "active_tin",
-                                  "two_active_tin", "k64"])
+                                  "two_active_tin", "k64", "no_tin_any",
+                                  "mixed_colours"])
 def test_sweep_matches_reference(default_sc, name):
-    """The sweeps on per-colour views, carrying the current-point evaluation,
-    move every waypoint bit for bit as the plain two-evaluation sweeps do."""
+    """The sweeps on per-colour views, carrying the current-point evaluation
+    and skipping the TIN terms in a colour without a guarantee, move every
+    waypoint bit for bit as the plain two-evaluation sweeps do."""
     surro, local = _sweep_case(name, default_sc)
     if name in ("two_active_tin", "k64"):
         ev = surro._at(local[1:])
         active = ev.lhs - surro.scenario.gamma_vec[None, :] < ACTIVE_SLACK
         assert active.sum(axis=1).max() >= 2
+    if name == "no_tin_any":
+        # Some slots treat a site as noise, none with a guarantee.
+        assert not surro.ic_mask.all() and not surro.tin_mask.any()
+    if name == "mixed_colours":
+        interior = surro.tin_mask[:local.shape[0] - 2]
+        assert not interior[0::2].any() and interior[1::2].any()
     want, got = local.copy(), local.copy()
     want_moved = reference_sweep(surro, want)
     assert _sweep(surro, got) is want_moved
