@@ -10,9 +10,7 @@ import sys
 from uav_ic_planner.harness import main
 
 if __name__ == "__main__":
-    argv = sys.argv[1:] or [
-        "--scenario", "default",
-        "--schemes", "proposed,egoistic,altruistic",
-        "--out", "out/convergence",
-    ]
-    raise SystemExit(main(["trace"] + argv))
+    # Extra flags come last, so they add to the defaults or override them.
+    raise SystemExit(main(["trace", "--scenario", "default",
+                           "--schemes", "proposed,egoistic,altruistic",
+                           "--out", "out/convergence"] + sys.argv[1:]))

@@ -11,9 +11,8 @@ import sys
 from uav_ic_planner.harness import main
 
 if __name__ == "__main__":
-    argv = sys.argv[1:] or [
-        "--scenario", "default",
-        "--values", "40,60,80,100,120,150,200",
-        "--out", "out/throughput_vs_T",
-    ]
-    raise SystemExit(main(["sweep", "--param", "mission_T"] + argv))
+    # Extra flags come last, so they add to the defaults or override them.
+    raise SystemExit(main(["sweep", "--param", "mission_T",
+                           "--scenario", "default",
+                           "--values", "40,60,80,100,120,150,200",
+                           "--out", "out/throughput_vs_T"] + sys.argv[1:]))

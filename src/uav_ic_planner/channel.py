@@ -1,9 +1,10 @@
 """The channel model for M UAV positions and all K sites at once.
 
-Stateless pure functions. Gains are (M, K); the rates take gains, UAV
-powers and GU powers that broadcast to (M, K), e.g. p as an (M, 1) column
-and q as (M, K) or (K,). Rates are computed through log1p so that tiny
-SINRs near the feasibility boundary keep full relative accuracy.
+Stateless pure functions, site-major: per-site arrays are (K, M), with the
+positions on the contiguous last axis. The rates take gains, UAV powers and
+GU powers that broadcast to (K, M), e.g. p as an (M,) row and q as (K, M);
+per-site constants enter as (K, 1) columns. Rates are computed through log1p
+so that tiny SINRs near the feasibility boundary keep full relative accuracy.
 """
 
 from __future__ import annotations
@@ -19,31 +20,34 @@ def log2_1p(x):
 
 
 def geometry(points, scenario: Scenario):
-    """Site offsets (M, K, 2), squared horizontal distances s (M, K),
-    squared 3D distances d2 = H^2 + s and A2G gains h = beta0 d2^(-alpha/2)
-    between UAV positions `points` (M, 2) and the sites."""
-    diff = points[:, None, :] - scenario.site_pos[None, :, :]
-    s = np.einsum("mki,mki->mk", diff, diff)
+    """Offsets (2, K, M), x plane first, squared horizontal distances s
+    (K, M), squared 3D distances d2 = H^2 + s and A2G gains h = beta0
+    d2^(-alpha/2) from the sites to UAV positions `points` (M, 2), or to
+    the transpose of x and y planes (2, M)."""
+    diff = points.T[:, None, :] - scenario.site_pos.T[:, :, None]
+    s = diff[0] * diff[0] + diff[1] * diff[1]
     d2 = scenario.uav.altitude ** 2 + s
     ch = scenario.channel
     return diff, s, d2, ch.beta0 * d2 ** (-ch.alpha / 2.0)
 
 
 def a2g_gain(points, scenario: Scenario) -> np.ndarray:
-    """A2G gains (M, K) from UAV positions `points` (M, 2) to the sites."""
+    """A2G gains (K, M) from UAV positions `points` (M, 2) to the sites."""
     return geometry(points, scenario)[3]
 
 
 def uav_rate(h, p, q, scenario: Scenario):
     """UAV -> GBS rate with GU interference, bps/Hz."""
-    return log2_1p(h * p / (scenario.sigma2_vec + q * scenario.g_vec))
+    return log2_1p(h * p / (scenario.sigma2_vec[:, None]
+                            + q * scenario.g_vec[:, None]))
 
 
 def gu_rate_ic(q, scenario: Scenario):
     """GU rate when the GBS cancels the UAV's interference, bps/Hz."""
-    return log2_1p(scenario.g_vec * q / scenario.sigma2_vec)
+    return log2_1p(scenario.g_vec[:, None] * q / scenario.sigma2_vec[:, None])
 
 
 def gu_rate_tin(h, p, q, scenario: Scenario):
     """GU rate when the UAV's interference is treated as noise, bps/Hz."""
-    return log2_1p(scenario.g_vec * q / (scenario.sigma2_vec + h * p))
+    return log2_1p(scenario.g_vec[:, None] * q
+                   / (scenario.sigma2_vec[:, None] + h * p))

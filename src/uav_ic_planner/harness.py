@@ -54,13 +54,14 @@ def load_scenario(path: str) -> Scenario:
 # ---------------------------------------------------------------------------
 # Table writers / readers
 
-def _write_table(path: Path, header: list[str], rows) -> None:
+def _write_table(path: Path, header: list[str], fmt: str, rows) -> None:
+    """Write the schema line, the header and `fmt % row` for each row (a
+    tuple), each row ended with CRLF as by the csv module. No cell holds a
+    comma, a quote or a line break, so none needs quoting."""
+    body = "".join(map((fmt + "\r\n").__mod__, rows))
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
-        fh.write(SCHEMA_LINE + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(f"{SCHEMA_LINE}\n{','.join(header)}\r\n{body}")
 
 
 def _read_table(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -75,34 +76,34 @@ def _read_table(path: Path) -> tuple[list[str], list[list[str]]]:
 
 def write_plan_tables(out_dir: Path, plan: Plan, scenario: Scenario,
                       trace: ConvergenceTrace | None = None) -> None:
-    uav = scenario.uav
-    _write_table(
-        out_dir / "trajectory.csv",
-        ["slot", "t_s", "x_m", "y_m"],
-        [[n, _fmt(n * uav.delta_t), _fmt(x), _fmt(y)]
-         for n, (x, y) in enumerate(plan.trajectory.waypoints)])
+    dt = scenario.uav.delta_t
+    x, y = plan.trajectory.waypoints.T.tolist()
+    _write_table(out_dir / "trajectory.csv", ["slot", "t_s", "x_m", "y_m"],
+                 "%d,%.12g,%.12g,%.12g",
+                 zip(range(len(x)), [n * dt for n in range(len(x))], x, y))
     k = scenario.n_sites
     a = plan.allocations
-    # Python ints keep the bit mask exact for any K (no 64-bit overflow).
-    masks = [sum(1 << j for j, t in enumerate(tau) if t)
-             for tau in a.tau.tolist()]
+    # Python ints keep the bit mask exact for any K (no 64-bit overflow);
+    # site j is bit j of a row's little-endian packed bytes.
+    masks = [int.from_bytes(row, "little")
+             for row in np.packbits(a.tau, axis=1, bitorder="little")]
     nums = np.column_stack([a.p, a.q, a.r]).tolist()
     _write_table(
         out_dir / "allocation.csv",
         ["slot", "tau_bitmask", "p_w"] + [f"q_{j + 1}_w" for j in range(k)]
-        + ["r_bpshz"],
-        [[n, mask] + [_fmt(v) for v in row]
+        + ["r_bpshz"], "%d,%d" + ",%.12g" * (k + 2),
+        [(n, mask, *row)
          for n, (mask, row) in enumerate(zip(masks, nums), start=1)])
     if trace is not None:
         write_trace_table(out_dir, {plan.scheme_tag: trace.outer})
 
 
 def write_trace_table(out_dir: Path, traces: dict[str, list[float]]) -> None:
-    rows = []
-    for scheme, values in traces.items():
-        rows.extend([scheme, i, _fmt(v)] for i, v in enumerate(values, start=1))
+    rows = [(scheme, i, v) for scheme, values in traces.items()
+            for i, v in enumerate(values, start=1)]
     _write_table(out_dir / "trace.csv",
-                 ["scheme", "outer_iter", "objective_bpshz"], rows)
+                 ["scheme", "outer_iter", "objective_bpshz"], "%s,%d,%.12g",
+                 rows)
 
 
 def write_summary_table(out_dir: Path, rows: list[list],
@@ -110,7 +111,8 @@ def write_summary_table(out_dir: Path, rows: list[list],
     header = ["scheme", "param", "value", "throughput_bpshz", "iters", "status"]
     if sweep_param == "mission_T":
         header.append("nondecreasing_in_T")
-    _write_table(out_dir / "summary.csv", header, rows)
+    _write_table(out_dir / "summary.csv", header,
+                 ",".join(["%s"] * len(header)), map(tuple, rows))
 
 
 def load_plan(out_dir: Path, scenario: Scenario, scheme_tag: str) -> Plan:
@@ -156,9 +158,8 @@ def cmd_plan(args) -> int:
                                grid_step=args.grid_step)
     if isinstance(result, UpperBoundResult):
         _write_table(out_dir / "hover_point.csv",
-                     ["x_m", "y_m", "throughput_bpshz"],
-                     [[_fmt(result.hover_point[0]), _fmt(result.hover_point[1]),
-                       _fmt(result.throughput)]])
+                     ["x_m", "y_m", "throughput_bpshz"], "%.12g,%.12g,%.12g",
+                     [(*result.hover_point, result.throughput)])
         write_summary_table(out_dir, [[scheme, "", "", _fmt(result.throughput),
                                        1, "OK"]])
         print(f"{scheme}: throughput {result.throughput:.6f} bps/Hz at hover "

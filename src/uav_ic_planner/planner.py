@@ -207,10 +207,11 @@ def evaluate_plan(plan: Plan, scenario: Scenario) -> ResidualReport:
     tau, q, p, r = alloc.tau, alloc.q, alloc.p, alloc.r
 
     speed, ends = plan.trajectory.flight_slacks(uav)
-    h = a2g_gain(wp[1:], scenario)
-    rate = uav_rate(h, p[:, None], q, scenario)
-    gu = np.where(tau, gu_rate_ic(q, scenario),
-                  gu_rate_tin(h, p[:, None], q, scenario))
+    # Site-major (K, N) views of the per-slot rows.
+    h, tau_t, q_t = a2g_gain(wp[1:], scenario), tau.T, q.T
+    rate = uav_rate(h, p, q_t, scenario)
+    gu = np.where(tau_t, gu_rate_ic(q_t, scenario),
+                  gu_rate_tin(h, p, q_t, scenario))
     res = {
         "speed": speed,
         "endpoints": ends,
@@ -218,8 +219,8 @@ def evaluate_plan(plan: Plan, scenario: Scenario) -> ResidualReport:
         "power_gu": np.min([q.min(), (scenario.q_max_vec - q).min()]),
         "mode_count": tau.sum(axis=1).min() - 1,
         "rate_nonneg": r.min(),
-        "uav_rate": np.where(tau, rate - r[:, None], np.inf).min(),
-        "gu_rate": (gu - scenario.gamma_vec).min(),
+        "uav_rate": np.where(tau_t, rate - r, np.inf).min(),
+        "gu_rate": (gu - scenario.gamma_vec[:, None]).min(),
     }
     recomputed = math.fsum(r) / n_slots
     return ResidualReport(

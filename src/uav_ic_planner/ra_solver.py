@@ -97,8 +97,9 @@ def gu_power_ic(site, site_index: int = -1) -> float:
 
 def _site_terms(points: np.ndarray, scenario: Scenario,
                 tin) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(h, c_ic, cap): gains (M, K), IC-mode noise plus GU interference (K,),
-    and per-site TIN caps on the UAV power (M, K), +inf without a guarantee.
+    """(h, c_ic, cap): gains (M, K) (a view of the kernel's transpose),
+    IC-mode noise plus GU interference (K,), and per-site TIN caps on the
+    UAV power (M, K), +inf without a guarantee.
 
     cap[m, k] is the largest UAV power keeping site k's GU (at q = Q_k) at
     its guarantee while site k treats the UAV as noise. A negative cap is
@@ -106,7 +107,7 @@ def _site_terms(points: np.ndarray, scenario: Scenario,
     InfeasibleSite first if a guarantee cannot be met under IC.
     """
     c_ic = scenario.sigma2_vec + scenario.q_ic_vec * scenario.g_vec
-    h = a2g_gain(points, scenario)
+    h = a2g_gain(points, scenario).T
     cap = scenario.tin_cap_numer / h
     negative = (cap < -1e-12 * scenario.uav.p_max) & tin
     if negative.any():
@@ -199,9 +200,9 @@ def solve_mode(tau, points, scenario: Scenario) -> Allocation:
     h, _, cap = _site_terms(points, scenario, ~tau)
     p = np.minimum(np.where(tau, np.inf, cap).min(axis=1), scenario.uav.p_max)
     q = np.where(tau, scenario.q_ic_vec, scenario.q_max_vec)
-    rate = uav_rate(h, p[:, None], q, scenario)
+    rate = uav_rate(h.T, p, q.T, scenario)
     return Allocation(tau=tau, q=q, p=p,
-                      r=np.where(tau, rate, np.inf).min(axis=1))
+                      r=np.where(tau.T, rate, np.inf).min(axis=0))
 
 
 def solve_slot(points, scenario: Scenario,

@@ -102,48 +102,50 @@ class ScaResult:
 # ---------------------------------------------------------------------------
 # Surrogate construction and evaluation
 
-def _log_slope(d2, h, pcol, c, ch: ChannelParams) -> np.ndarray:
+def _log_slope(d2, h, p, c, ch: ChannelParams) -> np.ndarray:
     """Negative slope of log2(c + h * p) in the squared horizontal distance,
     at squared 3D distance d2 and gain h."""
-    return (ch.alpha * ch.beta0 * pcol) / (
-        2.0 * LN2 * d2 ** (ch.alpha / 2.0 + 1.0) * (c + h * pcol))
+    return (ch.alpha * ch.beta0 * p) / (
+        2.0 * LN2 * d2 ** (ch.alpha / 2.0 + 1.0) * (c + h * p))
 
 
 class _SlotEval(NamedTuple):
-    """The surrogate of a set of slots at candidate positions (M of them);
-    d2, h and lhs are None where the TIN guarantees were skipped."""
-    diff: np.ndarray  # (M, K, 2) offsets from the sites
-    d2: np.ndarray    # (M, K) squared 3D distances
-    h: np.ndarray     # (M, K) channel gains
-    rate: np.ndarray  # (M, K) UAV-rate bounds, inf off the IC sites
-    lhs: np.ndarray   # (M, K) TIN guarantee left-hand sides, inf off TIN sites
+    """The surrogate of M slots at candidate positions, site-major; d2, h
+    and lhs are None where the TIN guarantees were skipped."""
+    diff: np.ndarray  # (2, K, M) x and y offsets from the sites
+    d2: np.ndarray    # (K, M) squared 3D distances
+    h: np.ndarray     # (K, M) channel gains
+    rate: np.ndarray  # (K, M) UAV-rate bounds, inf off the IC sites
+    lhs: np.ndarray   # (K, M) TIN guarantee left-hand sides, inf off TIN sites
 
 
 @dataclass
 class Surrogate:
-    """Per-slot, per-site linearization around a local trajectory.
+    """Per-slot, per-site linearization around a local trajectory, stored
+    site-major: row k of each (K, N) array is site k's, column n-1 slot n's.
 
     Both log-terms log2(1 + h p / c) and log2(c + h p), c = sigma2_k +
     g_k q[n,k], have the same slope in s = ||u - site||^2, so one `coeff`
     serves both. The UAV-rate bound is affine in s:
-        rhat[n,k](u) = intercept_a[n,k] - coeff[n,k] * s
+        rhat[k,n](u) = intercept_a[k,n] - coeff[k,n] * s
     The TIN guarantee bound keeps its exact second log-term:
-        lhs[n,k](u) = intercept_b[n,k] - coeff[n,k] * s
+        lhs[k,n](u) = intercept_b[k,n] - coeff[k,n] * s
                       - log2(sigma2_k + h_k(u) * p[n])
     """
 
     scenario: Scenario
     p: np.ndarray            # (N,)
-    ic_mask: np.ndarray      # (N, K) bool
-    tin_mask: np.ndarray     # (N, K) bool, only sites with a rate guarantee
-    coeff: np.ndarray        # (N, K)
-    intercept_a: np.ndarray  # (N, K)
-    intercept_b: np.ndarray  # (N, K)
+    ic_mask: np.ndarray      # (K, N) bool
+    tin_mask: np.ndarray     # (K, N) bool, only sites with a rate guarantee
+    coeff: np.ndarray        # (K, N)
+    intercept_a: np.ndarray  # (K, N)
+    intercept_b: np.ndarray  # (K, N)
 
     def _at(self, points: np.ndarray, tin: bool = True) -> _SlotEval:
         """Evaluate the surrogate with the waypoints at `points` (one row
-        per slot), skipping the TIN guarantees unless `tin`. Row-wise: a
-        row depends on its own point and slot only."""
+        per slot, or the transpose of x and y planes), skipping the TIN
+        guarantees unless `tin`. Column-wise: a column depends on its own
+        point and slot only."""
         sc = self.scenario
         diff, s, d2, h = geometry(points, sc)
         cs = self.coeff * s
@@ -151,20 +153,20 @@ class Surrogate:
         if not tin:
             return _SlotEval(diff, None, None, rate, None)
         lhs = np.where(self.tin_mask, self.intercept_b - cs
-                       - np.log2(sc.sigma2_vec[None, :] + h * self.p[:, None]),
+                       - np.log2(sc.sigma2_vec[:, None] + h * self.p),
                        np.inf)
         return _SlotEval(diff, d2, h, rate, lhs)
 
     def rows(self, sel: slice) -> Surrogate:
         """The surrogate of the slots `sel`, on views of the per-slot
         arrays."""
-        return replace(self, **{f.name: getattr(self, f.name)[sel]
+        return replace(self, **{f.name: getattr(self, f.name)[..., sel]
                                 for f in fields(self) if f.name != "scenario"})
 
     def rate_bounds(self, points: np.ndarray) -> np.ndarray:
         """Per-slot min over IC sites of the surrogate UAV rate (unclamped).
         points: (N, 2)."""
-        return self._at(points, tin=False).rate.min(axis=1)
+        return self._at(points, tin=False).rate.min(axis=0)
 
 
 def build_surrogate(local_traj: Trajectory, allocs: Allocation,
@@ -174,111 +176,123 @@ def build_surrogate(local_traj: Trajectory, allocs: Allocation,
     n_slots = local.shape[0] - 1
     if len(allocs) != n_slots:
         raise ValueError(f"{len(allocs)} allocations for {n_slots} slots")
-    p, q, tau = allocs.p, allocs.q, allocs.tau
+    p, q, tau = allocs.p, allocs.q.T, allocs.tau.T
 
     _, s_loc, d2, h_loc = geometry(local[1:], sc)
-    c = sc.sigma2_vec[None, :] + sc.g_vec[None, :] * q
-    pcol = p[:, None]
+    c = sc.sigma2_vec[:, None] + sc.g_vec[:, None] * q
 
     # Exact derivative of the log-terms with respect to s at the local
     # point; zero where the UAV does not transmit.
     with np.errstate(divide="ignore"):
-        coeff = np.where(pcol > 0.0,
-                         _log_slope(d2, h_loc, pcol, c, sc.channel), 0.0)
+        coeff = np.where(p > 0.0, _log_slope(d2, h_loc, p, c, sc.channel),
+                         0.0)
 
     return Surrogate(
         scenario=sc,
         p=p,
-        ic_mask=tau,
-        tin_mask=(~tau) & (sc.gamma_vec[None, :] > 0.0),
+        ic_mask=np.ascontiguousarray(tau),
+        tin_mask=(~tau) & (sc.gamma_vec[:, None] > 0.0),
         coeff=coeff,
-        intercept_a=uav_rate(h_loc, pcol, q, sc) + coeff * s_loc,
-        intercept_b=np.log2(c + h_loc * pcol) + coeff * s_loc,
+        intercept_a=uav_rate(h_loc, p, q, sc) + coeff * s_loc,
+        intercept_b=np.log2(c + h_loc * p) + coeff * s_loc,
     )
 
 
 # ---------------------------------------------------------------------------
 # Surrogate subproblem
 
-def _clip_to_disc(pts: np.ndarray, centers: np.ndarray, radius: float) -> None:
-    """Pull points back onto discs of `radius` around `centers`, in place."""
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Lengths (M,) of the vectors with x and y planes `v` (2, M)."""
+    return np.sqrt(v[0] * v[0] + v[1] * v[1])
+
+
+def _clip_to_disc(pts: np.ndarray, centers: np.ndarray,
+                  radius: float) -> bool:
+    """Pull points (2, M) back onto discs of `radius` around `centers`, in
+    place; True if any point moved."""
     delta = pts - centers
-    dist = np.sqrt(np.einsum("mi,mi->m", delta, delta))
+    dist = _norm(delta)
     over = dist > radius
-    if over.any():  # max(dist, radius) is dist where over, and never 0
-        np.copyto(pts, centers + delta * (radius / np.maximum(dist, radius))
-                  [:, None], where=over[:, None])
+    if not over.any():
+        return False
+    # max(dist, radius) is dist where over, and never 0
+    np.copyto(pts, centers + delta * (radius / np.maximum(dist, radius)),
+              where=over)
+    return True
 
 
 def _line_search_objective(ev: _SlotEval) -> np.ndarray:
     """Per-slot surrogate rate, plus a small pull on slots whose bound is
     negative so they are not permanently stuck at zero."""
-    rhat = ev.rate.min(axis=1)
-    return np.where(rhat >= 0.0, rhat, AUX_WEIGHT * rhat)
+    rhat = ev.rate.min(axis=0)
+    return np.maximum(rhat, AUX_WEIGHT * rhat)
 
 
 def _ascent_direction(surrogate: Surrogate, ev: _SlotEval,
                       rows: np.ndarray | None = None) -> np.ndarray:
-    """Gradient of each slot's binding surrogate rate bound, projected so
-    it slides along the active TIN guarantees in `ev` instead of crossing
-    them. `ev` has a row per slot of `surrogate`, `rows` is arange(M)."""
+    """Gradient (2, M) of each slot's binding surrogate rate bound, x plane
+    first, projected so it slides along the active TIN guarantees in `ev`
+    instead of crossing them. `ev` has a column per slot of `surrogate`,
+    `rows` is arange(M)."""
     sc = surrogate.scenario
     if rows is None:
-        rows = np.arange(ev.rate.shape[0])
-    kstar = ev.rate.argmin(axis=1)
-    a_star = surrogate.coeff[rows, kstar]
-    g = -2.0 * a_star[:, None] * ev.diff[rows, kstar, :]
+        rows = np.arange(ev.rate.shape[1])
+    kstar = ev.rate.argmin(axis=0)
+    g = -2.0 * surrogate.coeff[kstar, rows] * ev.diff[:, kstar, rows]
     if ev.lhs is None:
         return g
-    rows_a, k_a = (ev.lhs - sc.gamma_vec[None, :] < ACTIVE_SLACK).nonzero()
+    # Listed through the transpose: slot by slot, sites ascending.
+    rows_a, k_a = (ev.lhs - sc.gamma_vec[:, None] < ACTIVE_SLACK).T.nonzero()
     if rows_a.size:
         # Gradient of each active guarantee; _log_slope gives the slope of
         # its exact log-term log2(sigma2 + h * p).
-        slope_e = _log_slope(ev.d2[rows_a, k_a], ev.h[rows_a, k_a],
+        slope_e = _log_slope(ev.d2[k_a, rows_a], ev.h[k_a, rows_a],
                              surrogate.p[rows_a], sc.sigma2_vec[k_a],
                              sc.channel)
-        grad_lhs = 2.0 * (slope_e - surrogate.coeff[rows_a, k_a])[:, None] \
-            * ev.diff[rows_a, k_a, :]
-        nrm2 = np.einsum("mi,mi->m", grad_lhs, grad_lhs)
-        # Each row projects onto its active sites in ascending site order;
-        # pass i takes the i-th active site of every row at once (nonzero
-        # lists the entries row by row).
+        grad_lhs = 2.0 * (slope_e - surrogate.coeff[k_a, rows_a]) \
+            * ev.diff[:, k_a, rows_a]
+        nrm2 = grad_lhs[0] * grad_lhs[0] + grad_lhs[1] * grad_lhs[1]
+        # Each slot projects onto its active sites in ascending site order;
+        # pass i takes the i-th active site of every slot at once.
         rank = np.arange(rows_a.size) - np.searchsorted(rows_a, rows_a)
         for i in range(int(rank.max()) + 1):
             at = rank == i
-            rows_i, grad_i, nrm2_i = rows_a[at], grad_lhs[at], nrm2[at]
-            dot = np.einsum("mi,mi->m", g[rows_i], grad_i)
+            rows_i, grad_i, nrm2_i = rows_a[at], grad_lhs[:, at], nrm2[at]
+            g_i = g[:, rows_i]
+            dot = g_i[0] * grad_i[0] + g_i[1] * grad_i[1]
             adj = np.flatnonzero((dot < 0.0) & (nrm2_i > 1e-30))
             if adj.size:
-                g[rows_i[adj]] -= (dot[adj] / nrm2_i[adj])[:, None] * grad_i[adj]
+                g[:, rows_i[adj]] -= (dot[adj] / nrm2_i[adj]) * grad_i[:, adj]
     return g
 
 
 def _sweep(surrogate: Surrogate, u: np.ndarray) -> bool:
     """Red-black sweeps over the interior waypoints of `u`, in place; True
-    if any move was accepted. Waypoint n owns slot n, i.e. row n-1 of the
-    per-slot arrays.
+    if any move was accepted. Waypoint n owns slot n, i.e. column n-1 of
+    the per-slot arrays.
 
-    Each colour (odd, then even waypoints) works on basic-slice views: its
-    waypoints, their neighbours, its slots' surrogate and its step sizes.
-    The kernel is row-wise, so the evaluation at the current waypoints is
-    carried from pass to pass, taking the accepted rows of the candidates'
-    evaluation, and each pass evaluates the candidates only. A colour none
-    of whose slots has a TIN guarantee skips the TIN terms throughout."""
+    Each colour (odd, then even waypoints) works on basic-slice views of
+    the x and y planes (2, N+1) of `u`: its waypoints, their neighbours,
+    its slots' surrogate and its step sizes. The kernel is column-wise, so
+    the evaluation at the current waypoints is carried from pass to pass,
+    taking the accepted columns of the candidates' evaluation. A colour
+    none of whose slots has a TIN guarantee skips the TIN terms."""
     uav = surrogate.scenario.uav
     v_step = uav.v_max * uav.delta_t
-    tin_floor = surrogate.scenario.gamma_vec[None, :] - SURROGATE_FEAS_TOL
+    tin_floor = surrogate.scenario.gamma_vec[:, None] - SURROGATE_FEAS_TOL
     n_wp = u.shape[0]
+    planes = u.T.copy()
     steps = np.full(n_wp, 0.25 * v_step)
     colours = []
     for first in range(1, min(n_wp - 1, 3)):  # odd, then even waypoints
         wp = slice(first, n_wp - 1, 2)
         sub = surrogate.rows(slice(first - 1, n_wp - 2, 2))
         tin = bool(sub.tin_mask.any())
-        ev = sub._at(u[wp], tin)
-        colours.append((sub, tin, np.arange(ev.rate.shape[0]), u[wp],
-                        u[first - 1:n_wp - 2:2], u[first + 1::2], steps[wp],
-                        ev, _line_search_objective(ev)))
+        ev = sub._at(planes[:, wp].T, tin)
+        colours.append((sub, tin, np.arange(ev.rate.shape[1]), planes[:, wp],
+                        planes[:, first - 1:n_wp - 2:2],
+                        planes[:, first + 1::2], steps[wp], ev,
+                        _line_search_objective(ev)))
 
     accepted_any = False
     for _ in range(ASCENT_STEPS):
@@ -286,38 +300,40 @@ def _sweep(surrogate: Surrogate, u: np.ndarray) -> bool:
         live_step = 0.0  # largest step of this sweep's movable waypoints
         for sub, tin, rows, cur, left, right, step, ev, obj in colours:
             g = _ascent_direction(sub, ev, rows)
-            gnorm = np.sqrt(np.einsum("mi,mi->m", g, g))
+            gnorm = _norm(g)
             movable = gnorm > 1e-18
             if not movable.any():
                 continue
-            direction = np.divide(g, gnorm[:, None], out=np.zeros_like(g),
-                                  where=movable[:, None])
+            direction = g / gnorm if movable.all() else np.divide(
+                g, gnorm, out=np.zeros_like(g), where=movable)
             # step never exceeds v_step, the reach of one slot.
-            cand = cur + step[:, None] * direction
-            _clip_to_disc(cand, left, v_step * (1.0 - 1e-12))
-            _clip_to_disc(cand, right, v_step * (1.0 - 1e-12))
-            delta = cand - left
-            in_left = np.sqrt(np.einsum("mi,mi->m", delta, delta)) <= v_step
-            cand_ev = sub._at(cand, tin)
+            cand = cur + step * direction
+            in_left = movable
+            if (_clip_to_disc(cand, left, v_step * (1.0 - 1e-12))
+                    | _clip_to_disc(cand, right, v_step * (1.0 - 1e-12))):
+                # An unclipped point is within the margin of `left` already.
+                in_left = movable & (_norm(cand - left) <= v_step)
+            cand_ev = sub._at(cand.T, tin)
             cand_obj = _line_search_objective(cand_ev)
-            accept = movable & in_left & (cand_obj > obj + 1e-14)
+            accept = in_left & (cand_obj > obj + 1e-14)
             if tin:
-                accept &= (cand_ev.lhs >= tin_floor).all(axis=1)
+                accept &= (cand_ev.lhs >= tin_floor).all(axis=0)
             if accept.any():
-                # One mask per ndim: (M,), (M, 2) or (M, K), and (M, K, 2).
-                where = (None, accept, accept[:, None], accept[:, None, None])
+                # Every carried array has the slots on its last axis.
                 for held, new in zip((cur, obj, *ev),
                                      (cand, cand_obj, *cand_ev)):
                     if held is not None:
-                        np.copyto(held, new, where=where[held.ndim])
+                        np.copyto(held, new, where=accept)
                 np.copyto(step, np.minimum(step * 1.5, v_step), where=accept)
                 moved = accepted_any = True
             np.multiply(step, 0.5, out=step, where=movable & ~accept)
             live_step = max(live_step, step.max(where=movable, initial=0.0))
         # A waypoint with a zero direction never moves, so its direction
-        # stays zero (the kernel is row-wise) and its step is left out.
+        # stays zero (the kernel is column-wise) and its step is left out.
         if not moved and live_step < 1e-9 * v_step:
             break
+    if accepted_any:
+        u[...] = planes.T
     return accepted_any
 
 
@@ -350,8 +366,8 @@ def slot_rates(traj: Trajectory, allocs: Allocation,
     """True per-slot UAV rates for a fixed allocation: min over IC sites,
     clamped at zero."""
     h = a2g_gain(traj.waypoints[1:], scenario)
-    rate = uav_rate(h, allocs.p[:, None], allocs.q, scenario)
-    rate = np.where(allocs.tau, rate, np.inf).min(axis=1)
+    rate = uav_rate(h, allocs.p, allocs.q.T, scenario)
+    rate = np.where(allocs.tau.T, rate, np.inf).min(axis=0)
     return np.maximum(rate, 0.0)
 
 
@@ -365,10 +381,11 @@ def verify_safe_step(traj: Trajectory, allocs: Allocation,
     """Re-check the original constraints with the exact rate expressions."""
     sc = scenario
     traj.validate(sc.uav)
+    gamma = sc.gamma_vec[:, None]
     h = a2g_gain(traj.waypoints[1:], sc)
-    tin_rate = gu_rate_tin(h, allocs.p[:, None], allocs.q, sc)
-    tin_mask = (~allocs.tau) & (sc.gamma_vec[None, :] > 0.0)
-    slack = np.where(tin_mask, tin_rate - sc.gamma_vec[None, :], np.inf)
+    tin_rate = gu_rate_tin(h, allocs.p, allocs.q.T, sc)
+    slack = np.where((~allocs.tau.T) & (gamma > 0.0), tin_rate - gamma,
+                     np.inf).T
     worst = float(slack.min())
     if not (worst >= -SAFE_STEP_TOL):  # NaN fails too
         n, k = np.unravel_index(np.argmin(slack), slack.shape)
@@ -390,9 +407,7 @@ def optimize_trajectory(init: Trajectory, allocs: Allocation,
     trace = [trajectory_objective(init, allocs, scenario)]
     traj = init
     converged = False
-    iterations = 0
     for _ in range(SCA_MAX_ITERS):
-        iterations += 1
         surro = build_surrogate(traj, allocs, scenario)
         new_traj, _, stalled = solve_surrogate(surro, traj)
         verify_safe_step(new_traj, allocs, scenario)
@@ -403,17 +418,9 @@ def optimize_trajectory(init: Trajectory, allocs: Allocation,
                 f"{new_obj:.12g}")
         trace.append(new_obj)
         traj = new_traj
-        if stalled:
-            converged = True
-            break
         rel = (trace[-1] - trace[-2]) / max(abs(trace[-2]), 1e-12)
-        if rel < rel_tol:
+        if stalled or rel < rel_tol:
             converged = True
             break
-    return ScaResult(
-        trajectory=traj,
-        objective=trace[-1],
-        inner_trace=trace,
-        converged=converged,
-        iterations=iterations,
-    )
+    return ScaResult(trajectory=traj, objective=trace[-1], inner_trace=trace,
+                     converged=converged, iterations=len(trace) - 1)

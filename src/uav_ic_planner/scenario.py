@@ -27,6 +27,9 @@ GAMMA_ABS_TOL = 1e-9
 
 DEFAULT_T_MAX_S = 1800.0
 
+# libyaml's parser if PyYAML has it; both share the safe resolver/constructor.
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 class ScenarioError(ValueError):
     """A scenario document violates the schema or an invariant."""
@@ -269,7 +272,7 @@ def parse_scenario(text: str) -> Scenario:
     Rejects unknown keys and reports violations with a field path.
     """
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ScenarioError("<document>", f"invalid YAML: {exc}") from exc
     doc = _require_mapping(doc, "<document>")

@@ -59,8 +59,8 @@ def surrogate_coeff(p, u, q, site, channel, altitude) -> float:
 
 def surrogate_bounds(surro, points) -> tuple[np.ndarray, np.ndarray]:
     """The surrogate's UAV-rate bounds and TIN guarantee left-hand sides at
-    `points` (one per slot), for every slot/site pair, not only the pairs
-    the allocation decodes or treats as noise."""
+    `points` (one per slot), site-major (K, N), for every site/slot pair,
+    not only the pairs the allocation decodes or treats as noise."""
     on = np.ones_like(surro.ic_mask)
     ev = dataclasses.replace(surro, ic_mask=on, tin_mask=on)._at(points)
     return ev.rate, ev.lhs

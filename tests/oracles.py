@@ -17,10 +17,13 @@ bps/Hz slack as the scenario feasibility test, so grid points landing
 exactly on a constraint boundary are not rejected by float rounding.
 
 `reference_sweep` is the reference for `sca_trajectory._sweep`: the
-red-black waypoint sweeps written plainly, evaluating the surrogate kernel at
-the current waypoints and at the candidates in every colour pass, on
-fancy-indexed slot rows. It shares the geometry function and the surrogate
-arithmetic with `_sweep`, since it must match it bit for bit.
+red-black waypoint sweeps written plainly, evaluating the surrogate at the
+current waypoints and at the candidates in every colour pass, on
+fancy-indexed slot rows. It keeps the slot-major layout: its own (M, K, 2)
+geometry, evaluation and line-search objective, reading the site-major
+surrogate through transposed (N, K) views. Only the elementwise slope
+`_log_slope` is shared, and the arithmetic of every element is the same,
+since it must match `_sweep` bit for bit.
 """
 
 from __future__ import annotations
@@ -31,13 +34,11 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from uav_ic_planner.channel import geometry
 from uav_ic_planner.ra_solver import (TIE_TOL, InternalConsistencyError,
                                       gu_power_ic)
 from uav_ic_planner.sca_trajectory import (ACTIVE_SLACK, ASCENT_STEPS,
-                                           SURROGATE_FEAS_TOL, Surrogate,
-                                           _line_search_objective, _log_slope,
-                                           _SlotEval)
+                                           AUX_WEIGHT, SURROGATE_FEAS_TOL,
+                                           Surrogate, _log_slope)
 from uav_ic_planner.scenario import LN2, Scenario
 
 
@@ -212,20 +213,36 @@ def fd_derivative_in_sqdist(fn, s: float, rel_step: float = 1e-6) -> float:
 # ---------------------------------------------------------------------------
 # Red-black surrogate sweeps, two kernel evaluations per colour pass
 
+class _SlotEval(NamedTuple):
+    diff: np.ndarray  # (M, K, 2) offsets from the sites
+    d2: np.ndarray    # (M, K) squared 3D distances
+    h: np.ndarray     # (M, K) channel gains
+    rate: np.ndarray  # (M, K) UAV-rate bounds, inf off the IC sites
+    lhs: np.ndarray   # (M, K) TIN guarantee left-hand sides, inf off TIN sites
+
+
 def _surrogate_at(surrogate: Surrogate, points: np.ndarray,
                   slots: np.ndarray) -> _SlotEval:
     """The surrogate of `slots` with their waypoints at `points`."""
     sc = surrogate.scenario
-    diff, s, d2, h = geometry(points, sc)
-    rate = np.where(surrogate.ic_mask[slots],
-                    surrogate.intercept_a[slots] - surrogate.coeff[slots] * s,
-                    np.inf)
-    lhs = np.where(surrogate.tin_mask[slots],
-                   surrogate.intercept_b[slots] - surrogate.coeff[slots] * s
+    diff = points[:, None, :] - sc.site_pos[None, :, :]
+    s = np.einsum("mki,mki->mk", diff, diff)
+    d2 = sc.uav.altitude ** 2 + s
+    h = sc.channel.beta0 * d2 ** (-sc.channel.alpha / 2.0)
+    coeff = surrogate.coeff.T[slots]
+    rate = np.where(surrogate.ic_mask.T[slots],
+                    surrogate.intercept_a.T[slots] - coeff * s, np.inf)
+    lhs = np.where(surrogate.tin_mask.T[slots],
+                   surrogate.intercept_b.T[slots] - coeff * s
                    - np.log2(sc.sigma2_vec[None, :]
                              + h * surrogate.p[slots, None]),
                    np.inf)
     return _SlotEval(diff, d2, h, rate, lhs)
+
+
+def _line_search_objective(ev: _SlotEval) -> np.ndarray:
+    rhat = np.min(ev.rate, axis=1)
+    return np.where(rhat >= 0.0, rhat, AUX_WEIGHT * rhat)
 
 
 def _clip_to_disc(pts, centers, radius):
@@ -242,8 +259,9 @@ def _ascent_direction(surrogate: Surrogate, ev: _SlotEval,
                       slots: np.ndarray) -> np.ndarray:
     sc = surrogate.scenario
     rows = np.arange(slots.size)
+    coeff = surrogate.coeff.T
     kstar = np.argmin(ev.rate, axis=1)
-    a_star = surrogate.coeff[slots, kstar]
+    a_star = coeff[slots, kstar]
     g = -2.0 * a_star[:, None] * ev.diff[rows, kstar, :]
 
     active = ev.lhs - sc.gamma_vec[None, :] < ACTIVE_SLACK
@@ -255,7 +273,7 @@ def _ascent_direction(surrogate: Surrogate, ev: _SlotEval,
             if rows_k.size == 0:
                 continue
             grad_lhs = 2.0 * (slope_e[rows_k, k]
-                              - surrogate.coeff[slots[rows_k], k])[:, None] \
+                              - coeff[slots[rows_k], k])[:, None] \
                 * ev.diff[rows_k, k, :]
             nrm2 = np.einsum("mi,mi->m", grad_lhs, grad_lhs)
             dot = np.einsum("mi,mi->m", g[rows_k], grad_lhs)

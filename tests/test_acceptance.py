@@ -139,13 +139,14 @@ def test_criterion_2_surrogate_validity(default_sc):
     alpha, beta0 = default_sc.channel.alpha, default_sc.channel.beta0
 
     def true_values(pts):
+        """True UAV and TIN rates, site-major (K, N) as the surrogate's."""
         diff = pts[:, None, :] - default_sc.site_pos[None, :, :]
         s = np.einsum("nki,nki->nk", diff, diff)
         h = beta0 * (alt ** 2 + s) ** (-alpha / 2.0)
         gq = default_sc.g_vec[None, :] * q
         c = default_sc.sigma2_vec[None, :] + gq
         tin = gq / (default_sc.sigma2_vec[None, :] + h * p[:, None])
-        return np.log1p(h * p[:, None] / c) / LN2, np.log1p(tin) / LN2
+        return (np.log1p(h * p[:, None] / c) / LN2).T, (np.log1p(tin) / LN2).T
 
     rate_loc, tin_loc = true_values(pts_loc)
     rhat_loc, lhs_loc = surrogate_bounds(surro, pts_loc)

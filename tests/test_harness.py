@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import os
 import subprocess
 import sys
@@ -11,13 +13,17 @@ import uav_ic_planner
 from uav_ic_planner import harness
 from uav_ic_planner.harness import (EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_IO,
                                     EXIT_OK, SCHEMA_LINE, load_plan, main)
-from uav_ic_planner.planner import evaluate_plan, make_plan
-from uav_ic_planner.ra_solver import solve_resource_allocation
-from uav_ic_planner.sca_trajectory import straight_line_trajectory
-from uav_ic_planner.scenario import (DEFAULT_SCENARIO_YAML, default_scenario,
-                                     serialize_scenario)
+from uav_ic_planner.planner import (ConvergenceTrace, Plan, evaluate_plan,
+                                    make_plan)
+from uav_ic_planner.ra_solver import Allocation, solve_resource_allocation
+from uav_ic_planner.sca_trajectory import Trajectory, straight_line_trajectory
+from uav_ic_planner.scenario import (DEFAULT_SCENARIO_YAML, Scenario,
+                                     default_scenario, serialize_scenario)
 
-from conftest import random_feasible_scenario
+from conftest import (make_channel, make_site, make_uav,
+                      random_feasible_scenario)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def read(path: Path) -> str:
@@ -268,3 +274,91 @@ def test_plan_tables_round_trip_k64(tmp_path):
                            rtol=1e-11, atol=0.0)  # 12 significant digits
         assert evaluate_plan(back, sc).all_satisfied
     assert masks == [(1 << 64) - 1] * 20  # altruistic: every bit set
+
+
+def _csv_module_table(header: list[str], rows) -> bytes:
+    """A table as the csv module writes it, float cells as "%.12g"."""
+    buf = io.StringIO(newline="")
+    buf.write(SCHEMA_LINE + "\n")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([f"{v:.12g}" if isinstance(v, float) else v for v in row]
+                     for row in rows)
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("k", [1, 3, 64])
+def test_tables_match_csv_module_bytes(tmp_path, k):
+    """At N=2001 every table is byte for byte what csv.writer writes: floats
+    from the subnormal range to 1e300, negative zero, integral floats, and
+    tau bit masks with the lowest bit, the highest bit or all K bits set
+    (2^64 - 1 at K=64) as exact Python ints."""
+    rng = np.random.default_rng(k)
+    n = 2001
+
+    def values(*shape):
+        v = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(-300, 300,
+                                                                 shape)
+        v.flat[::7] = -0.0
+        v.flat[3::11] = rng.integers(-5, 5, v.flat[3::11].size)
+        v.flat[:3] = (5e-324, 1.7976931348623157e308, 123456789012.5)
+        return v
+
+    sc = Scenario(channel=make_channel(),
+                  sites=tuple(make_site(pos=(10.0 * j, 0.0)) for j in range(k)),
+                  uav=make_uav(n_slots=n))
+    tau = rng.random((n, k)) < 0.5
+    tau[0], tau[1], tau[2] = True, np.arange(k) == 0, np.arange(k) == k - 1
+    allocs = Allocation(tau=tau, q=values(n, k), p=values(n), r=values(n))
+    trace = ConvergenceTrace(outer=values(4).tolist(), inner_per_outer=[],
+                             iterations=4, converged=True)
+    plan = Plan(trajectory=Trajectory(values(n + 1, 2)), allocations=allocs,
+                avg_throughput=1.0, scheme_tag="proposed")
+    harness.write_plan_tables(tmp_path, plan, sc, trace)
+    rows = [["proposed", "mission_T", "40", "1.5", 3, "OK", ""],
+            ["egoistic", "mission_T", "100", "", "", "INFEASIBLE", "no"]]
+    harness.write_summary_table(tmp_path, rows, sweep_param="mission_T")
+
+    dt = sc.uav.delta_t
+    want = {
+        "trajectory.csv": _csv_module_table(
+            ["slot", "t_s", "x_m", "y_m"],
+            [[i, i * dt, x, y]
+             for i, (x, y) in enumerate(plan.trajectory.waypoints.tolist())]),
+        "allocation.csv": _csv_module_table(
+            ["slot", "tau_bitmask", "p_w"]
+            + [f"q_{j + 1}_w" for j in range(k)] + ["r_bpshz"],
+            [[i, sum(1 << j for j, t in enumerate(bits) if t), p, *q, r]
+             for i, (bits, p, q, r) in enumerate(
+                 zip(tau.tolist(), allocs.p.tolist(), allocs.q.tolist(),
+                     allocs.r.tolist()), start=1)]),
+        "trace.csv": _csv_module_table(
+            ["scheme", "outer_iter", "objective_bpshz"],
+            [["proposed", i, v] for i, v in enumerate(trace.outer, start=1)]),
+        "summary.csv": _csv_module_table(
+            ["scheme", "param", "value", "throughput_bpshz", "iters",
+             "status", "nondecreasing_in_T"], rows),
+    }
+    for name, data in want.items():
+        assert (tmp_path / name).read_bytes() == data, name
+    masks = [int(line.split(",")[1]) for line in
+             read(tmp_path / "allocation.csv").splitlines()[2:5]]
+    assert masks == [(1 << k) - 1, 1, 1 << (k - 1)]
+
+
+def test_throughput_script_keeps_defaults_with_extra_flags(tmp_path):
+    """Extra flags add to the script's defaults instead of replacing them:
+    --out and --schemes alone still sweep the default mission durations."""
+    src = str(Path(uav_ic_planner.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_throughput_vs_T.py"),
+         "--out", str(tmp_path), "--schemes", "straight_fly"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    rows = read(tmp_path / "summary.csv").splitlines()[2:]
+    assert [row.split(",")[:3] for row in rows] == [
+        ["straight_fly", "mission_T", t]
+        for t in ("40", "60", "80", "100", "120", "150", "200")]
+    assert all(row.split(",")[5] == "OK" for row in rows)

@@ -111,9 +111,9 @@ def test_surrogate_tight_at_local_point(default_sc):
         for k, site in enumerate(default_sc.sites):
             args = (p[n], pts[n], q[n][k], site, default_sc.channel,
                     default_sc.uav.altitude)
-            assert rhat[n, k] == pytest.approx(uav_rate(*args), rel=1e-9,
+            assert rhat[k, n] == pytest.approx(uav_rate(*args), rel=1e-9,
                                                abs=1e-12)
-            assert lhs[n, k] == pytest.approx(gu_rate_tin(*args), rel=1e-9)
+            assert lhs[k, n] == pytest.approx(gu_rate_tin(*args), rel=1e-9)
 
 
 def test_surrogate_global_underestimator(default_sc, rng):
@@ -135,8 +135,8 @@ def test_surrogate_global_underestimator(default_sc, rng):
         true_tin = np.log1p(default_sc.g_vec[None, :] * q / (
             default_sc.sigma2_vec[None, :] + h * p[:, None])) / LN2
         rhat, lhs = surrogate_bounds(surro, pts)
-        assert np.all(rhat <= true_rate + 1e-9)
-        assert np.all(lhs <= true_tin + 1e-9)
+        assert np.all(rhat <= true_rate.T + 1e-9)
+        assert np.all(lhs <= true_tin.T + 1e-9)
         total += s.size
     assert total >= 10_000
 
@@ -214,10 +214,10 @@ def test_ascent_direction_slides_along_active_tin_guarantee():
     surro = build_surrogate(traj, allocs, sc).rows(slice(0, 1))
     point = traj.waypoints[1]
     ev = surro._at(point[None, :])
-    assert abs(ev.lhs[0, 1] - gamma) < ACTIVE_SLACK
+    assert abs(ev.lhs[1, 0] - gamma) < ACTIVE_SLACK
 
     def lhs(x):
-        return surro._at(x[None, :]).lhs[0, 1]
+        return surro._at(x[None, :]).lhs[1, 0]
 
     step = 1e-3
     grad_lhs = np.array([(lhs(point + step * e) - lhs(point - step * e))
@@ -226,7 +226,7 @@ def test_ascent_direction_slides_along_active_tin_guarantee():
     scale = np.linalg.norm(grad_lhs)
     assert raw @ grad_lhs < -0.1 * np.linalg.norm(raw) * scale
 
-    g = _ascent_direction(surro, ev)[0]
+    g = _ascent_direction(surro, ev)[:, 0]
     assert np.linalg.norm(g) > 0.1 * np.linalg.norm(raw)
     assert g @ grad_lhs >= -1e-6 * np.linalg.norm(g) * scale
 
@@ -321,14 +321,14 @@ def test_sweep_matches_reference(default_sc, name):
     surro, local = _sweep_case(name, default_sc)
     if name in ("two_active_tin", "k64"):
         ev = surro._at(local[1:])
-        active = ev.lhs - surro.scenario.gamma_vec[None, :] < ACTIVE_SLACK
-        assert active.sum(axis=1).max() >= 2
+        active = ev.lhs - surro.scenario.gamma_vec[:, None] < ACTIVE_SLACK
+        assert active.sum(axis=0).max() >= 2
     if name == "no_tin_any":
         # Some slots treat a site as noise, none with a guarantee.
         assert not surro.ic_mask.all() and not surro.tin_mask.any()
     if name == "mixed_colours":
-        interior = surro.tin_mask[:local.shape[0] - 2]
-        assert not interior[0::2].any() and interior[1::2].any()
+        interior = surro.tin_mask[:, :local.shape[0] - 2]
+        assert not interior[:, 0::2].any() and interior[:, 1::2].any()
     want, got = local.copy(), local.copy()
     want_moved = reference_sweep(surro, want)
     assert _sweep(surro, got) is want_moved

@@ -1,10 +1,15 @@
 import dataclasses
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uav_ic_planner import scenario as scenario_module
 from uav_ic_planner.scenario import (DEFAULT_SCENARIO_YAML, GbsSite, Scenario,
                                      ScenarioError, check_feasibility,
                                      db_to_linear, dbm_to_watts,
@@ -189,3 +194,38 @@ def test_validators_reject_non_finite_values():
         make_site(pos=(math.inf, 0.0))
     with pytest.raises(ScenarioError, match=r"uav\.p_max: must be finite"):
         make_uav(p_max=math.inf)
+
+
+def _dense_sites_yaml(monkeypatch) -> str:
+    """The scenario document of the dense-sites benchmark workload."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return yaml.safe_dump(workloads.WORKLOADS["dense-sites"].make_doc(),
+                          sort_keys=False)
+
+
+LOADERS = [
+    pytest.param(yaml.SafeLoader, id="SafeLoader"),
+    pytest.param(getattr(yaml, "CSafeLoader", None), id="CSafeLoader",
+                 marks=pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                                          reason="PyYAML without libyaml")),
+]
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_yaml_loaders_parse_alike(monkeypatch, loader):
+    """libyaml's loader, used when PyYAML has it, and the pure-Python one
+    build equal scenarios, and both report a syntax error at <document>."""
+    docs = (DEFAULT_SCENARIO_YAML, _dense_sites_yaml(monkeypatch))
+    monkeypatch.setattr(scenario_module, "YAML_LOADER", yaml.SafeLoader)
+    want = [parse_scenario(text) for text in docs]
+    monkeypatch.setattr(scenario_module, "YAML_LOADER", loader)
+    got = [parse_scenario(text) for text in docs]
+    assert got == want
+    assert got[1].n_sites == 8
+    with pytest.raises(ScenarioError, match="invalid YAML") as exc:
+        parse_scenario(MINIMAL_YAML.replace("[0.0, 0.0]", "[0.0, 0.0"))
+    assert exc.value.path == "<document>"
