@@ -3,7 +3,7 @@ ground users, with adaptive per-base-station interference cancellation."""
 
 from .scenario import (ChannelParams, FeasibilityReport, GbsSite, Scenario,
                        ScenarioError, UavParams, check_feasibility,
-                       default_scenario, parse_scenario, serialize_scenario)
+                       default_scenario, parse_scenario)
 from .channel import a2g_gain, gu_rate_ic, gu_rate_tin, uav_rate
 from .ra_solver import (Allocation, InfeasibleSite, slot_rates_on_points,
                         solve_mode, solve_resource_allocation, solve_slot)
@@ -17,7 +17,7 @@ from .benchmarks import (InsufficientDuration, UpperBoundResult, run_scheme,
 __all__ = [
     "ChannelParams", "FeasibilityReport", "GbsSite", "Scenario",
     "ScenarioError", "UavParams", "check_feasibility", "default_scenario",
-    "parse_scenario", "serialize_scenario",
+    "parse_scenario",
     "a2g_gain", "gu_rate_ic", "gu_rate_tin", "uav_rate",
     "Allocation", "InfeasibleSite", "slot_rates_on_points", "solve_mode",
     "solve_resource_allocation", "solve_slot",

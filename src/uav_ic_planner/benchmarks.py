@@ -81,19 +81,12 @@ def shortest_site_tour(scenario: Scenario) -> tuple[tuple[int, ...], float]:
     return best_order, best_len
 
 
-def allocate_hover_time(rates, total: float) -> np.ndarray:
-    """Split `total` hover seconds across sites to maximize rate-weighted
-    time. This linear program's optimum sits on a simplex vertex: all time
-    at the best rate."""
-    rates = np.asarray(rates, dtype=float)
-    t = np.zeros_like(rates)
-    t[int(np.argmax(rates))] = total
-    return t
-
-
 def successive_hover_fly(scenario: Scenario) -> Plan:
     """Visit every site along the shortest tour at top speed and spend all
-    residual mission time hovering, then discretize onto the slot grid."""
+    residual mission time hovering, then discretize onto the slot grid.
+
+    The hover-time split is a linear program whose optimum sits on a simplex
+    vertex: all residual time at the site of the best hover rate."""
     report = check_feasibility(scenario)
     if report.failing_sites:
         raise InfeasibleScenario(report)
@@ -103,31 +96,25 @@ def successive_hover_fly(scenario: Scenario) -> Plan:
     if uav.mission_t < t_fly * (1.0 - 1e-9):
         raise InsufficientDuration(t_fly, uav.mission_t)
 
-    hover_rates = solve_slot(scenario.site_pos[list(order)], scenario).r
-    hover = allocate_hover_time(hover_rates, max(uav.mission_t - t_fly, 0.0))
+    # Timeline of 2K + 1 events: fly leg 0, hover at tour site 0, fly leg 1,
+    # ..., fly leg K. Event j runs from anchor (j + 1) // 2 to j // 2 + 1.
+    anchors = np.vstack([uav.u_init, scenario.site_pos[list(order)],
+                         uav.u_final])
+    dur = np.zeros(2 * len(order) + 1)
+    dur[0::2] = [float(np.linalg.norm(b - a)) / uav.v_max
+                 for a, b in zip(anchors, anchors[1:])]
+    hover_rates = solve_slot(anchors[1:-1], scenario).r
+    dur[2 * int(np.argmax(hover_rates)) + 1] = max(uav.mission_t - t_fly, 0.0)
+    j = np.arange(dur.size)
+    start, end = anchors[(j + 1) // 2], anchors[j // 2 + 1]
 
-    # Piecewise-constant-speed timeline: fly leg, hover, fly leg, ...
-    anchors = ([np.asarray(uav.u_init, dtype=float)]
-               + [scenario.site_pos[j] for j in order]
-               + [np.asarray(uav.u_final, dtype=float)])
-    events: list[tuple[np.ndarray, np.ndarray, float]] = []
-    for i, (a, b) in enumerate(zip(anchors, anchors[1:])):
-        events.append((a, b, float(np.linalg.norm(b - a)) / uav.v_max))
-        if i < len(order):
-            events.append((b, b, float(hover[i])))
-
-    times = np.cumsum([e[2] for e in events])
-    waypoints = np.empty((uav.n_slots + 1, 2))
-    for n in range(uav.n_slots + 1):
-        t = n * uav.delta_t
-        idx = int(np.searchsorted(times, t, side="left"))
-        if idx >= len(events):
-            waypoints[n] = anchors[-1]
-            continue
-        start, end, dur = events[idx]
-        t0 = times[idx] - dur
-        frac = 0.0 if dur <= 0.0 else (t - t0) / dur
-        waypoints[n] = start + frac * (end - start)
+    ends = np.cumsum(dur)
+    t = np.arange(uav.n_slots + 1) * uav.delta_t
+    idx = np.minimum(np.searchsorted(ends, t, side="left"), dur.size - 1)
+    frac = np.divide(t - (ends[idx] - dur[idx]), dur[idx],
+                     out=np.zeros_like(t), where=dur[idx] > 0.0)
+    waypoints = start[idx] + frac[:, None] * (end[idx] - start[idx])
+    waypoints[t > ends[-1]] = anchors[-1]
     waypoints[0] = uav.u_init
     waypoints[-1] = uav.u_final
 

@@ -25,8 +25,6 @@ REACH_REL_TOL = 1e-4
 # rounding in the dB -> linear conversions.
 GAMMA_ABS_TOL = 1e-9
 
-DEFAULT_T_MAX_S = 1800.0
-
 # libyaml's parser if PyYAML has it; both share the safe resolver/constructor.
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
@@ -40,33 +38,63 @@ class ScenarioError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-def _check_finite(prefix: str, **fields) -> None:
-    """Reject NaN and infinities, which pass every `<`/`<=` check below."""
-    for name, value in fields.items():
-        if not np.all(np.isfinite(value)):
-            raise ScenarioError(f"{prefix}.{name}",
-                                f"must be finite, got {value!r}")
-
-
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    return 10.0 * math.log10(x)
 
 
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-def watts_to_dbm(w: float) -> float:
-    return 10.0 * math.log10(w) + 30.0
+def _pair(value) -> tuple[float, float]:
+    return float(value[0]), float(value[1])
+
+
+# One table per document section: document key -> (dataclass field,
+# conversion from the document's unit). `int` reads an integer and `_pair`
+# an [x, y] point; every other conversion reads a number. A key is optional
+# when its field has a default. Validators report errors at the key.
+CHANNEL_KEYS = {"beta0_db": ("beta0", db_to_linear), "alpha": ("alpha", float),
+                "theta0_db": ("theta0", db_to_linear),
+                "epsilon": ("epsilon", float)}
+UAV_KEYS = {"altitude_m": ("altitude", float), "v_max_mps": ("v_max", float),
+            "p_max_dbm": ("p_max", dbm_to_watts), "u_init": ("u_init", _pair),
+            "u_final": ("u_final", _pair), "T_s": ("mission_t", float),
+            "N": ("n_slots", int), "t_max_s": ("t_max", float)}
+# A site document gives either g_linear or the GU distance theta_m.
+SITE_KEYS = {"pos": ("pos", _pair), "g_linear": ("g", float),
+             "sigma2_dbm": ("sigma2", dbm_to_watts),
+             "q_max_dbm": ("q_max", dbm_to_watts),
+             "gamma_bpshz": ("gamma", float)}
+
+
+class _Section:
+    """Validation shared by the sections: `PREFIX` names the section in
+    error paths and `KEYS` is its key table."""
+
+    def _check(self, ok: bool, field: str, message: str) -> None:
+        if not ok:
+            key = next(k for k, (f, _) in self.KEYS.items() if f == field)
+            raise ScenarioError(f"{self.PREFIX}.{key}", message)
+
+    def _check_positive(self, *fields: str) -> None:
+        for field in fields:
+            self._check(getattr(self, field) > 0, field, "must be positive")
+
+    def _check_finite(self) -> None:
+        """Reject NaN and infinities, which pass every `<`/`<=` check."""
+        for key, (field, convert) in self.KEYS.items():
+            value = getattr(self, field)
+            if convert is not int and not np.all(np.isfinite(value)):
+                raise ScenarioError(f"{self.PREFIX}.{key}",
+                                    f"must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
-class ChannelParams:
+class ChannelParams(_Section):
     """Pathloss parameters, stored in linear scale."""
+
+    PREFIX, KEYS = "channel", CHANNEL_KEYS
 
     beta0: float    # air-to-ground reference gain at 1 m
     alpha: float    # air-to-ground pathloss exponent
@@ -74,46 +102,37 @@ class ChannelParams:
     epsilon: float  # ground pathloss exponent
 
     def __post_init__(self):
-        _check_finite("channel", beta0=self.beta0, alpha=self.alpha,
-                      theta0=self.theta0, epsilon=self.epsilon)
-        if self.beta0 <= 0 or self.theta0 <= 0:
-            raise ScenarioError("channel", "reference gains must be positive")
-        if self.alpha < 2:
-            raise ScenarioError("channel.alpha", f"must be >= 2, got {self.alpha}")
-        if self.epsilon <= 0:
-            raise ScenarioError("channel.epsilon", "must be positive")
+        self._check_finite()
+        self._check_positive("beta0", "theta0", "epsilon")
+        self._check(self.alpha >= 2, "alpha", f"must be >= 2, got {self.alpha}")
 
 
 @dataclass(frozen=True)
-class GbsSite:
+class GbsSite(_Section):
     """One ground base station and its associated ground user.
 
     `g` is the GBS-to-GU channel gain in linear scale, resolved at parse time
-    (either given directly or derived from the GU distance `theta`).
+    (either given directly or derived from the GU distance theta_m).
     """
+
+    PREFIX, KEYS = "site", SITE_KEYS
 
     pos: tuple[float, float]  # horizontal coordinates, m
     g: float                  # GU channel gain, linear
     sigma2: float             # noise power, W
     q_max: float              # max GU transmit power, W
     gamma: float              # min GU rate, bps/Hz
-    theta: float | None = None  # GBS-to-GU distance if that form was used, m
 
     def __post_init__(self):
-        _check_finite("site", pos=self.pos, g=self.g, sigma2=self.sigma2,
-                      q_max=self.q_max, gamma=self.gamma)
-        if self.g <= 0:
-            raise ScenarioError("site.g", "GU channel gain must be positive")
-        if self.sigma2 <= 0:
-            raise ScenarioError("site.sigma2", "noise power must be positive")
-        if self.q_max <= 0:
-            raise ScenarioError("site.q_max", "max GU power must be positive")
-        if self.gamma < 0:
-            raise ScenarioError("site.gamma", "min GU rate must be >= 0")
+        self._check_finite()
+        self._check_positive("g", "sigma2", "q_max")
+        self._check(self.gamma >= 0, "gamma", "min GU rate must be >= 0")
 
 
 @dataclass(frozen=True)
-class UavParams:
+class UavParams(_Section):
+    PREFIX, KEYS = "uav", UAV_KEYS
+
     altitude: float                 # m
     v_max: float                    # m/s
     p_max: float                    # W
@@ -121,28 +140,16 @@ class UavParams:
     u_final: tuple[float, float]    # m
     mission_t: float                # s
     n_slots: int
-    t_max: float = DEFAULT_T_MAX_S  # battery lifetime bound, s
+    t_max: float = 1800.0           # battery lifetime bound, s
 
     def __post_init__(self):
-        _check_finite("uav", altitude_m=self.altitude, v_max_mps=self.v_max,
-                      p_max=self.p_max, u_init=self.u_init,
-                      u_final=self.u_final, T_s=self.mission_t,
-                      t_max_s=self.t_max)
-        if self.altitude <= 0:
-            raise ScenarioError("uav.altitude_m", "must be positive")
-        if self.v_max <= 0:
-            raise ScenarioError("uav.v_max_mps", "must be positive")
-        if self.p_max <= 0:
-            raise ScenarioError("uav.p_max_dbm", "max power must be positive")
-        if self.n_slots < 1:
-            raise ScenarioError("uav.N", f"must be >= 1, got {self.n_slots}")
-        if self.mission_t <= 0:
-            raise ScenarioError("uav.T_s", "must be positive")
-        if self.mission_t > self.t_max:
-            raise ScenarioError(
-                "uav.T_s",
-                f"mission duration {self.mission_t} s exceeds battery lifetime "
-                f"{self.t_max} s")
+        self._check_finite()
+        self._check_positive("altitude", "v_max", "p_max", "mission_t", "t_max")
+        self._check(self.n_slots >= 1, "n_slots",
+                    f"must be >= 1, got {self.n_slots}")
+        self._check(self.mission_t <= self.t_max, "mission_t",
+                    f"mission duration {self.mission_t} s exceeds battery "
+                    f"lifetime {self.t_max} s")
 
     @property
     def delta_t(self) -> float:
@@ -213,169 +220,91 @@ class FeasibilityReport:
 # ---------------------------------------------------------------------------
 # Parsing
 
-_CHANNEL_KEYS = {"beta0_db", "alpha", "theta0_db", "epsilon"}
-_UAV_KEYS = {"altitude_m", "v_max_mps", "p_max_dbm", "u_init", "u_final",
-             "T_s", "N", "t_max_s"}
-_SITE_KEYS = {"pos", "theta_m", "g_linear", "sigma2_dbm", "q_max_dbm",
-              "gamma_bpshz"}
-
-
-def _require_mapping(node: Any, path: str) -> dict:
+def _mapping(node: Any, allowed, path: str) -> dict:
+    """`node` if it is a mapping without keys outside `allowed`."""
     if not isinstance(node, dict):
         raise ScenarioError(path, f"expected a mapping, got {type(node).__name__}")
+    unknown = set(node) - set(allowed)
+    if unknown:
+        raise ScenarioError(path, f"unknown keys: {sorted(unknown)}")
     return node
 
 
-def _check_keys(node: dict, allowed: set[str], path: str) -> None:
-    unknown = set(node) - allowed
-    if unknown:
-        raise ScenarioError(path, f"unknown keys: {sorted(unknown)}")
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _number(node: dict, key: str, path: str, required: bool = True,
-            default: float | None = None) -> float:
-    if key not in node:
-        if required:
-            raise ScenarioError(f"{path}.{key}", "missing required field")
-        return default
-    value = node[key]
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
-        raise ScenarioError(f"{path}.{key}",
-                            f"expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _from_db(node: dict, key: str, path: str, to_linear) -> float:
-    """A dB or dBm field in linear units, or the field path if too large."""
+def _read(value: Any, convert, path: str):
+    """`value`, type-checked and converted from its unit."""
+    if convert is int:
+        ok, want = _is_number(value) and isinstance(value, int), "an integer"
+    elif convert is _pair:
+        ok, want = (isinstance(value, (list, tuple)) and len(value) == 2
+                    and all(map(_is_number, value))), "[x, y]"
+    else:
+        ok, want = _is_number(value), "a number"
+    if not ok:
+        raise ScenarioError(path, f"expected {want}, got {value!r}")
     try:
-        return to_linear(_number(node, key, path))
+        return convert(value)
     except OverflowError:
-        raise ScenarioError(f"{path}.{key}", "out of range") from None
+        raise ScenarioError(path, "out of range") from None
 
 
-def _point(node: dict, key: str, path: str) -> tuple[float, float]:
-    if key not in node:
-        raise ScenarioError(f"{path}.{key}", "missing required field")
-    value = node[key]
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       and math.isfinite(v) for v in value)):
-        raise ScenarioError(f"{path}.{key}",
-                            f"expected finite [x, y], got {value!r}")
-    return float(value[0]), float(value[1])
+def _fields(node: Any, cls, path: str) -> dict:
+    """The dataclass fields of one section, read through its key table."""
+    node = _mapping(node, cls.KEYS, path)
+    fields = {}
+    for key, (field, convert) in cls.KEYS.items():
+        if key in node:
+            fields[field] = _read(node[key], convert, f"{path}.{key}")
+        elif not hasattr(cls, field):  # a field's default is a class attribute
+            raise ScenarioError(f"{path}.{key}", "missing required field")
+    return fields
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse a YAML scenario document into a validated Scenario.
 
-    Rejects unknown keys and reports violations with a field path.
+    Rejects unknown keys and reports violations at the document key.
     """
     try:
         doc = yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ScenarioError("<document>", f"invalid YAML: {exc}") from exc
-    doc = _require_mapping(doc, "<document>")
-    _check_keys(doc, {"channel", "uav", "sites"}, "<document>")
+    doc = _mapping(doc, ("channel", "uav", "sites"), "<document>")
     for section in ("channel", "uav", "sites"):
         if section not in doc:
             raise ScenarioError(section, "missing required section")
+    channel = ChannelParams(**_fields(doc["channel"], ChannelParams, "channel"))
+    uav = UavParams(**_fields(doc["uav"], UavParams, "uav"))
 
-    ch_node = _require_mapping(doc["channel"], "channel")
-    _check_keys(ch_node, _CHANNEL_KEYS, "channel")
-    channel = ChannelParams(
-        beta0=_from_db(ch_node, "beta0_db", "channel", db_to_linear),
-        alpha=_number(ch_node, "alpha", "channel"),
-        theta0=_from_db(ch_node, "theta0_db", "channel", db_to_linear),
-        epsilon=_number(ch_node, "epsilon", "channel"),
-    )
-
-    uav_node = _require_mapping(doc["uav"], "uav")
-    _check_keys(uav_node, _UAV_KEYS, "uav")
-    n_raw = uav_node.get("N")
-    if not isinstance(n_raw, int) or isinstance(n_raw, bool):
-        raise ScenarioError("uav.N", f"expected an integer, got {n_raw!r}")
-    uav = UavParams(
-        altitude=_number(uav_node, "altitude_m", "uav"),
-        v_max=_number(uav_node, "v_max_mps", "uav"),
-        p_max=_from_db(uav_node, "p_max_dbm", "uav", dbm_to_watts),
-        u_init=_point(uav_node, "u_init", "uav"),
-        u_final=_point(uav_node, "u_final", "uav"),
-        mission_t=_number(uav_node, "T_s", "uav"),
-        n_slots=n_raw,
-        t_max=_number(uav_node, "t_max_s", "uav", required=False,
-                      default=DEFAULT_T_MAX_S),
-    )
+    def gain(theta: float) -> float:  # at GU distance theta, by ground pathloss
+        if theta <= 0:
+            raise ScenarioError(f"{path}.theta_m", "must be positive")
+        return channel.theta0 * theta ** -channel.epsilon
 
     sites_node = doc["sites"]
-    if not isinstance(sites_node, list) or not sites_node:
-        raise ScenarioError("sites", "expected a non-empty list")
+    if not isinstance(sites_node, list):
+        raise ScenarioError("sites", "expected a list")
     sites = []
     for i, raw in enumerate(sites_node):
         path = f"sites[{i}]"
-        node = _require_mapping(raw, path)
-        _check_keys(node, _SITE_KEYS, path)
-        has_theta = "theta_m" in node
-        has_g = "g_linear" in node
-        if has_theta == has_g:
+        node = dict(_mapping(raw, [*SITE_KEYS, "theta_m"], path))
+        derived = "theta_m" in node
+        if derived == ("g_linear" in node):
             raise ScenarioError(path, "exactly one of theta_m / g_linear required")
-        if has_theta:
-            theta = _number(node, "theta_m", path)
-            if theta <= 0:
-                raise ScenarioError(f"{path}.theta_m", "must be positive")
-            g = channel.theta0 * theta ** (-channel.epsilon)
-        else:
-            theta = None
-            g = _number(node, "g_linear", path)
+        if derived:
+            node["g_linear"] = _read(node.pop("theta_m"), gain,
+                                     f"{path}.theta_m")
         try:
-            site = GbsSite(
-                pos=_point(node, "pos", path),
-                g=g,
-                sigma2=_from_db(node, "sigma2_dbm", path, dbm_to_watts),
-                q_max=_from_db(node, "q_max_dbm", path, dbm_to_watts),
-                gamma=_number(node, "gamma_bpshz", path),
-                theta=theta,
-            )
-        except ScenarioError as exc:
-            raise ScenarioError(f"{path}.{exc.path.split('.', 1)[-1]}",
-                                exc.message) from None
-        sites.append(site)
+            sites.append(GbsSite(**_fields(node, GbsSite, path)))
+        except ScenarioError as exc:  # "<section>.<key>", at this site's path
+            key = exc.path.split(".", 1)[1]
+            key = "theta_m" if derived and key == "g_linear" else key
+            raise ScenarioError(f"{path}.{key}", exc.message) from None
 
     return Scenario(channel=channel, sites=tuple(sites), uav=uav)
-
-
-def serialize_scenario(s: Scenario) -> str:
-    """Render a Scenario back into the config document format."""
-    doc = {
-        "channel": {
-            "beta0_db": linear_to_db(s.channel.beta0),
-            "alpha": s.channel.alpha,
-            "theta0_db": linear_to_db(s.channel.theta0),
-            "epsilon": s.channel.epsilon,
-        },
-        "uav": {
-            "altitude_m": s.uav.altitude,
-            "v_max_mps": s.uav.v_max,
-            "p_max_dbm": watts_to_dbm(s.uav.p_max),
-            "u_init": list(s.uav.u_init),
-            "u_final": list(s.uav.u_final),
-            "T_s": s.uav.mission_t,
-            "N": s.uav.n_slots,
-            "t_max_s": s.uav.t_max,
-        },
-        "sites": [],
-    }
-    for site in s.sites:
-        node: dict[str, Any] = {"pos": list(site.pos)}
-        if site.theta is not None:
-            node["theta_m"] = site.theta
-        else:
-            node["g_linear"] = site.g
-        node["sigma2_dbm"] = watts_to_dbm(site.sigma2)
-        node["q_max_dbm"] = watts_to_dbm(site.q_max)
-        node["gamma_bpshz"] = site.gamma
-        doc["sites"].append(node)
-    return yaml.safe_dump(doc, sort_keys=False)
 
 
 # ---------------------------------------------------------------------------

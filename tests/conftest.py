@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 
 from uav_ic_planner.ra_solver import Allocation
 from uav_ic_planner.sca_trajectory import Trajectory, build_surrogate
@@ -42,6 +43,28 @@ def single_site_scenario(u_init=(0.0, 0.0), u_final=(0.0, 0.0),
         uav=make_uav(u_init=u_init, u_final=u_final, mission_t=mission_t,
                      n_slots=n_slots),
     )
+
+
+def scenario_yaml(sc: Scenario) -> str:
+    """The scenario document of `sc`; each site's gain is written as
+    g_linear, since a Scenario keeps only the gain, not the GU distance."""
+    def db(x: float) -> float:
+        return 10.0 * math.log10(x)
+
+    ch, uav = sc.channel, sc.uav
+    doc = {
+        "channel": {"beta0_db": db(ch.beta0), "alpha": ch.alpha,
+                    "theta0_db": db(ch.theta0), "epsilon": ch.epsilon},
+        "uav": {"altitude_m": uav.altitude, "v_max_mps": uav.v_max,
+                "p_max_dbm": db(uav.p_max) + 30.0,
+                "u_init": list(uav.u_init), "u_final": list(uav.u_final),
+                "T_s": uav.mission_t, "N": uav.n_slots, "t_max_s": uav.t_max},
+        "sites": [{"pos": list(s.pos), "g_linear": s.g,
+                   "sigma2_dbm": db(s.sigma2) + 30.0,
+                   "q_max_dbm": db(s.q_max) + 30.0, "gamma_bpshz": s.gamma}
+                  for s in sc.sites],
+    }
+    return yaml.safe_dump(doc, sort_keys=False)
 
 
 def surrogate_coeff(p, u, q, site, channel, altitude) -> float:

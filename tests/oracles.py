@@ -16,6 +16,9 @@ evaluated through these scalar formulas. Guarantee checks carry the same 1e-9
 bps/Hz slack as the scenario feasibility test, so grid points landing
 exactly on a constraint boundary are not rejected by float rounding.
 
+`reference_hover_fly_waypoints` is the reference for the waypoints of
+`benchmarks.successive_hover_fly`: its event list walked slot by slot.
+
 `reference_sweep` is the reference for `sca_trajectory._sweep`: the
 red-black waypoint sweeps written plainly, evaluating the surrogate at the
 current waypoints and at the candidates in every colour pass, on
@@ -34,8 +37,9 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from uav_ic_planner.benchmarks import shortest_site_tour
 from uav_ic_planner.ra_solver import (TIE_TOL, InternalConsistencyError,
-                                      gu_power_ic)
+                                      gu_power_ic, solve_slot)
 from uav_ic_planner.sca_trajectory import (ACTIVE_SLACK, ASCENT_STEPS,
                                            AUX_WEIGHT, SURROGATE_FEAS_TOL,
                                            Surrogate, _log_slope)
@@ -333,3 +337,39 @@ def reference_sweep(surrogate: Surrogate, u: np.ndarray) -> bool:
         if not moved and float(step[interior].max()) < 1e-9 * v_step:
             break
     return accepted_any
+
+
+def reference_hover_fly_waypoints(scenario: Scenario) -> np.ndarray:
+    """Successive hover-fly waypoints: fly the shortest tour at top speed,
+    hover all residual time at the tour site of the best hover rate, and
+    sample the timeline of (start, end, duration) events at every slot."""
+    order, tour_len = shortest_site_tour(scenario)
+    uav = scenario.uav
+    hover_rates = solve_slot(scenario.site_pos[list(order)], scenario).r
+    hover = np.zeros_like(hover_rates)
+    hover[int(np.argmax(hover_rates))] = max(
+        uav.mission_t - tour_len / uav.v_max, 0.0)
+    anchors = ([np.asarray(uav.u_init, dtype=float)]
+               + [scenario.site_pos[j] for j in order]
+               + [np.asarray(uav.u_final, dtype=float)])
+    events: list[tuple[np.ndarray, np.ndarray, float]] = []
+    for i, (a, b) in enumerate(zip(anchors, anchors[1:])):
+        events.append((a, b, float(np.linalg.norm(b - a)) / uav.v_max))
+        if i < len(order):
+            events.append((b, b, float(hover[i])))
+
+    times = np.cumsum([e[2] for e in events])
+    waypoints = np.empty((uav.n_slots + 1, 2))
+    for n in range(uav.n_slots + 1):
+        t = n * uav.delta_t
+        idx = int(np.searchsorted(times, t, side="left"))
+        if idx >= len(events):
+            waypoints[n] = anchors[-1]
+            continue
+        start, end, dur = events[idx]
+        t0 = times[idx] - dur
+        frac = 0.0 if dur <= 0.0 else (t - t0) / dur
+        waypoints[n] = start + frac * (end - start)
+    waypoints[0] = uav.u_init
+    waypoints[-1] = uav.u_final
+    return waypoints

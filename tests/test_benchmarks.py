@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from uav_ic_planner.benchmarks import (SCHEME_NAMES, InsufficientDuration,
-                                       UpperBoundResult, allocate_hover_time,
+                                       UpperBoundResult,
                                        run_scheme, shortest_site_tour,
                                        straight_fly, successive_hover_fly,
                                        upper_bound)
@@ -13,7 +13,9 @@ from uav_ic_planner.planner import InfeasibleScenario, PlannerConfig, evaluate_p
 from uav_ic_planner.ra_solver import solve_slot
 from uav_ic_planner.scenario import Scenario
 
-from conftest import make_channel, make_site, make_uav, single_site_scenario
+from conftest import (make_channel, make_site, make_uav,
+                      random_feasible_scenario, single_site_scenario)
+from oracles import reference_hover_fly_waypoints
 
 
 def test_upper_bound_rejects_non_positive_grid_step(default_sc):
@@ -56,17 +58,45 @@ def test_shortest_site_tour_default(default_sc):
     assert length == pytest.approx(best, rel=1e-12)
 
 
-def test_allocate_hover_time_reaches_best_vertex(rng):
-    """The hover-time LP's optimum over the simplex is total * max(rates),
-    reached at the vertex of the best rate."""
-    rates = [1.2, 2.4, 0.3]
-    closed = allocate_hover_time(rates, 60.0)
-    assert closed.tolist() == [0.0, 60.0, 0.0]
-    for _ in range(20):
-        rates = rng.uniform(0.0, 5.0, size=int(rng.integers(1, 9)))
-        t = allocate_hover_time(rates, 60.0)
-        assert np.all(t >= 0.0) and t.sum() == 60.0
-        assert np.dot(t, rates) == 60.0 * rates.max()
+def _with_duration(sc: Scenario, mission_t: float) -> Scenario:
+    return dataclasses.replace(
+        sc, uav=dataclasses.replace(sc.uav, mission_t=mission_t))
+
+
+def _hover_fly_draws(rng, n_values):
+    """Seeded feasible draws for K = 1..6 sites at each slot count in
+    `n_values(k)`, flown at the tour time and at 1.2-3x it plus 5-60 s."""
+    for k in range(1, 7):
+        for n in n_values(k):
+            sc = random_feasible_scenario(rng, k=k, n_slots=int(n))
+            t_fly = shortest_site_tour(sc)[1] / sc.uav.v_max
+            yield _with_duration(sc, t_fly)
+            yield _with_duration(sc, t_fly * rng.uniform(1.2, 3.0)
+                                 + rng.uniform(5.0, 60.0))
+
+
+def test_successive_hover_fly_matches_event_list_oracle(rng):
+    """The array timeline gives the waypoints of the slot-by-slot walk over
+    the event list, bit for bit."""
+    for sc in _hover_fly_draws(
+            rng, lambda k: (1, 400, *rng.integers(2, 400, size=2))):
+        got = successive_hover_fly(sc).trajectory.waypoints
+        want = reference_hover_fly_waypoints(sc)
+        assert np.array_equal(got, want), (sc.n_sites, sc.uav.n_slots)
+
+
+def test_successive_hover_fly_hovers_at_best_site(rng):
+    """The hover-time LP's optimum is a simplex vertex: all residual time is
+    spent above the one site whose hover rate (`solve_slot`) is highest, and
+    every other site is only passed through."""
+    for sc in _hover_fly_draws(rng, lambda k: (int(rng.integers(50, 200)),)):
+        wp = successive_hover_fly(sc).trajectory.waypoints
+        residual = sc.uav.mission_t - shortest_site_tour(sc)[1] / sc.uav.v_max
+        best = int(np.argmax(solve_slot(sc.site_pos, sc).r))
+        dwell = np.array([np.all(np.abs(wp - pos) <= 1e-6, axis=1).sum()
+                          for pos in sc.site_pos])
+        assert dwell[best] >= math.floor(residual / sc.uav.delta_t)
+        assert np.all(np.delete(dwell, best) <= 1)
 
 
 def test_successive_hover_fly_single_site():

@@ -18,10 +18,10 @@ from uav_ic_planner.planner import (ConvergenceTrace, Plan, evaluate_plan,
 from uav_ic_planner.ra_solver import Allocation, solve_resource_allocation
 from uav_ic_planner.sca_trajectory import Trajectory, straight_line_trajectory
 from uav_ic_planner.scenario import (DEFAULT_SCENARIO_YAML, Scenario,
-                                     default_scenario, serialize_scenario)
+                                     default_scenario)
 
 from conftest import (make_channel, make_site, make_uav,
-                      random_feasible_scenario)
+                      random_feasible_scenario, scenario_yaml)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -49,7 +49,7 @@ def test_check_infeasible_exit_code(tmp_path, capsys):
     sites = tuple(dataclasses.replace(s, gamma=6.0) for s in sc.sites)
     bad = dataclasses.replace(sc, sites=sites)
     path = tmp_path / "bad.yaml"
-    path.write_text(serialize_scenario(bad))
+    path.write_text(scenario_yaml(bad))
     assert main(["check", "--scenario", str(path)]) == EXIT_INFEASIBLE
     out = capsys.readouterr().out
     assert "FAIL" in out
@@ -60,7 +60,7 @@ def test_plan_infeasible_names_failing_site(tmp_path, capsys):
     sites = tuple(dataclasses.replace(s, gamma=6.0) for s in sc.sites)
     bad = dataclasses.replace(sc, sites=sites)
     path = tmp_path / "bad.yaml"
-    path.write_text(serialize_scenario(bad))
+    path.write_text(scenario_yaml(bad))
     code = main(["plan", "--scenario", str(path), "--scheme", "proposed",
                  "--out", str(tmp_path / "out")])
     assert code == EXIT_INFEASIBLE
@@ -165,7 +165,7 @@ def test_sweep_marks_refused_points(tmp_path, capsys):
     sc = random_feasible_scenario(np.random.default_rng(10), k=10,
                                   n_slots=20)
     path = tmp_path / "k10.yaml"
-    path.write_text(serialize_scenario(sc))
+    path.write_text(scenario_yaml(sc))
     out = tmp_path / "out"
     code = main(["sweep", "--scenario", str(path), "--param", "mission_T",
                  "--values", "40,100",
@@ -346,19 +346,34 @@ def test_tables_match_csv_module_bytes(tmp_path, k):
     assert masks == [(1 << k) - 1, 1, 1 << (k - 1)]
 
 
-def test_throughput_script_keeps_defaults_with_extra_flags(tmp_path):
-    """Extra flags add to the script's defaults instead of replacing them:
-    --out and --schemes alone still sweep the default mission durations."""
+def _run_script(name: str, *args: str) -> None:
+    """Run scripts/<name> with this package importable; assert exit 0."""
     src = str(Path(uav_ic_planner.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_throughput_vs_T.py"),
-         "--out", str(tmp_path), "--schemes", "straight_fly"],
-        env=env, capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name),
+                           *args],
+                          env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == EXIT_OK, proc.stderr
+
+
+def test_throughput_script_keeps_defaults_with_extra_flags(tmp_path):
+    """Extra flags add to the script's defaults instead of replacing them:
+    --out and --schemes alone still sweep the default mission durations."""
+    _run_script("run_throughput_vs_T.py", "--out", str(tmp_path),
+                "--schemes", "straight_fly")
     rows = read(tmp_path / "summary.csv").splitlines()[2:]
     assert [row.split(",")[:3] for row in rows] == [
         ["straight_fly", "mission_T", t]
         for t in ("40", "60", "80", "100", "120", "150", "200")]
     assert all(row.split(",")[5] == "OK" for row in rows)
+
+
+def test_boundary_script_writes_each_sweep_under_out(tmp_path):
+    """--out DIR puts the duration sweep in DIR/boundary_T and the guarantee
+    sweep in DIR/boundary_gamma, so neither summary overwrites the other."""
+    _run_script("run_feasibility_boundaries.py", "--out", str(tmp_path))
+    for sub, param in (("boundary_T", "mission_T"),
+                       ("boundary_gamma", "gamma_all_sites")):
+        _, rows = harness._read_table(tmp_path / sub / "summary.csv")
+        assert rows and {row[1] for row in rows} == {param}, sub

@@ -13,10 +13,10 @@ from uav_ic_planner import scenario as scenario_module
 from uav_ic_planner.scenario import (DEFAULT_SCENARIO_YAML, GbsSite, Scenario,
                                      ScenarioError, check_feasibility,
                                      db_to_linear, dbm_to_watts,
-                                     default_scenario, parse_scenario,
-                                     serialize_scenario)
+                                     default_scenario, parse_scenario)
 
-from conftest import make_channel, make_site, make_uav, place_sites_uniform
+from conftest import (make_channel, make_site, make_uav, place_sites_uniform,
+                      scenario_yaml)
 
 
 MINIMAL_YAML = """\
@@ -89,7 +89,7 @@ def test_mission_exceeding_battery_rejected():
 def test_round_trip_preserves_linear_values():
     for text in (MINIMAL_YAML, DEFAULT_SCENARIO_YAML):
         sc1 = parse_scenario(text)
-        sc2 = parse_scenario(serialize_scenario(sc1))
+        sc2 = parse_scenario(scenario_yaml(sc1))
         assert sc2.channel.beta0 == pytest.approx(sc1.channel.beta0, rel=1e-12)
         assert sc2.uav.p_max == pytest.approx(sc1.uav.p_max, rel=1e-12)
         assert sc2.uav.u_final == sc1.uav.u_final
@@ -167,7 +167,31 @@ def test_place_sites_uniform_bounds(rng):
     assert all(0.0 <= x <= 300.0 and 0.0 <= y <= 500.0 for x, y in pts)
 
 
-@pytest.mark.parametrize("old, new, path", [
+# Every numeric key of MINIMAL_YAML: (text to replace, the replacement with
+# the value at {}, the key's path). t_max_s is added after N, and g_linear
+# replaces theta_m.
+NUMERIC_KEYS = [
+    ("beta0_db: -30.0", "beta0_db: {}", "channel.beta0_db"),
+    ("alpha: 2.0", "alpha: {}", "channel.alpha"),
+    ("theta0_db: -40.0", "theta0_db: {}", "channel.theta0_db"),
+    ("epsilon: 3.0", "epsilon: {}", "channel.epsilon"),
+    ("altitude_m: 100.0", "altitude_m: {}", "uav.altitude_m"),
+    ("v_max_mps: 50.0", "v_max_mps: {}", "uav.v_max_mps"),
+    ("p_max_dbm: 30.0", "p_max_dbm: {}", "uav.p_max_dbm"),
+    ("u_init: [0.0, 0.0]", "u_init: [0.0, {}]", "uav.u_init"),
+    ("u_final: [1000.0, 1000.0]", "u_final: [{}, 1000.0]", "uav.u_final"),
+    ("T_s: 150.0", "T_s: {}", "uav.T_s"),
+    ("N: 200", "N: {}", "uav.N"),
+    ("N: 200", "N: 200\n  t_max_s: {}", "uav.t_max_s"),
+    ("pos: [500.0, 500.0]", "pos: [{}, 500.0]", "sites[0].pos"),
+    ("theta_m: 10.0", "theta_m: {}", "sites[0].theta_m"),
+    ("theta_m: 10.0", "g_linear: {}", "sites[0].g_linear"),
+    ("sigma2_dbm: -50.0", "sigma2_dbm: {}", "sites[0].sigma2_dbm"),
+    ("q_max_dbm: 30.0", "q_max_dbm: {}", "sites[0].q_max_dbm"),
+    ("gamma_bpshz: 2.0", "gamma_bpshz: {}", "sites[0].gamma_bpshz"),
+]
+
+REJECTED = [
     ("altitude_m: 100.0", "altitude_m: .nan", "uav.altitude_m"),
     ("altitude_m: 100.0", "altitude_m: .inf", "uav.altitude_m"),
     ("gamma_bpshz: 2.0", "gamma_bpshz: .nan", "sites[0].gamma_bpshz"),
@@ -177,7 +201,26 @@ def test_place_sites_uniform_bounds(rng):
     ("p_max_dbm: 30.0", "p_max_dbm: 1.0e+5", "uav.p_max_dbm"),
     ("q_max_dbm: 30.0", "q_max_dbm: 1.0e+5", "sites[0].q_max_dbm"),
     ("beta0_db: -30.0", "beta0_db: 1.0e+5", "channel.beta0_db"),
-])
+    # In range for the parser, out of range for the site's validator.
+    ("theta_m: 10.0", "g_linear: 0", "sites[0].g_linear"),
+    ("theta_m: 10.0", "g_linear: -1", "sites[0].g_linear"),
+    ("theta_m: 10.0", "theta_m: 1.0e+300", "sites[0].theta_m"),
+    ("epsilon: 3.0", "epsilon: 1.0e+300", "sites[0].theta_m"),
+    ("gamma_bpshz: 2.0", "gamma_bpshz: -1", "sites[0].gamma_bpshz"),
+    ("N: 200", "N: 200\n  t_max_s: -1", "uav.t_max_s"),
+    # Out of range for the conversion: theta_m to a gain, an int to a float.
+    ("theta_m: 10.0", "theta_m: 0", "sites[0].theta_m"),
+    ("theta_m: 10.0", "theta_m: 1.0e-300", "sites[0].theta_m"),
+    pytest.param("T_s: 150.0", "T_s: 1" + "0" * 400, "uav.T_s",
+                 id="T_s-int-too-large-for-float"),
+]
+REJECTED += [(old, new.format(value), path)
+             for old, new, path in NUMERIC_KEYS
+             for value in (".nan", ".inf", "-.inf", "abc")
+             if (old, new.format(value), path) not in REJECTED]
+
+
+@pytest.mark.parametrize("old, new, path", REJECTED)
 def test_parse_rejects_non_finite_numbers(old, new, path):
     assert old in MINIMAL_YAML
     with pytest.raises(ScenarioError) as exc:
@@ -192,7 +235,7 @@ def test_validators_reject_non_finite_values():
         make_site(gamma=math.nan)
     with pytest.raises(ScenarioError, match=r"site\.pos"):
         make_site(pos=(math.inf, 0.0))
-    with pytest.raises(ScenarioError, match=r"uav\.p_max: must be finite"):
+    with pytest.raises(ScenarioError, match=r"uav\.p_max_dbm: must be finite"):
         make_uav(p_max=math.inf)
 
 
