@@ -4,7 +4,6 @@ planner under a mode constraint (`planner.SCHEME_MODES`)."""
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -12,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import planner as planner_mod
-from .planner import InfeasibleScenario, Plan, PlannerConfig, make_plan
+from .planner import InfeasibleScenario, Plan, make_plan
 from .ra_solver import (slot_rates_on_points, solve_resource_allocation,
                         solve_slot)
 from .sca_trajectory import Trajectory, straight_line_trajectory
@@ -22,7 +21,7 @@ SCHEME_NAMES = ("proposed", "straight_fly", "successive_hover_fly",
                 "egoistic", "altruistic", "upper_bound")
 
 MAX_TSP_SITES = 8
-DEFAULT_GRID_STEP_M = 5.0
+GRID_STEP_M = 5.0  # spacing of the upper bound's hover-point grid
 GRID_MARGIN_M = 100.0
 
 
@@ -43,7 +42,6 @@ class InsufficientDuration(BenchmarkError):
 class UpperBoundResult:
     hover_point: tuple[float, float]
     throughput: float  # bps/Hz, independent of mission duration
-    grid_step: float
 
 
 def straight_fly(scenario: Scenario) -> Plan:
@@ -126,12 +124,10 @@ def successive_hover_fly(scenario: Scenario) -> Plan:
 # ---------------------------------------------------------------------------
 # Hover-anywhere upper bound
 
-def upper_bound(scenario: Scenario,
-                grid_step: float = DEFAULT_GRID_STEP_M) -> UpperBoundResult:
-    """Exhaustive 2D search for the best hover point, ignoring the flight
-    constraints; valid as the unlimited-duration throughput bound."""
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
+def upper_bound(scenario: Scenario) -> UpperBoundResult:
+    """Exhaustive 2D search for the best hover point on a GRID_STEP_M grid,
+    ignoring the flight constraints; valid as the unlimited-duration
+    throughput bound."""
     report = check_feasibility(scenario)
     if report.failing_sites:
         raise InfeasibleScenario(report)
@@ -140,8 +136,8 @@ def upper_bound(scenario: Scenario,
                      np.asarray(scenario.uav.u_final)[None, :]])
     lo = pts.min(axis=0) - GRID_MARGIN_M
     hi = pts.max(axis=0) + GRID_MARGIN_M
-    xs = np.arange(lo[0], hi[0] + grid_step / 2, grid_step)
-    ys = np.arange(lo[1], hi[1] + grid_step / 2, grid_step)
+    xs = np.arange(lo[0], hi[0] + GRID_STEP_M / 2, GRID_STEP_M)
+    ys = np.arange(lo[1], hi[1] + GRID_STEP_M / 2, GRID_STEP_M)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     grid = np.column_stack([gx.ravel(), gy.ravel()])
     rates = slot_rates_on_points(grid, scenario)
@@ -149,23 +145,19 @@ def upper_bound(scenario: Scenario,
     return UpperBoundResult(
         hover_point=(float(grid[best, 0]), float(grid[best, 1])),
         throughput=float(rates[best]),
-        grid_step=grid_step,
     )
 
 
-def run_scheme(name: str, scenario: Scenario,
-               cfg: PlannerConfig = PlannerConfig(),
-               grid_step: float = DEFAULT_GRID_STEP_M):
+def run_scheme(name: str, scenario: Scenario):
     """Dispatch a scheme by name. Returns (Plan, ConvergenceTrace | None) for
     trajectory schemes and (UpperBoundResult, None) for the upper bound.
     Each scheme function is called through its module global."""
     if name in planner_mod.SCHEME_MODES:
-        return planner_mod.solve(scenario, dataclasses.replace(
-            cfg, mode_constraint=planner_mod.SCHEME_MODES[name]))
+        return planner_mod.solve(scenario, planner_mod.SCHEME_MODES[name])
     if name == "straight_fly":
         return straight_fly(scenario), None
     if name == "successive_hover_fly":
         return successive_hover_fly(scenario), None
     if name == "upper_bound":
-        return upper_bound(scenario, grid_step), None
+        return upper_bound(scenario), None
     raise ValueError(f"unknown scheme {name!r}")

@@ -22,14 +22,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .benchmarks import (DEFAULT_GRID_STEP_M, SCHEME_NAMES, BenchmarkError,
-                         InsufficientDuration, UpperBoundResult, run_scheme)
+from .benchmarks import (SCHEME_NAMES, BenchmarkError, InsufficientDuration,
+                         UpperBoundResult, run_scheme)
 from .planner import (SCHEME_MODES, ConvergenceTrace, InfeasibleScenario,
-                      Plan, PlannerConfig, make_plan)
-from .ra_solver import Allocation, InfeasibleSite
+                      Plan, make_plan)
+from .ra_solver import Allocation
 from .sca_trajectory import Trajectory
-from .scenario import (DEFAULT_SCENARIO_YAML, Scenario, ScenarioError,
-                       check_feasibility, default_scenario, parse_scenario)
+from .scenario import (DEFAULT_SCENARIO_YAML, InfeasibleSite, Scenario,
+                       ScenarioError, check_feasibility, default_scenario,
+                       parse_scenario)
 
 SCHEMA_LINE = "# uav-ic-planner tables v1"
 
@@ -145,17 +146,18 @@ def _normalize_scheme(name: str) -> str:
         f"unknown scheme {name!r}; expected one of {', '.join(SCHEME_NAMES)}")
 
 
-def _planner_cfg(args) -> PlannerConfig:
-    return PlannerConfig(outer_max_iters=args.outer_max_iters,
-                         rel_tol=args.rel_tol)
+def _schemes(text: str) -> list[str]:
+    schemes = [_normalize_scheme(s) for s in text.split(",") if s]
+    if not schemes:
+        raise ValueError("at least one scheme is required")
+    return schemes
 
 
 def cmd_plan(args) -> int:
     scenario = load_scenario(args.scenario)
     scheme = _normalize_scheme(args.scheme)
     out_dir = Path(args.out)
-    result, trace = run_scheme(scheme, scenario, _planner_cfg(args),
-                               grid_step=args.grid_step)
+    result, trace = run_scheme(scheme, scenario)
     if isinstance(result, UpperBoundResult):
         _write_table(out_dir / "hover_point.csv",
                      ["x_m", "y_m", "throughput_bpshz"], "%.12g,%.12g,%.12g",
@@ -186,10 +188,10 @@ def apply_sweep_value(scenario: Scenario, param: str, value: float) -> Scenario:
 
 
 def _sweep_point(task):
-    scheme, param, value, scenario, cfg, grid_step = task
+    scheme, param, value, scenario = task
     point = apply_sweep_value(scenario, param, value)
     try:
-        result, trace = run_scheme(scheme, point, cfg, grid_step=grid_step)
+        result, trace = run_scheme(scheme, point)
     except _INFEASIBLE_ERRORS:
         return [scheme, param, _fmt(value), "", "", "INFEASIBLE"]
     except BenchmarkError:  # a scheme refused the scenario (e.g. K too large)
@@ -203,14 +205,15 @@ def _sweep_point(task):
 
 def cmd_sweep(args) -> int:
     scenario = load_scenario(args.scenario)
-    schemes = [_normalize_scheme(s) for s in args.schemes.split(",") if s]
+    schemes = _schemes(args.schemes)
     values = [float(v) for v in args.values.split(",") if v]
+    if not values:
+        raise ValueError("at least one sweep value is required")
     if sorted(values) != values or len(set(values)) != len(values):
         raise ValueError("sweep values must be strictly increasing")
-    if not schemes:
-        raise ValueError("at least one scheme is required")
-    cfg = _planner_cfg(args)
-    tasks = [(scheme, args.param, value, scenario, cfg, args.grid_step)
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
+    tasks = [(scheme, args.param, value, scenario)
              for scheme in schemes for value in values]
     if args.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(args.workers) as pool:
@@ -239,13 +242,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_trace(args) -> int:
     scenario = load_scenario(args.scenario)
-    schemes = [_normalize_scheme(s) for s in args.schemes.split(",") if s]
     traces: dict[str, list[float]] = {}
-    cfg = _planner_cfg(args)
-    for scheme in schemes:
+    for scheme in _schemes(args.schemes):
         if scheme not in SCHEME_MODES:
             raise ValueError(f"scheme {scheme!r} has no iteration trace")
-        _, trace = run_scheme(scheme, scenario, cfg)
+        _, trace = run_scheme(scheme, scenario)
         traces[scheme] = trace.outer
     write_trace_table(Path(args.out), traces)
     for scheme, values in traces.items():
@@ -281,16 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "uplink spectrum with ground users")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, scheme_flags=True):
+    def add_common(p, workers=True):
         p.add_argument("--scenario", default="default",
                        help="scenario file path, or 'default'")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--outer-max-iters", type=int, default=30)
-        p.add_argument("--rel-tol", type=float, default=1e-4)
-        if scheme_flags:
-            p.add_argument("--grid-step", type=float,
-                           default=DEFAULT_GRID_STEP_M,
-                           help="upper-bound search grid step, m")
+        if workers:
             p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("plan", help="run one scheme and export its tables")
@@ -308,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("trace", help="export outer-iteration objective traces")
-    add_common(p, scheme_flags=False)
+    add_common(p, workers=False)
     p.add_argument("--schemes", default="proposed,egoistic,altruistic")
     p.set_defaults(func=cmd_trace)
 

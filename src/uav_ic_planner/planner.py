@@ -15,6 +15,7 @@ from .ra_solver import (Allocation, ModeConstraint, check_mode_constraint,
                         solve_resource_allocation)
 from .scenario import FeasibilityReport, Scenario, check_feasibility
 
+OUTER_MAX_ITERS = 30  # RA passes per slot grid; sca.REL_TOL also stops it
 OUTER_MONOTONE_TOL = 1e-9
 COARSE_SLOTS = 200  # slot count of the coarse level on finer grids
 RESIDUAL_TOL = -1e-8
@@ -48,16 +49,6 @@ class InfeasibleScenario(PlannerError):
 
 class MonotonicityError(PlannerError):
     """The outer objective decreased beyond tolerance; contract breach."""
-
-
-@dataclass(frozen=True)
-class PlannerConfig:
-    outer_max_iters: int = 30
-    rel_tol: float = 1e-4  # relative objective gain that stops either loop
-    mode_constraint: ModeConstraint = "any"
-
-    def __post_init__(self):
-        check_mode_constraint(self.mode_constraint)
 
 
 @dataclass
@@ -97,16 +88,17 @@ def prolong(traj: sca.Trajectory, n_slots: int) -> sca.Trajectory:
         [np.interp(t_new, t_old, col) for col in traj.waypoints.T]))
 
 
-def _alternate(traj: sca.Trajectory, scenario: Scenario, cfg: PlannerConfig,
+def _alternate(traj: sca.Trajectory, scenario: Scenario,
+               mode_constraint: ModeConstraint,
                ) -> tuple[sca.Trajectory, Allocation, ConvergenceTrace]:
     """The alternating RA/SCA loop at the scenario's slot count, from `traj`."""
     can_move = _trajectory_step_possible(scenario)
     outer: list[float] = []
     inner_per_outer: list[list[float]] = []
     converged = False
-    for i in range(cfg.outer_max_iters):
+    for i in range(OUTER_MAX_ITERS):
         allocs, obj = solve_resource_allocation(traj, scenario,
-                                                cfg.mode_constraint)
+                                                mode_constraint)
         if outer and not (obj >= outer[-1] - OUTER_MONOTONE_TOL):
             raise MonotonicityError(
                 f"outer objective decreased or is NaN: {outer[-1]:.12g} -> "
@@ -115,14 +107,14 @@ def _alternate(traj: sca.Trajectory, scenario: Scenario, cfg: PlannerConfig,
         outer.append(obj)
         if prev is not None:
             rel = (obj - prev) / max(abs(prev), 1e-12)
-            if rel < cfg.rel_tol:
+            if rel < sca.REL_TOL:
                 converged = True
                 break
-        if i == cfg.outer_max_iters - 1 or not can_move:
+        if i == OUTER_MAX_ITERS - 1 or not can_move:
             if not can_move:
                 converged = True
             break
-        result = sca.optimize_trajectory(traj, allocs, scenario, cfg.rel_tol)
+        result = sca.optimize_trajectory(traj, allocs, scenario)
         inner_per_outer.append(result.inner_trace)
         traj = result.trajectory
     trace = ConvergenceTrace(outer=outer, inner_per_outer=inner_per_outer,
@@ -130,39 +122,33 @@ def _alternate(traj: sca.Trajectory, scenario: Scenario, cfg: PlannerConfig,
     return traj, allocs, trace
 
 
-def solve(scenario: Scenario,
-          cfg: PlannerConfig = PlannerConfig(),
-          initial: sca.Trajectory | None = None
+def solve(scenario: Scenario, mode_constraint: ModeConstraint = "any"
           ) -> tuple[Plan, ConvergenceTrace]:
     """Run the full alternating algorithm from the straight-fly trajectory.
 
-    Without an initial trajectory, a grid finer than COARSE_SLOTS slots is
-    planned at COARSE_SLOTS first; that plan's trajectory, prolonged to the
-    full grid, is where the full-grid loop starts."""
+    A grid finer than COARSE_SLOTS slots is planned at COARSE_SLOTS first;
+    that plan's trajectory, prolonged to the full grid, is where the
+    full-grid loop starts."""
+    check_mode_constraint(mode_constraint)
     report = check_feasibility(scenario)
     if not report.feasible:
         raise InfeasibleScenario(report)
-    if cfg.outer_max_iters < 1:
-        raise ValueError("outer_max_iters must be >= 1")
 
     uav = scenario.uav
     coarse = None
-    if initial is not None:
-        traj = initial
-    elif uav.n_slots > COARSE_SLOTS and _trajectory_step_possible(scenario):
+    if uav.n_slots > COARSE_SLOTS and _trajectory_step_possible(scenario):
         coarse_sc = replace(scenario,
                             uav=replace(uav, n_slots=COARSE_SLOTS))
         coarse_traj, _, coarse = _alternate(
-            sca.straight_line_trajectory(coarse_sc.uav), coarse_sc, cfg)
+            sca.straight_line_trajectory(coarse_sc.uav), coarse_sc,
+            mode_constraint)
         traj = prolong(coarse_traj, uav.n_slots)
     else:
         traj = sca.straight_line_trajectory(uav)
-    traj.validate(uav)
 
-    traj, allocs, trace = _alternate(traj, scenario, cfg)
+    traj, allocs, trace = _alternate(traj, scenario, mode_constraint)
     trace.coarse = coarse
-    tag = {mode: name for name, mode in SCHEME_MODES.items()}[
-        cfg.mode_constraint]
+    tag = {mode: name for name, mode in SCHEME_MODES.items()}[mode_constraint]
     plan = make_plan(traj, allocs, trace.outer[-1], tag, scenario)
     return plan, trace
 

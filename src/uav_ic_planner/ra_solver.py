@@ -28,12 +28,10 @@ from typing import Literal, get_args
 import numpy as np
 
 from .channel import a2g_gain, log2_1p, uav_rate
-from .scenario import LN2, Scenario
+from .scenario import LN2, InfeasibleSite, Scenario, gu_power_ic  # noqa: F401
 
 # Modes whose rates differ by less than this are considered tied.
 TIE_TOL = 1e-12
-# Relative slack when checking the closed-form GU power against its cap.
-Q_CAP_REL_TOL = 1e-9
 # Positions per vectorized block are chosen so that the (rows, K, K)
 # candidate arrays hold about this many elements (2 MB per float array).
 BLOCK_ELEMS = 1 << 18
@@ -49,23 +47,7 @@ def check_mode_constraint(mode_constraint) -> None:
                          f"expected one of {', '.join(allowed)}")
 
 
-class RaError(Exception):
-    pass
-
-
-class InfeasibleSite(RaError):
-    """A GU rate guarantee cannot be met even at maximum power."""
-
-    def __init__(self, site_index: int, q_needed: float, q_max: float):
-        self.site_index = site_index
-        self.q_needed = q_needed
-        self.q_max = q_max
-        super().__init__(
-            f"site {site_index}: IC mode needs GU power {q_needed:.6g} W "
-            f"> limit {q_max:.6g} W")
-
-
-class InternalConsistencyError(RaError):
+class InternalConsistencyError(Exception):
     """A quantity that global feasibility guarantees non-negative came out
     negative; indicates a scenario or solver bug rather than infeasibility."""
 
@@ -82,17 +64,6 @@ class Allocation:
 
     def __len__(self) -> int:
         return self.p.shape[0]
-
-
-def gu_power_ic(site, site_index: int = -1) -> float:
-    """Minimum GU power meeting the rate guarantee under IC."""
-    try:
-        q = (2.0 ** site.gamma - 1.0) * site.sigma2 / site.g
-    except OverflowError:  # 2^gamma is past the float range
-        q = math.inf
-    if q > site.q_max * (1.0 + Q_CAP_REL_TOL):
-        raise InfeasibleSite(site_index, q, site.q_max)
-    return min(q, site.q_max)
 
 
 def _site_terms(points: np.ndarray, scenario: Scenario,

@@ -26,6 +26,7 @@ SAFE_STEP_TOL = 1e-8      # bps/Hz, slack on re-verified original constraints
 SURROGATE_FEAS_TOL = 1e-9  # bps/Hz, slack on surrogate constraint checks
 ASCENT_STEPS = 120        # red-black waypoint sweeps per surrogate subproblem
 SCA_MAX_ITERS = 50        # surrogate rebuilds per trajectory update
+REL_TOL = 1e-4            # relative objective gain that stops the SCA loop
 AUX_WEIGHT = 1e-6         # line-search pull on slots with a negative bound
 ACTIVE_SLACK = 1e-6       # bps/Hz, TIN guarantees this close are active
 
@@ -395,9 +396,9 @@ def verify_safe_step(traj: Trajectory, allocs: Allocation,
 
 
 def optimize_trajectory(init: Trajectory, allocs: Allocation,
-                        scenario: Scenario, rel_tol: float = 1e-4) -> ScaResult:
+                        scenario: Scenario) -> ScaResult:
     """Iterate surrogate construction and improvement from `init` until the
-    relative objective gain falls below `rel_tol`.
+    relative objective gain falls below REL_TOL.
 
     The reported trace holds the true fixed-allocation objective, which is
     non-decreasing because each surrogate is tight at its local point and a
@@ -419,7 +420,7 @@ def optimize_trajectory(init: Trajectory, allocs: Allocation,
         trace.append(new_obj)
         traj = new_traj
         rel = (trace[-1] - trace[-2]) / max(abs(trace[-2]), 1e-12)
-        if stalled or rel < rel_tol:
+        if stalled or rel < REL_TOL:
             converged = True
             break
     return ScaResult(trajectory=traj, objective=trace[-1], inner_trace=trace,

@@ -21,9 +21,9 @@ LN2 = math.log(2.0)
 # mission durations quoted rounded to ~4 significant digits still count as
 # reachable at the boundary.
 REACH_REL_TOL = 1e-4
-# Absolute slack (bps/Hz) on the per-site rate-guarantee bound, absorbing
-# rounding in the dB -> linear conversions.
-GAMMA_ABS_TOL = 1e-9
+# Relative slack when checking the closed-form GU power against its cap,
+# absorbing rounding in the dB -> linear conversions.
+Q_CAP_REL_TOL = 1e-9
 
 # libyaml's parser if PyYAML has it; both share the safe resolver/constructor.
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -36,6 +36,18 @@ class ScenarioError(ValueError):
         self.path = path
         self.message = message
         super().__init__(f"{path}: {message}")
+
+
+class InfeasibleSite(Exception):
+    """A GU rate guarantee cannot be met even at maximum power."""
+
+    def __init__(self, site_index: int, q_needed: float, q_max: float):
+        self.site_index = site_index
+        self.q_needed = q_needed
+        self.q_max = q_max
+        super().__init__(
+            f"site {site_index}: IC mode needs GU power {q_needed:.6g} W "
+            f"> limit {q_max:.6g} W")
 
 
 def db_to_linear(db: float) -> float:
@@ -195,7 +207,6 @@ class Scenario:
     @cached_property
     def q_ic_vec(self) -> np.ndarray:
         # IC-mode GU powers; raises InfeasibleSite while one is out of reach.
-        from .ra_solver import gu_power_ic  # ra_solver imports this module
         return np.array([gu_power_ic(s, k) for k, s in enumerate(self.sites)])
 
     @cached_property
@@ -214,7 +225,7 @@ class FeasibilityReport:
     ic_rate_at_max: tuple[float, ...]  # per-site IC rate at q = Q_k, bps/Hz
     gamma_max: float                   # min over sites, bps/Hz
     min_mission_t: float               # straight-line flight time, s
-    failing_sites: tuple[int, ...]     # 0-based indices with rate < gamma
+    failing_sites: tuple[int, ...]     # 0-based, IC power above q_max
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +365,24 @@ def default_scenario() -> Scenario:
 # ---------------------------------------------------------------------------
 # Feasibility
 
+def gu_power_ic(site: GbsSite, site_index: int = -1) -> float:
+    """Minimum GU power meeting the rate guarantee under IC."""
+    try:
+        q = (2.0 ** site.gamma - 1.0) * site.sigma2 / site.g
+    except OverflowError:  # 2^gamma is past the float range
+        q = math.inf
+    if q > site.q_max * (1.0 + Q_CAP_REL_TOL):
+        raise InfeasibleSite(site_index, q, site.q_max)
+    return min(q, site.q_max)
+
+
 def check_feasibility(s: Scenario) -> FeasibilityReport:
     """Check reachability and the per-site rate guarantees at maximum power.
 
-    The predicate is sufficient for the planning problem to be feasible; it
-    is reported as stated without claiming necessity.
+    A site fails exactly where `gu_power_ic` raises, so the planner accepts
+    every scenario reported feasible. The predicate is sufficient for the
+    planning problem to be feasible; it is reported as stated without
+    claiming necessity.
     """
     dist = math.dist(s.uav.u_init, s.uav.u_final)
     flight_budget = s.uav.v_max * s.uav.mission_t
@@ -367,15 +391,17 @@ def check_feasibility(s: Scenario) -> FeasibilityReport:
         math.log1p(site.g * site.q_max / site.sigma2) / LN2 for site in s.sites
     )
     gamma_max = min(ic_rates)
-    failing = tuple(
-        k for k, (site, rate) in enumerate(zip(s.sites, ic_rates))
-        if rate < site.gamma - GAMMA_ABS_TOL
-    )
+    failing = []
+    for k, site in enumerate(s.sites):
+        try:
+            gu_power_ic(site, k)
+        except InfeasibleSite:
+            failing.append(k)
     return FeasibilityReport(
         feasible=reach_ok and not failing,
         reach_ok=reach_ok,
         ic_rate_at_max=ic_rates,
         gamma_max=gamma_max,
         min_mission_t=dist / s.uav.v_max,
-        failing_sites=failing,
+        failing_sites=tuple(failing),
     )

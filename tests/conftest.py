@@ -11,9 +11,10 @@ import yaml
 
 from uav_ic_planner.ra_solver import Allocation
 from uav_ic_planner.sca_trajectory import Trajectory, build_surrogate
-from uav_ic_planner.scenario import (ChannelParams, GbsSite, Scenario,
-                                     UavParams, check_feasibility,
-                                     default_scenario)
+from uav_ic_planner.scenario import (DEFAULT_SCENARIO_YAML, ChannelParams,
+                                     GbsSite, Scenario, UavParams,
+                                     check_feasibility, default_scenario,
+                                     parse_scenario)
 
 
 def make_site(pos=(0.0, 0.0), g=1e-7, sigma2=1e-8, q_max=1.0,
@@ -125,6 +126,39 @@ def random_feasible_scenario(rng: np.random.Generator, k: int | None = None,
     report = check_feasibility(scenario)
     assert report.feasible, "generator bug: scenario must be feasible"
     return scenario
+
+
+def dense_diagonal_scenario(rng: np.random.Generator, k: int = 8,
+                            n_slots: int = 25,
+                            mission_t: float = 40.0) -> Scenario:
+    """K sites uniform along the default mission's (0,0)->(1000,1000)
+    diagonal within +-150 m of it; GU distance 6-14 m; guarantee 0.3-0.8 of
+    the site's IC cap. The draws match the dense-sites benchmark workload's
+    generator, so `default_rng(3)` gives its scenario."""
+    doc = yaml.safe_load(DEFAULT_SCENARIO_YAML)
+    doc["uav"]["N"] = n_slots
+    doc["uav"]["T_s"] = mission_t
+    template = doc["sites"][0]
+    ch = doc["channel"]
+    theta0 = 10.0 ** (ch["theta0_db"] / 10.0)
+    sigma2 = 10.0 ** ((template["sigma2_dbm"] - 30.0) / 10.0)
+    q_max = 10.0 ** ((template["q_max_dbm"] - 30.0) / 10.0)
+    sites = []
+    for _ in range(k):
+        along = rng.uniform(0.0, 1000.0)
+        off = rng.uniform(-150.0, 150.0) / math.sqrt(2.0)
+        theta = float(rng.uniform(6.0, 14.0))
+        cap = math.log2(1.0 + theta0 * theta ** (-ch["epsilon"]) * q_max
+                        / sigma2)
+        sites.append({
+            "pos": [float(along + off), float(along - off)],
+            "theta_m": theta,
+            "sigma2_dbm": template["sigma2_dbm"],
+            "q_max_dbm": template["q_max_dbm"],
+            "gamma_bpshz": float(rng.uniform(0.3, 0.8) * cap),
+        })
+    doc["sites"] = sites
+    return parse_scenario(yaml.safe_dump(doc))
 
 
 @pytest.fixture(scope="session")

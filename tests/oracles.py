@@ -12,9 +12,9 @@ admissible decoding mode at one UAV position with scalar closed forms and
 applies the tie rule literally. `brute_force_slot_rate` avoids the closed
 forms altogether: GU powers are searched on a grid and the UAV power is
 swept over a grid, keeping only combinations that satisfy the constraints
-evaluated through these scalar formulas. Guarantee checks carry the same 1e-9
-bps/Hz slack as the scenario feasibility test, so grid points landing
-exactly on a constraint boundary are not rejected by float rounding.
+evaluated through these scalar formulas. Guarantee checks carry a 1e-9
+bps/Hz slack, so grid points landing exactly on a constraint boundary are
+not rejected by float rounding.
 
 `reference_hover_fly_waypoints` is the reference for the waypoints of
 `benchmarks.successive_hover_fly`: its event list walked slot by slot.

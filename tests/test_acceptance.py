@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from uav_ic_planner.benchmarks import run_scheme, upper_bound
-from uav_ic_planner.planner import PlannerConfig, evaluate_plan, solve
+from uav_ic_planner.planner import evaluate_plan, solve
 from uav_ic_planner.ra_solver import solve_slot, solve_resource_allocation
 from uav_ic_planner.sca_trajectory import (build_surrogate,
                                            straight_line_trajectory)
@@ -24,8 +24,9 @@ from uav_ic_planner.scenario import (LN2, ChannelParams, GbsSite, Scenario,
                                      default_scenario)
 from uav_ic_planner import harness
 
-from conftest import (make_channel, make_uav, random_feasible_scenario,
-                      surrogate_bounds, surrogate_coeff)
+from conftest import (dense_diagonal_scenario, make_channel, make_uav,
+                      random_feasible_scenario, surrogate_bounds,
+                      surrogate_coeff)
 from oracles import (brute_force_slot_rate, fd_derivative_in_sqdist,
                      grid_resolution_bound)
 
@@ -244,6 +245,26 @@ def test_criterion_5_scheme_ordering(t150_runs):
         f"{s}={v[s]:.4f}" for s in ("upper_bound", "proposed", "egoistic",
                                     "straight_fly", "successive_hover_fly",
                                     "altruistic")))
+
+
+# Adaptive IC's gain over egoistic decoding on the dense-sites draw 3 (K=8,
+# N=25, T=40 s), measured at 1.302484 vs 1.274549 bps/Hz (+2.19 %, straight
+# fly 1.054286). The test asks for half of that gap.
+ADAPTIVE_IC_MIN_GAIN = 0.01
+
+
+def test_criterion_5_adaptive_ic_beats_egoistic():
+    """The paper's headline: per-site adaptive IC/TIN decoding beats each
+    site decoding only its own GU by a clear margin where many sites line
+    the route (on the default scenario the two agree to 4 digits)."""
+    sc = dense_diagonal_scenario(np.random.default_rng(3))
+    proposed, _ = solve(sc)
+    egoistic, _ = solve(sc, "egoistic")
+    gain = proposed.avg_throughput / egoistic.avg_throughput - 1.0
+    report(5, gain > ADAPTIVE_IC_MIN_GAIN,
+           f"dense sites: proposed={proposed.avg_throughput:.6f}, "
+           f"egoistic={egoistic.avg_throughput:.6f} bps/Hz, gain "
+           f"{100 * gain:.2f} % (floor {100 * ADAPTIVE_IC_MIN_GAIN:.0f} %)")
 
 
 def test_criterion_6_throughput_monotone_in_duration(t_sweep_runs):

@@ -9,19 +9,13 @@ from uav_ic_planner.benchmarks import (SCHEME_NAMES, InsufficientDuration,
                                        run_scheme, shortest_site_tour,
                                        straight_fly, successive_hover_fly,
                                        upper_bound)
-from uav_ic_planner.planner import InfeasibleScenario, PlannerConfig, evaluate_plan
+from uav_ic_planner.planner import InfeasibleScenario, evaluate_plan
 from uav_ic_planner.ra_solver import solve_slot
 from uav_ic_planner.scenario import Scenario
 
 from conftest import (make_channel, make_site, make_uav,
                       random_feasible_scenario, single_site_scenario)
 from oracles import reference_hover_fly_waypoints
-
-
-def test_upper_bound_rejects_non_positive_grid_step(default_sc):
-    for step in (0.0, -5.0):
-        with pytest.raises(ValueError, match="grid_step"):
-            upper_bound(default_sc, grid_step=step)
 
 
 def test_straight_fly_hover_when_endpoints_equal():
@@ -139,16 +133,9 @@ def test_upper_bound_single_site_overhead():
     sc = single_site_scenario(site_pos=(300.0, 400.0), mission_t=60.0,
                               n_slots=10, u_init=(0.0, 0.0),
                               u_final=(500.0, 500.0))
-    result = upper_bound(sc, grid_step=5.0)
+    result = upper_bound(sc)
     assert math.dist(result.hover_point, (300.0, 400.0)) <= 5.0 * math.sqrt(2)
     assert result.throughput == pytest.approx(math.log2(3.5), rel=1e-3)
-
-
-def test_upper_bound_grid_refinement_non_decreasing(default_sc):
-    coarse = upper_bound(default_sc, grid_step=10.0)
-    fine = upper_bound(default_sc, grid_step=5.0)
-    # Halving the step keeps every coarse point, so the bound cannot drop.
-    assert fine.throughput >= coarse.throughput - 1e-12
 
 
 def test_upper_bound_invariant_to_duration(default_sc):
@@ -163,10 +150,9 @@ def test_single_site_schemes_coincide():
     sc = single_site_scenario(u_init=(0.0, 0.0), u_final=(200.0, 0.0),
                               mission_t=30.0, n_slots=30,
                               site_pos=(100.0, 0.0))
-    cfg = PlannerConfig()
-    p_any, _ = run_scheme("proposed", sc, cfg)
-    p_ego, _ = run_scheme("egoistic", sc, cfg)
-    p_alt, _ = run_scheme("altruistic", sc, cfg)
+    p_any, _ = run_scheme("proposed", sc)
+    p_ego, _ = run_scheme("egoistic", sc)
+    p_alt, _ = run_scheme("altruistic", sc)
     assert p_any.avg_throughput == pytest.approx(p_ego.avg_throughput,
                                                  rel=1e-12)
     assert p_any.avg_throughput == pytest.approx(p_alt.avg_throughput,
@@ -177,7 +163,7 @@ def test_run_scheme_dispatch(default_sc):
     sc = dataclasses.replace(
         default_sc, uav=dataclasses.replace(default_sc.uav, n_slots=20))
     for name in SCHEME_NAMES:
-        result, trace = run_scheme(name, sc, PlannerConfig(outer_max_iters=2))
+        result, trace = run_scheme(name, sc)
         if name == "upper_bound":
             assert isinstance(result, UpperBoundResult) and trace is None
             assert result.throughput > 0

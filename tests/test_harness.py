@@ -112,8 +112,7 @@ def test_plan_round_trip_matches_summary(tmp_path, capsys):
 
 def test_plan_upper_bound_writes_hover_point(tmp_path, capsys):
     out = tmp_path / "out"
-    code = main(["plan", "--scheme", "upperbound", "--out", str(out),
-                 "--grid-step", "10"])
+    code = main(["plan", "--scheme", "upperbound", "--out", str(out)])
     assert code == EXIT_OK
     assert (out / "hover_point.csv").exists()
     assert not (out / "trajectory.csv").exists()
@@ -137,6 +136,37 @@ def test_trace_has_no_plan_only_flags(tmp_path, capsys, flag):
         main(["trace", "--out", str(tmp_path)] + flag)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+SWEEP_ARGS = ["sweep", "--param", "mission_T", "--values", "40"]
+
+
+@pytest.mark.parametrize("flag", [["--outer-max-iters", "1"],
+                                  ["--rel-tol", "0.1"], ["--grid-step", "10"]])
+@pytest.mark.parametrize("command", [["plan"], SWEEP_ARGS, ["trace"]])
+def test_tuning_flags_are_unrecognized(tmp_path, capsys, command, flag):
+    """The stop rule and the upper-bound grid are fixed, not options."""
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--out", str(tmp_path / "out")] + flag)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["trace", "--schemes", ","], "at least one scheme is required"),
+    (SWEEP_ARGS + ["--schemes", ","], "at least one scheme is required"),
+    (["sweep", "--param", "mission_T", "--values", ","],
+     "at least one sweep value is required"),
+    (SWEEP_ARGS + ["--workers", "0"], "--workers must be at least 1, got 0"),
+    (SWEEP_ARGS + ["--workers", "-2"], "--workers must be at least 1, got -2"),
+])
+def test_empty_lists_and_non_positive_workers_rejected(tmp_path, capsys,
+                                                       argv, message):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == EXIT_INTERNAL
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("scheme", ["straight_fly", "successive_hover_fly",

@@ -8,15 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uav_ic_planner import planner
+from uav_ic_planner.benchmarks import straight_fly
 from uav_ic_planner.planner import (COARSE_SLOTS, InfeasibleScenario,
-                                    MonotonicityError, Plan, PlannerConfig,
-                                    PlannerError, evaluate_plan, make_plan,
-                                    prolong, solve)
+                                    MonotonicityError, Plan, PlannerError,
+                                    evaluate_plan, make_plan, prolong, solve)
 from uav_ic_planner.ra_solver import solve_resource_allocation, solve_slot
 from uav_ic_planner.sca_trajectory import (ScaError, Trajectory,
                                            optimize_trajectory,
                                            straight_line_trajectory)
-from uav_ic_planner.scenario import (DEFAULT_SCENARIO_YAML, ScenarioError,
+from uav_ic_planner.scenario import (DEFAULT_SCENARIO_YAML, InfeasibleSite,
+                                     ScenarioError, check_feasibility,
                                      default_scenario, parse_scenario)
 
 from conftest import random_feasible_scenario
@@ -31,13 +32,42 @@ def test_infeasible_scenario_raises_with_reasons(default_sc):
     assert exc.value.report.failing_sites != ()
 
 
-def test_single_outer_iteration_equals_straight_fly(default_sc):
-    plan, trace = solve(default_sc, PlannerConfig(outer_max_iters=1))
+# A site whose IC cap log2(1.0069) = 0.00992041 bps/Hz is small enough that
+# a guarantee a fraction of 1e-9 bps/Hz above it needs a GU power more than
+# 1e-9 (relative) above q_max.
+@pytest.mark.parametrize("site, gamma_above_cap", [
+    (0, 0.0), (0, 5e-10), (0, 9e-10), (2, None)])
+def test_check_feasibility_agrees_with_solve(default_sc, site,
+                                             gamma_above_cap):
+    """`uavplan check` and `uavplan plan` apply one feasibility rule: the
+    report is feasible exactly when the planner returns a plan. The last
+    case is the default site 2 at its boundary guarantee of 5 bps/Hz."""
+    s = default_sc.sites[site]
+    if gamma_above_cap is None:
+        s = dataclasses.replace(s, gamma=5.0)
+    else:
+        g = s.sigma2 * 0.0069 / s.q_max
+        cap = math.log2(1.0 + g * s.q_max / s.sigma2)
+        s = dataclasses.replace(s, g=g, gamma=cap + gamma_above_cap)
+    sites = list(default_sc.sites)
+    sites[site] = s
+    sc = dataclasses.replace(default_sc, sites=tuple(sites))
+    try:
+        solve(sc)
+        planned = True
+    except (InfeasibleScenario, InfeasibleSite):
+        planned = False
+    assert check_feasibility(sc).feasible == planned
+
+
+def test_first_outer_value_equals_straight_fly(default_sc):
+    """The loop starts with RA on the straight line, then moves off it."""
+    plan, trace = solve(default_sc)
     traj = straight_line_trajectory(default_sc.uav)
     _, avg = solve_resource_allocation(traj, default_sc)
-    assert np.array_equal(plan.trajectory.waypoints, traj.waypoints)
-    assert plan.avg_throughput == pytest.approx(avg, rel=1e-12)
-    assert trace.iterations == 1
+    assert trace.outer[0] == avg == straight_fly(default_sc).avg_throughput
+    assert trace.iterations > 1
+    assert not np.array_equal(plan.trajectory.waypoints, traj.waypoints)
 
 
 def test_outer_trace_monotone_and_converged(default_sc):
@@ -56,17 +86,19 @@ def test_unknown_mode_constraint_fails_fast(default_sc):
     instead of running as "any"."""
     allowed = "expected one of any, egoistic, altruistic"
     with pytest.raises(ValueError, match=allowed):
-        PlannerConfig(mode_constraint="egoist")
+        solve(default_sc, "egoist")
+    # Checked before feasibility: an infeasible scenario reports it too.
+    sites = tuple(dataclasses.replace(s, gamma=6.0) for s in default_sc.sites)
+    with pytest.raises(ValueError, match=allowed):
+        solve(dataclasses.replace(default_sc, sites=sites), "egoist")
     with pytest.raises(ValueError, match=allowed):
         solve_slot([(0.0, 0.0)], default_sc, "egoist")
 
 
 def test_mode_constraint_dominance_first_iteration(default_sc):
-    cfg = PlannerConfig(outer_max_iters=1)
     obj = {}
     for mc in ("any", "egoistic", "altruistic"):
-        _, trace = solve(default_sc, dataclasses.replace(cfg,
-                                                         mode_constraint=mc))
+        _, trace = solve(default_sc, mc)
         obj[mc] = trace.outer[0]
     assert obj["any"] >= obj["egoistic"] - 1e-12 >= -1e-12
     assert obj["any"] >= obj["altruistic"] - 1e-12
@@ -103,7 +135,7 @@ def test_evaluate_plan_clean(default_sc):
 
 
 def test_evaluate_plan_flags_excess_power(default_sc):
-    plan, _ = solve(default_sc, PlannerConfig(outer_max_iters=1))
+    plan = straight_fly(default_sc)
     bad_allocs = dataclasses.replace(
         plan.allocations, p=np.full(len(plan.allocations),
                                     2.0 * default_sc.uav.p_max))
@@ -114,7 +146,7 @@ def test_evaluate_plan_flags_excess_power(default_sc):
 
 
 def test_evaluate_plan_flags_inflated_rate(default_sc):
-    plan, _ = solve(default_sc, PlannerConfig(outer_max_iters=1))
+    plan = straight_fly(default_sc)
     bad_allocs = dataclasses.replace(plan.allocations,
                                      r=plan.allocations.r + 0.1)
     bad = Plan(plan.trajectory, bad_allocs, plan.avg_throughput + 0.1,
@@ -133,7 +165,7 @@ def test_random_scenarios_monotone(rng):
 
 
 def test_evaluate_plan_fails_closed_on_nan_rate(default_sc):
-    plan, _ = solve(default_sc, PlannerConfig(outer_max_iters=1))
+    plan = straight_fly(default_sc)
     r = plan.allocations.r.copy()
     r[7] = math.nan
     bad = Plan(plan.trajectory, dataclasses.replace(plan.allocations, r=r),
@@ -149,11 +181,13 @@ def test_evaluate_plan_fails_closed_on_nan_rate(default_sc):
 
 
 def test_nan_initial_trajectory_is_rejected(default_sc):
-    wp = straight_line_trajectory(default_sc.uav).waypoints.copy()
+    traj = straight_line_trajectory(default_sc.uav)
+    allocs, _ = solve_resource_allocation(traj, default_sc)
+    wp = traj.waypoints.copy()
     wp[5] = math.nan
     init = Trajectory(wp)
     with pytest.raises(ValueError, match="speed"):
-        solve(default_sc, PlannerConfig(outer_max_iters=1), initial=init)
+        optimize_trajectory(init, allocs, default_sc)
     speed, ends = init.flight_slacks(default_sc.uav)
     assert math.isnan(speed) and ends == 0.0
     wp[-1] = math.nan
@@ -205,7 +239,7 @@ def assert_finite_and_audited(plan, sc):
 @pytest.fixture(scope="module", params=["any", "altruistic"])
 def n2000_run(request, default_sc):
     sc = with_uav(default_sc, n_slots=2000)
-    plan, trace = solve(sc, PlannerConfig(mode_constraint=request.param))
+    plan, trace = solve(sc, request.param)
     return sc, plan, trace
 
 
@@ -228,11 +262,8 @@ def test_no_coarse_level_at_or_below_coarse_slots(default_sc):
     assert trace.coarse is None
 
 
-def test_no_coarse_level_from_initial_or_speed_tight(default_sc):
+def test_no_coarse_level_when_speed_tight(default_sc):
     sc = with_uav(default_sc, n_slots=2000)
-    init = straight_line_trajectory(sc.uav)
-    _, trace = solve(sc, PlannerConfig(outer_max_iters=1), initial=init)
-    assert trace.coarse is None
     _, trace = solve(with_uav(sc, mission_t=28.284))
     assert trace.coarse is None and trace.iterations == 1
 
@@ -277,7 +308,7 @@ def edge_case(name, sc):
 def test_edge_case_rejected_or_audited(default_sc, name, mode):
     try:
         sc = edge_case(name, default_sc)
-        plan, trace = solve(sc, PlannerConfig(mode_constraint=mode))
+        plan, trace = solve(sc, mode)
     except (ScenarioError, InfeasibleScenario):
         return
     assert_finite_and_audited(plan, sc)
@@ -321,7 +352,7 @@ def test_fuzzed_documents_rejected_or_audited(text):
     for mode in ("any", "egoistic", "altruistic"):
         try:
             sc = parse_scenario(text)
-            plan, trace = solve(sc, PlannerConfig(mode_constraint=mode))
+            plan, trace = solve(sc, mode)
         except (ScenarioError, InfeasibleScenario):
             continue
         assert_finite_and_audited(plan, sc)
