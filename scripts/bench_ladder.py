@@ -11,16 +11,22 @@ generator of ROOT/perfbench/workloads.py (read only). Rungs:
   dense_k10    `proposed` on the dense-sites draw DENSE_DRAW, K=10, N=200
   dense_k64    `proposed` on the dense-sites draw DENSE_DRAW, K=64, N=200
   sweep        the criterion-5/6 sweep: every scheme at T = 40, 80, 120,
-               150, 160 and 200 s on the built-in scenario
+               150, 160 and 200 s on the built-in scenario, timed as one
+               `uavplan sweep` call (`harness.main`), so that however the
+               command schedules its plans, the rung sees it
 One pass runs every rung once in a fresh worker process, in-process and
 with one BLAS thread, after one untimed warm-up plan. Passes run one at a
 time, REPEATS per column, alternating the columns (and their order), so a
-slow phase of a shared machine falls on all columns alike. Per plan a column
-holds the median wall seconds over its passes, the throughput in bps/Hz and
-the outer and inner iteration counts of its `ConvergenceTrace`, the coarse
-level's included; per rung, the wall seconds per scheme and the plans per
-second. A plan whose throughput or iteration counts differ between passes
-of one column is an error.
+slow phase of a shared machine falls on all columns alike. Per rung a
+column holds the median wall seconds over its passes and the plans per
+second; per plan, the throughput in bps/Hz and the iteration counts: for a
+single-plan rung the outer and inner counts of its `ConvergenceTrace`, the
+coarse level's included, and for the sweep the `iters` cell of its
+`summary.csv` row. A rung whose plans differ between passes of one column
+is an error.
+
+`python3 scripts/bench_ladder.py --pass ROOT` runs one pass and prints it as
+JSON.
 """
 
 from __future__ import annotations
@@ -45,12 +51,16 @@ REPEATS = 5
 
 
 def one_pass(root: Path) -> list[dict]:
-    """Time every plan of the ladder once with the planner under `root`."""
+    """Time every rung of the ladder once with the planner under `root`."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import contextlib
     import dataclasses
+    import io
+    import tempfile
 
     import numpy as np
     import yaml
+    from uav_ic_planner import harness
     from uav_ic_planner.benchmarks import run_scheme
     from uav_ic_planner.scenario import default_scenario, parse_scenario
     from workloads import DENSE_DRAW, dense_sites_doc
@@ -73,25 +83,39 @@ def one_pass(root: Path) -> list[dict]:
                 "coarse": counts(trace.coarse)}
 
     base = default_scenario()
-    ladder = [("default", "proposed", "", base),
-              ("n2000", "proposed", "N=2000", with_uav(base, n_slots=2000)),
-              ("dense_k10", "proposed", "K=10", dense(10)),
-              ("dense_k64", "proposed", "K=64", dense(64))]
-    ladder += [("sweep", s, f"T={t:g}", with_uav(base, mission_t=t))
-               for t in SWEEP_T for s in SCHEMES]
+    ladder = [("default", "", base),
+              ("n2000", "N=2000", with_uav(base, n_slots=2000)),
+              ("dense_k10", "K=10", dense(10)),
+              ("dense_k64", "K=64", dense(64))]
     run_scheme("proposed", base)  # warm-up, untimed
-    rows = []
-    for rung, scheme, point, scenario in ladder:
+    rungs = []
+    for rung, point, scenario in ladder:
         start = time.perf_counter()
-        result, trace = run_scheme(scheme, scenario)
+        plan, trace = run_scheme("proposed", scenario)
         wall = time.perf_counter() - start
-        throughput = getattr(result, "avg_throughput", None)
-        if throughput is None:  # the upper bound
-            throughput = result.throughput
-        rows.append({"rung": rung, "scheme": scheme, "point": point,
-                     "wall_s": wall, "throughput_bpshz": throughput,
-                     "iterations": counts(trace)})
-    return rows
+        rungs.append({"rung": rung, "wall_s": wall, "plans": [
+            {"scheme": "proposed", "point": point,
+             "throughput_bpshz": plan.avg_throughput,
+             "iterations": counts(trace)}]})
+
+    argv = ["sweep", "--param", "mission_T",
+            "--values", ",".join(f"{t:g}" for t in SWEEP_T),
+            "--schemes", ",".join(SCHEMES)]
+    with tempfile.TemporaryDirectory() as out:
+        with contextlib.redirect_stdout(io.StringIO()):
+            start = time.perf_counter()
+            code = harness.main(argv + ["--out", out])
+            wall = time.perf_counter() - start
+        if code != 0:
+            raise RuntimeError(f"sweep exited {code}")
+        _, rows = harness._read_table(Path(out) / "summary.csv")
+    if any(row[5] != "OK" for row in rows):
+        raise RuntimeError(f"sweep rows not OK: {rows}")
+    rungs.append({"rung": "sweep", "wall_s": wall, "plans": [
+        {"scheme": row[0], "point": f"T={row[2]}",
+         "throughput_bpshz": float(row[3]), "iterations": int(row[4])}
+        for row in rows]})
+    return rungs
 
 
 def run_pass(root: Path) -> list[dict]:
@@ -105,28 +129,15 @@ def run_pass(root: Path) -> list[dict]:
 def column(passes: list[list[dict]]) -> dict:
     """Per-rung summary of one column's passes."""
     out: dict[str, dict] = {}
-    for plan in zip(*passes):
-        first = plan[0]
-        for other in plan[1:]:
-            if (other["throughput_bpshz"] != first["throughput_bpshz"]
-                    or other["iterations"] != first["iterations"]):
-                raise RuntimeError(f"{first['rung']} {first['scheme']} "
-                                   f"{first['point']}: passes differ")
-        walls = [p["wall_s"] for p in plan]
-        rung = out.setdefault(first["rung"], {"plans": []})
-        rung["plans"].append({
-            "scheme": first["scheme"], "point": first["point"],
-            "wall_s": statistics.median(walls), "wall_s_runs": walls,
-            "throughput_bpshz": first["throughput_bpshz"],
-            "iterations": first["iterations"]})
-    for rung in out.values():
-        per_scheme: dict[str, float] = {}
-        for plan in rung["plans"]:
-            per_scheme[plan["scheme"]] = (per_scheme.get(plan["scheme"], 0.0)
-                                          + plan["wall_s"])
-        rung["wall_s"] = sum(per_scheme.values())
-        rung["wall_s_per_scheme"] = per_scheme
-        rung["plans_per_s"] = len(rung["plans"]) / rung["wall_s"]
+    for rung in zip(*passes):
+        first = rung[0]
+        if any(other["plans"] != first["plans"] for other in rung[1:]):
+            raise RuntimeError(f"{first['rung']}: passes differ")
+        walls = [r["wall_s"] for r in rung]
+        wall = statistics.median(walls)
+        out[first["rung"]] = {"wall_s": wall, "wall_s_runs": walls,
+                              "plans_per_s": len(first["plans"]) / wall,
+                              "plans": first["plans"]}
     return out
 
 

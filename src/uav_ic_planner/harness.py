@@ -25,7 +25,7 @@ import numpy as np
 from .benchmarks import (SCHEME_NAMES, BenchmarkError, InsufficientDuration,
                          UpperBoundResult, run_scheme)
 from .planner import (SCHEME_MODES, ConvergenceTrace, InfeasibleScenario,
-                      Plan, make_plan)
+                      Plan, make_plan, solve_many)
 from .ra_solver import Allocation
 from .sca_trajectory import Trajectory
 from .scenario import (DEFAULT_SCENARIO_YAML, InfeasibleSite, Scenario,
@@ -158,22 +158,18 @@ def cmd_plan(args) -> int:
     scheme = _normalize_scheme(args.scheme)
     out_dir = Path(args.out)
     result, trace = run_scheme(scheme, scenario)
+    row = _summary_row([scheme, "", ""], (result, trace))
     if isinstance(result, UpperBoundResult):
         _write_table(out_dir / "hover_point.csv",
                      ["x_m", "y_m", "throughput_bpshz"], "%.12g,%.12g,%.12g",
                      [(*result.hover_point, result.throughput)])
-        write_summary_table(out_dir, [[scheme, "", "", _fmt(result.throughput),
-                                       1, "OK"]])
         print(f"{scheme}: throughput {result.throughput:.6f} bps/Hz at hover "
               f"point ({result.hover_point[0]:.1f}, {result.hover_point[1]:.1f}) m")
-        return EXIT_OK
-    plan = result
-    iters = trace.iterations if trace is not None else 1
-    write_plan_tables(out_dir, plan, scenario, trace)
-    write_summary_table(out_dir, [[scheme, "", "", _fmt(plan.avg_throughput),
-                                   iters, "OK"]])
-    print(f"{scheme}: throughput {plan.avg_throughput:.6f} bps/Hz "
-          f"in {iters} outer iteration(s)")
+    else:
+        write_plan_tables(out_dir, result, scenario, trace)
+        print(f"{scheme}: throughput {result.avg_throughput:.6f} bps/Hz "
+              f"in {row[4]} outer iteration(s)")
+    write_summary_table(out_dir, [row])
     return EXIT_OK
 
 
@@ -187,20 +183,26 @@ def apply_sweep_value(scenario: Scenario, param: str, value: float) -> Scenario:
     raise ValueError(f"unknown sweep parameter {param!r}")
 
 
+def _summary_row(row: list[str], outcome) -> list:
+    """`row` (scheme, param, value) completed from the scheme's (result,
+    trace) or exception; a BenchmarkError is a refusal (e.g. K too large)."""
+    if isinstance(outcome, Exception):
+        return row + ["", "", "INFEASIBLE" if isinstance(
+            outcome, _INFEASIBLE_ERRORS) else "REFUSED"]
+    result, trace = outcome
+    if isinstance(result, UpperBoundResult):
+        return row + [_fmt(result.throughput), 1, "OK"]
+    return row + [_fmt(result.avg_throughput),
+                  trace.iterations if trace is not None else 1, "OK"]
+
+
 def _sweep_point(task):
     scheme, param, value, scenario = task
-    point = apply_sweep_value(scenario, param, value)
     try:
-        result, trace = run_scheme(scheme, point)
-    except _INFEASIBLE_ERRORS:
-        return [scheme, param, _fmt(value), "", "", "INFEASIBLE"]
-    except BenchmarkError:  # a scheme refused the scenario (e.g. K too large)
-        return [scheme, param, _fmt(value), "", "", "REFUSED"]
-    if isinstance(result, UpperBoundResult):
-        return [scheme, param, _fmt(value), _fmt(result.throughput), 1, "OK"]
-    iters = trace.iterations if trace is not None else 1
-    return [scheme, param, _fmt(value), _fmt(result.avg_throughput), iters,
-            "OK"]
+        outcome = run_scheme(scheme, apply_sweep_value(scenario, param, value))
+    except (*_INFEASIBLE_ERRORS, BenchmarkError) as exc:
+        outcome = exc
+    return _summary_row([scheme, param, _fmt(value)], outcome)
 
 
 def cmd_sweep(args) -> int:
@@ -211,15 +213,19 @@ def cmd_sweep(args) -> int:
         raise ValueError("at least one sweep value is required")
     if sorted(values) != values or len(set(values)) != len(values):
         raise ValueError("sweep values must be strictly increasing")
-    if args.workers < 1:
-        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     tasks = [(scheme, args.param, value, scenario)
              for scheme in schemes for value in values]
     if args.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(args.workers) as pool:
             rows = list(pool.map(_sweep_point, tasks))
     else:
-        rows = [_sweep_point(task) for task in tasks]
+        # The planner's schemes at every value are solved in lock step.
+        plans = iter(solve_many(
+            [(apply_sweep_value(sc, param, value), SCHEME_MODES[scheme])
+             for scheme, param, value, sc in tasks if scheme in SCHEME_MODES]))
+        rows = [_summary_row([s, p, _fmt(v)], next(plans))
+                if s in SCHEME_MODES else _sweep_point((s, p, v, sc))
+                for s, p, v, sc in tasks]
 
     if args.param == "mission_T":
         last: dict[str, float] = {}
@@ -242,12 +248,14 @@ def cmd_sweep(args) -> int:
 
 def cmd_trace(args) -> int:
     scenario = load_scenario(args.scenario)
-    traces: dict[str, list[float]] = {}
-    for scheme in _schemes(args.schemes):
+    schemes = _schemes(args.schemes)
+    for scheme in schemes:
         if scheme not in SCHEME_MODES:
             raise ValueError(f"scheme {scheme!r} has no iteration trace")
-        _, trace = run_scheme(scheme, scenario)
-        traces[scheme] = trace.outer
+    outcomes = solve_many([(scenario, SCHEME_MODES[s]) for s in schemes])
+    if isinstance(outcomes[0], InfeasibleScenario):
+        raise outcomes[0]
+    traces = {s: trace.outer for s, (_, trace) in zip(schemes, outcomes)}
     write_trace_table(Path(args.out), traces)
     for scheme, values in traces.items():
         print(f"{scheme}: {len(values)} outer iterations, "
@@ -321,6 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "workers", 1) < 1:
+            raise ValueError(
+                f"--workers must be at least 1, got {args.workers}")
         return args.func(args)
     except _INFEASIBLE_ERRORS as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

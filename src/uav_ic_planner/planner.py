@@ -88,38 +88,42 @@ def prolong(traj: sca.Trajectory, n_slots: int) -> sca.Trajectory:
         [np.interp(t_new, t_old, col) for col in traj.waypoints.T]))
 
 
-def _alternate(traj: sca.Trajectory, scenario: Scenario,
-               mode_constraint: ModeConstraint,
-               ) -> tuple[sca.Trajectory, Allocation, ConvergenceTrace]:
-    """The alternating RA/SCA loop at the scenario's slot count, from `traj`."""
-    can_move = _trajectory_step_possible(scenario)
-    outer: list[float] = []
-    inner_per_outer: list[list[float]] = []
-    converged = False
-    for i in range(OUTER_MAX_ITERS):
-        allocs, obj = solve_resource_allocation(traj, scenario,
-                                                mode_constraint)
-        if outer and not (obj >= outer[-1] - OUTER_MONOTONE_TOL):
-            raise MonotonicityError(
-                f"outer objective decreased or is NaN: {outer[-1]:.12g} -> "
-                f"{obj:.12g}")
-        prev = outer[-1] if outer else None
-        outer.append(obj)
-        if prev is not None:
-            rel = (obj - prev) / max(abs(prev), 1e-12)
-            if rel < sca.REL_TOL:
-                converged = True
-                break
-        if i == OUTER_MAX_ITERS - 1 or not can_move:
-            if not can_move:
-                converged = True
+def _alternate(trajs: list[sca.Trajectory],
+               problems: list[tuple[Scenario, ModeConstraint]],
+               ) -> list[tuple[sca.Trajectory, Allocation, ConvergenceTrace]]:
+    """The alternating RA/SCA loop of each (scenario, mode constraint)
+    problem from its trajectory in `trajs`, in lock step: each outer round
+    runs RA per problem not yet stopped, then one SCA loop for them all."""
+    trajs, allocs = list(trajs), [None] * len(problems)
+    traces = [ConvergenceTrace([], [], 0, False) for _ in problems]
+    live = range(len(problems))
+    for it in range(OUTER_MAX_ITERS):
+        moving = []
+        for i in live:
+            (scenario, mode_constraint), outer = problems[i], traces[i].outer
+            allocs[i], obj = solve_resource_allocation(trajs[i], scenario,
+                                                       mode_constraint)
+            if outer and not (obj >= outer[-1] - OUTER_MONOTONE_TOL):
+                raise MonotonicityError(
+                    f"outer objective decreased or is NaN: {outer[-1]:.12g} "
+                    f"-> {obj:.12g}")
+            outer.append(obj)
+            traces[i].iterations = len(outer)
+            if ((len(outer) > 1 and (obj - outer[-2])
+                 / max(abs(outer[-2]), 1e-12) < sca.REL_TOL)
+                    or not _trajectory_step_possible(scenario)):
+                traces[i].converged = True
+            elif it < OUTER_MAX_ITERS - 1:
+                moving.append(i)
+        if not moving:
             break
-        result = sca.optimize_trajectory(traj, allocs, scenario)
-        inner_per_outer.append(result.inner_trace)
-        traj = result.trajectory
-    trace = ConvergenceTrace(outer=outer, inner_per_outer=inner_per_outer,
-                             iterations=len(outer), converged=converged)
-    return traj, allocs, trace
+        results = sca.optimize_many(
+            [(trajs[i], allocs[i], problems[i][0]) for i in moving])
+        for i, result in zip(moving, results):
+            traces[i].inner_per_outer.append(result.inner_trace)
+            trajs[i] = result.trajectory
+        live = moving
+    return list(zip(trajs, allocs, traces))
 
 
 def solve(scenario: Scenario, mode_constraint: ModeConstraint = "any"
@@ -129,28 +133,43 @@ def solve(scenario: Scenario, mode_constraint: ModeConstraint = "any"
     A grid finer than COARSE_SLOTS slots is planned at COARSE_SLOTS first;
     that plan's trajectory, prolonged to the full grid, is where the
     full-grid loop starts."""
-    check_mode_constraint(mode_constraint)
-    report = check_feasibility(scenario)
-    if not report.feasible:
-        raise InfeasibleScenario(report)
+    result = solve_many([(scenario, mode_constraint)])[0]
+    if isinstance(result, InfeasibleScenario):
+        raise result
+    return result
 
-    uav = scenario.uav
-    coarse = None
-    if uav.n_slots > COARSE_SLOTS and _trajectory_step_possible(scenario):
-        coarse_sc = replace(scenario,
-                            uav=replace(uav, n_slots=COARSE_SLOTS))
-        coarse_traj, _, coarse = _alternate(
-            sca.straight_line_trajectory(coarse_sc.uav), coarse_sc,
-            mode_constraint)
-        traj = prolong(coarse_traj, uav.n_slots)
-    else:
-        traj = sca.straight_line_trajectory(uav)
 
-    traj, allocs, trace = _alternate(traj, scenario, mode_constraint)
-    trace.coarse = coarse
-    tag = {mode: name for name, mode in SCHEME_MODES.items()}[mode_constraint]
-    plan = make_plan(traj, allocs, trace.outer[-1], tag, scenario)
-    return plan, trace
+def solve_many(problems: list[tuple[Scenario, ModeConstraint]]
+               ) -> list[tuple[Plan, ConvergenceTrace] | InfeasibleScenario]:
+    """`solve` for several (scenario, mode constraint) problems in lock
+    step: each gets the plan and trace `solve` gives it, or its
+    InfeasibleScenario. They must share the sites, noise powers, channel
+    and altitude, as `mission_T` and `gamma_all_sites` sweep points do."""
+    for _, mode_constraint in problems:
+        check_mode_constraint(mode_constraint)
+    results = [None if report.feasible else InfeasibleScenario(report)
+               for report in (check_feasibility(sc) for sc, _ in problems)]
+    live = [i for i, result in enumerate(results) if result is None]
+    # The coarse levels of the finer grids run first, as one stack.
+    refine = [i for i in live if problems[i][0].uav.n_slots > COARSE_SLOTS
+              and _trajectory_step_possible(problems[i][0])]
+    coarse_problems = [
+        (replace(sc, uav=replace(sc.uav, n_slots=COARSE_SLOTS)), mode)
+        for sc, mode in map(problems.__getitem__, refine)]
+    coarse = dict(zip(refine, _alternate(
+        [sca.straight_line_trajectory(sc.uav) for sc, _ in coarse_problems],
+        coarse_problems)))
+    starts = [prolong(coarse[i][0], problems[i][0].uav.n_slots) if i in coarse
+              else sca.straight_line_trajectory(problems[i][0].uav)
+              for i in live]
+    tags = {mode: name for name, mode in SCHEME_MODES.items()}
+    for i, (traj, allocs, trace) in zip(live, _alternate(
+            starts, list(map(problems.__getitem__, live)))):
+        scenario, mode_constraint = problems[i]
+        trace.coarse = coarse[i][2] if i in coarse else None
+        results[i] = (make_plan(traj, allocs, trace.outer[-1],
+                                tags[mode_constraint], scenario), trace)
+    return results
 
 
 def make_plan(traj: sca.Trajectory, allocs: Allocation,

@@ -141,6 +141,7 @@ class Surrogate:
     coeff: np.ndarray        # (K, N)
     intercept_a: np.ndarray  # (K, N)
     intercept_b: np.ndarray  # (K, N)
+    gamma: np.ndarray        # (K, N) rate guarantees; per slot for stacking
 
     def _at(self, points: np.ndarray, tin: bool = True) -> _SlotEval:
         """Evaluate the surrogate with the waypoints at `points` (one row
@@ -196,6 +197,7 @@ def build_surrogate(local_traj: Trajectory, allocs: Allocation,
         coeff=coeff,
         intercept_a=uav_rate(h_loc, p, q, sc) + coeff * s_loc,
         intercept_b=np.log2(c + h_loc * p) + coeff * s_loc,
+        gamma=np.broadcast_to(sc.gamma_vec[:, None], coeff.shape),
     )
 
 
@@ -208,9 +210,9 @@ def _norm(v: np.ndarray) -> np.ndarray:
 
 
 def _clip_to_disc(pts: np.ndarray, centers: np.ndarray,
-                  radius: float) -> bool:
-    """Pull points (2, M) back onto discs of `radius` around `centers`, in
-    place; True if any point moved."""
+                  radius: np.ndarray) -> bool:
+    """Pull points (2, M) back onto discs of radii `radius` (M,) around
+    `centers`, in place; True if any point moved."""
     delta = pts - centers
     dist = _norm(delta)
     over = dist > radius
@@ -243,7 +245,7 @@ def _ascent_direction(surrogate: Surrogate, ev: _SlotEval,
     if ev.lhs is None:
         return g
     # Listed through the transpose: slot by slot, sites ascending.
-    rows_a, k_a = (ev.lhs - sc.gamma_vec[:, None] < ACTIVE_SLACK).T.nonzero()
+    rows_a, k_a = (ev.lhs - surrogate.gamma < ACTIVE_SLACK).T.nonzero()
     if rows_a.size:
         # Gradient of each active guarantee; _log_slope gives the slope of
         # its exact log-term log2(sigma2 + h * p).
@@ -267,53 +269,97 @@ def _ascent_direction(surrogate: Surrogate, ev: _SlotEval,
     return g
 
 
-def _sweep(surrogate: Surrogate, u: np.ndarray) -> bool:
-    """Red-black sweeps over the interior waypoints of `u`, in place; True
-    if any move was accepted. Waypoint n owns slot n, i.e. column n-1 of
-    the per-slot arrays.
+def _stack(surrogates: list[Surrogate], widths: list[int]) -> Surrogate:
+    """The surrogates side by side along the slot axis: each one's slots
+    1..N-1, then inert columns (no IC or TIN site, all zero) up to its block
+    width. One surrogate is its own stack (its slot N is never read)."""
+    if len(surrogates) == 1:
+        return surrogates[0]
+    sc = surrogates[0].scenario
+    assert all(o.channel == sc.channel and o.uav.altitude == sc.uav.altitude
+               and np.array_equal(o.site_pos, sc.site_pos)
+               and np.array_equal(o.sigma2_vec, sc.sigma2_vec)
+               for o in (s.scenario for s in surrogates)), \
+        "stacked problems must share sites, noise, channel and altitude"
 
-    Each colour (odd, then even waypoints) works on basic-slice views of
-    the x and y planes (2, N+1) of `u`: its waypoints, their neighbours,
-    its slots' surrogate and its step sizes. The kernel is column-wise, so
-    the evaluation at the current waypoints is carried from pass to pass,
-    taking the accepted columns of the candidates' evaluation. A colour
-    none of whose slots has a TIN guarantee skips the TIN terms."""
-    uav = surrogate.scenario.uav
-    v_step = uav.v_max * uav.delta_t
-    tin_floor = surrogate.scenario.gamma_vec[:, None] - SURROGATE_FEAS_TOL
-    n_wp = u.shape[0]
-    planes = u.T.copy()
-    steps = np.full(n_wp, 0.25 * v_step)
+    def stacked(name: str) -> np.ndarray:
+        parts = []
+        for surro, width in zip(surrogates, widths):
+            a = getattr(surro, name)
+            parts += [a[..., :-1], np.zeros(
+                a.shape[:-1] + (width - a.shape[-1] + 1,), a.dtype)]
+        return np.concatenate(parts[:-1], axis=-1)
+
+    return replace(surrogates[0], **{f.name: stacked(f.name)
+                                     for f in fields(Surrogate)
+                                     if f.name != "scenario"})
+
+
+def _sweep(surrogates: list[Surrogate], waypoints: list[np.ndarray]
+           ) -> list[bool]:
+    """Red-black sweeps over the interior waypoints of each `waypoints[i]`
+    under `surrogates[i]`, in lock step and in place; per problem, True if
+    any move was accepted. Waypoint n owns slot n, i.e. column n-1 of the
+    per-slot arrays, and problem i's waypoint n is column starts[i] + n of
+    x and y planes (2, W). Each problem starts at an even column, so each
+    colour (odd, then even waypoints) works on basic-slice views: its
+    waypoints, their neighbours, its slots' surrogate, steps and reaches.
+    The kernel is column-wise, so no problem's bits depend on another's and
+    the evaluation at the current waypoints is carried from pass to pass.
+    A colour none of whose slots has a TIN guarantee skips the TIN terms
+    (`lhs` is +inf where a slot has none)."""
+    sizes = [u.shape[0] for u in waypoints]
+    widths = [n + n % 2 for n in sizes]
+    starts = np.cumsum([0] + widths[:-1])
+    n_wp = int(starts[-1]) + sizes[-1]
+    surrogate = _stack(surrogates, widths)
+    planes = np.concatenate([np.vstack([u, u[-1:]])[:w] for u, w in zip(
+        waypoints, widths)])[:n_wp].T.copy()  # pads repeat the endpoint
+    v_steps = np.array([s.scenario.uav.v_max * s.scenario.uav.delta_t
+                        for s in surrogates])
+    v_step = np.repeat(v_steps, widths)[:n_wp]
+    # A step is zeroed once its waypoint's direction is zero, which then
+    # stays zero (the kernel is column-wise): a problem's largest step is
+    # that of its movable waypoints. The first and last columns are in no
+    # colour.
+    steps = 0.25 * v_step
+    steps[[0, -1]] = 0.0
+    alive = np.ones(n_wp, dtype=bool)  # problems stopped leave the mask
     colours = []
     for first in range(1, min(n_wp - 1, 3)):  # odd, then even waypoints
         wp = slice(first, n_wp - 1, 2)
         sub = surrogate.rows(slice(first - 1, n_wp - 2, 2))
         tin = bool(sub.tin_mask.any())
         ev = sub._at(planes[:, wp].T, tin)
-        colours.append((sub, tin, np.arange(ev.rate.shape[1]), planes[:, wp],
-                        planes[:, first - 1:n_wp - 2:2],
-                        planes[:, first + 1::2], steps[wp], ev,
-                        _line_search_objective(ev)))
+        colours.append((
+            sub, tin, np.arange(ev.rate.shape[1]), planes[:, wp],
+            planes[:, first - 1:n_wp - 2:2], planes[:, first + 1::2],
+            steps[wp], v_step[wp], v_step[wp] * (1.0 - 1e-12),
+            sub.gamma - SURROGATE_FEAS_TOL if tin else None, alive[wp], ev,
+            _line_search_objective(ev)))
 
-    accepted_any = False
+    start = planes.copy()
     for _ in range(ASCENT_STEPS):
-        moved = False
-        live_step = 0.0  # largest step of this sweep's movable waypoints
-        for sub, tin, rows, cur, left, right, step, ev, obj in colours:
+        before = planes.copy()
+        for (sub, tin, rows, cur, left, right, step, reach, disc, tin_floor,
+             live, ev, obj) in colours:
             g = _ascent_direction(sub, ev, rows)
             gnorm = _norm(g)
-            movable = gnorm > 1e-18
-            if not movable.any():
-                continue
-            direction = g / gnorm if movable.all() else np.divide(
+            movable = (gnorm > 1e-18) & live
+            all_movable = movable.all()
+            if not all_movable:
+                step *= movable
+                if not movable.any():
+                    continue
+            direction = g / gnorm if all_movable else np.divide(
                 g, gnorm, out=np.zeros_like(g), where=movable)
-            # step never exceeds v_step, the reach of one slot.
+            # step never exceeds the reach of one slot.
             cand = cur + step * direction
             in_left = movable
-            if (_clip_to_disc(cand, left, v_step * (1.0 - 1e-12))
-                    | _clip_to_disc(cand, right, v_step * (1.0 - 1e-12))):
+            if (_clip_to_disc(cand, left, disc)
+                    | _clip_to_disc(cand, right, disc)):
                 # An unclipped point is within the margin of `left` already.
-                in_left = movable & (_norm(cand - left) <= v_step)
+                in_left = movable & (_norm(cand - left) <= reach)
             cand_ev = sub._at(cand.T, tin)
             cand_obj = _line_search_objective(cand_ev)
             accept = in_left & (cand_obj > obj + 1e-14)
@@ -325,35 +371,35 @@ def _sweep(surrogate: Surrogate, u: np.ndarray) -> bool:
                                      (cand, cand_obj, *cand_ev)):
                     if held is not None:
                         np.copyto(held, new, where=accept)
-                np.copyto(step, np.minimum(step * 1.5, v_step), where=accept)
-                moved = accepted_any = True
+                np.copyto(step, np.minimum(step * 1.5, reach), where=accept)
             np.multiply(step, 0.5, out=step, where=movable & ~accept)
-            live_step = max(live_step, step.max(where=movable, initial=0.0))
-        # A waypoint with a zero direction never moves, so its direction
-        # stays zero (the kernel is column-wise) and its step is left out.
-        if not moved and live_step < 1e-9 * v_step:
-            break
-    if accepted_any:
-        u[...] = planes.T
-    return accepted_any
+        # A problem stops once its steps have collapsed and it accepted no
+        # move in this sweep. An accepted move strictly raises its slot's
+        # objective, a function of that waypoint alone, so a problem
+        # accepted a move iff one of its waypoints has changed.
+        collapsed = np.maximum.reduceat(steps, starts) < 1e-9 * v_steps
+        if collapsed.any():
+            changed = (planes != before).any(axis=0)
+            stop = collapsed & ~np.logical_or.reduceat(changed, starts)
+            if stop.all():
+                break
+            alive[...] = np.repeat(~stop, widths)[:n_wp]
+    for u, first, n in zip(waypoints, starts, sizes):
+        u[...] = planes[:, first:first + n].T
+    return np.logical_or.reduceat((planes != start).any(axis=0),
+                                  starts).tolist()
 
 
 def solve_surrogate(surrogate: Surrogate, local_traj: Trajectory
                     ) -> tuple[Trajectory, np.ndarray, bool]:
-    """Improve the surrogate objective from the local trajectory.
-
-    The slot objectives are separable per waypoint and only the speed
-    constraints couple neighbors, so the subproblem is swept Gauss-Seidel
-    style: all odd interior waypoints move together against their fixed even
-    neighbors, then vice versa. Candidate moves follow the slot gradient,
-    are clipped into the two speed discs, and are accepted only if they
-    improve the slot objective and keep the surrogate TIN guarantees
-    satisfied, so every accepted iterate is exactly feasible. Returns
-    (trajectory, per-slot surrogate rate bounds clamped at zero, stalled);
-    if no waypoint can improve, the local trajectory is returned unchanged.
-    """
+    """Improve the surrogate objective from the local trajectory by
+    Gauss-Seidel sweeps (`_sweep`): the slot objectives are separable per
+    waypoint and only the speed constraints couple neighbors. Moves keep
+    the surrogate TIN guarantees, so every accepted iterate is exactly
+    feasible. Returns (trajectory, per-slot surrogate rate bounds clamped
+    at zero, stalled)."""
     u = local_traj.waypoints.copy()
-    moved = u.shape[0] > 2 and _sweep(surrogate, u)
+    moved = _sweep([surrogate], [u])[0]
     traj = Trajectory(u) if moved else local_traj
     rates = np.maximum(surrogate.rate_bounds(traj.waypoints[1:]), 0.0)
     return traj, rates, not moved
@@ -398,30 +444,44 @@ def verify_safe_step(traj: Trajectory, allocs: Allocation,
 def optimize_trajectory(init: Trajectory, allocs: Allocation,
                         scenario: Scenario) -> ScaResult:
     """Iterate surrogate construction and improvement from `init` until the
-    relative objective gain falls below REL_TOL.
+    relative objective gain falls below REL_TOL. The trace holds the true
+    fixed-allocation objective, non-decreasing because each surrogate is
+    tight at its local point and a global under-estimator."""
+    return optimize_many([(init, allocs, scenario)])[0]
 
-    The reported trace holds the true fixed-allocation objective, which is
-    non-decreasing because each surrogate is tight at its local point and a
-    global under-estimator.
-    """
-    init.validate(scenario.uav)
-    trace = [trajectory_objective(init, allocs, scenario)]
-    traj = init
-    converged = False
+
+def optimize_many(problems: list[tuple[Trajectory, Allocation, Scenario]]
+                  ) -> list[ScaResult]:
+    """`optimize_trajectory` for several (init, allocs, scenario) problems
+    in lock step: each SCA iteration improves the surrogates of the problems
+    not yet stopped in one `_sweep` call. The problems must share the
+    sites, noise powers, channel and altitude."""
+    for init, _, scenario in problems:
+        init.validate(scenario.uav)
+    trajs = [init for init, _, _ in problems]
+    traces = [[trajectory_objective(*problem)] for problem in problems]
+    converged = [False] * len(problems)
+    live = list(range(len(problems)))
     for _ in range(SCA_MAX_ITERS):
-        surro = build_surrogate(traj, allocs, scenario)
-        new_traj, _, stalled = solve_surrogate(surro, traj)
-        verify_safe_step(new_traj, allocs, scenario)
-        new_obj = trajectory_objective(new_traj, allocs, scenario)
-        if not (new_obj >= trace[-1] - 1e-9):
-            raise ScaError(
-                f"inner objective decreased or is NaN: {trace[-1]:.12g} -> "
-                f"{new_obj:.12g}")
-        trace.append(new_obj)
-        traj = new_traj
-        rel = (trace[-1] - trace[-2]) / max(abs(trace[-2]), 1e-12)
-        if stalled or rel < REL_TOL:
-            converged = True
+        if not live:
             break
-    return ScaResult(trajectory=traj, objective=trace[-1], inner_trace=trace,
-                     converged=converged, iterations=len(trace) - 1)
+        surros = [build_surrogate(trajs[i], *problems[i][1:]) for i in live]
+        points = [trajs[i].waypoints.copy() for i in live]
+        for i, u, moved in zip(live, points, _sweep(surros, points)):
+            _, allocs, scenario = problems[i]
+            new_traj = Trajectory(u) if moved else trajs[i]
+            verify_safe_step(new_traj, allocs, scenario)
+            new_obj = trajectory_objective(new_traj, allocs, scenario)
+            trace = traces[i]
+            if not (new_obj >= trace[-1] - 1e-9):
+                raise ScaError(
+                    f"inner objective decreased or is NaN: {trace[-1]:.12g} "
+                    f"-> {new_obj:.12g}")
+            trace.append(new_obj)
+            trajs[i] = new_traj
+            rel = (trace[-1] - trace[-2]) / max(abs(trace[-2]), 1e-12)
+            converged[i] = not moved or rel < REL_TOL
+        live = [i for i in live if not converged[i]]
+    return [ScaResult(trajectory=traj, objective=trace[-1], inner_trace=trace,
+                      converged=conv, iterations=len(trace) - 1)
+            for traj, trace, conv in zip(trajs, traces, converged)]

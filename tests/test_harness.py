@@ -160,6 +160,8 @@ def test_tuning_flags_are_unrecognized(tmp_path, capsys, command, flag):
      "at least one sweep value is required"),
     (SWEEP_ARGS + ["--workers", "0"], "--workers must be at least 1, got 0"),
     (SWEEP_ARGS + ["--workers", "-2"], "--workers must be at least 1, got -2"),
+    (["plan", "--workers", "0"], "--workers must be at least 1, got 0"),
+    (["plan", "--workers", "-2"], "--workers must be at least 1, got -2"),
 ])
 def test_empty_lists_and_non_positive_workers_rejected(tmp_path, capsys,
                                                        argv, message):
@@ -248,12 +250,25 @@ def test_sweep_rejects_unsorted_values(tmp_path, capsys):
 
 
 def test_sweep_workers_bit_identical(tmp_path, capsys):
-    args = ["sweep", "--param", "mission_T", "--values", "40,80",
-            "--schemes", "straight_fly,successive_hover_fly"]
-    out1, out2 = tmp_path / "w1", tmp_path / "w2"
-    assert main(args + ["--out", str(out1), "--workers", "1"]) == EXIT_OK
-    assert main(args + ["--out", str(out2), "--workers", "2"]) == EXIT_OK
-    assert read(out1 / "summary.csv") == read(out2 / "summary.csv")
+    """One worker solves the planner's schemes at all values in lock step,
+    two workers solve each point in its own task; the tables agree on both
+    sweep parameters, and an infeasible point (gamma 6) keeps its row."""
+    for param, values in (("mission_T", "40,80"), ("gamma_all_sites", "2,6")):
+        args = ["sweep", "--param", param, "--values", values, "--schemes",
+                "straight_fly,successive_hover_fly,proposed,egoistic,"
+                "altruistic"]
+        out1, out2 = tmp_path / param / "w1", tmp_path / param / "w2"
+        assert main(args + ["--out", str(out1), "--workers", "1"]) == EXIT_OK
+        assert main(args + ["--out", str(out2), "--workers", "2"]) == EXIT_OK
+        assert read(out1 / "summary.csv") == read(out2 / "summary.csv")
+        _, rows = harness._read_table(out1 / "summary.csv")
+        status = {(r[0], r[2]): r[5] for r in rows}
+        assert status["proposed", values.split(",")[0]] == "OK"
+    assert status["proposed", "6"] == "INFEASIBLE"
+
+
+def test_plan_accepts_one_worker(tmp_path, capsys):
+    assert main(["plan", "--workers", "1", "--out", str(tmp_path)]) == EXIT_OK
 
 
 def test_unknown_scheme_exit_code(tmp_path, capsys):

@@ -11,7 +11,8 @@ from uav_ic_planner import planner
 from uav_ic_planner.benchmarks import straight_fly
 from uav_ic_planner.planner import (COARSE_SLOTS, InfeasibleScenario,
                                     MonotonicityError, Plan, PlannerError,
-                                    evaluate_plan, make_plan, prolong, solve)
+                                    evaluate_plan, make_plan, prolong, solve,
+                                    solve_many)
 from uav_ic_planner.ra_solver import solve_resource_allocation, solve_slot
 from uav_ic_planner.sca_trajectory import (ScaError, Trajectory,
                                            optimize_trajectory,
@@ -284,6 +285,50 @@ def test_fine_grid_traces_non_decreasing(n2000_run):
         for inner in level.inner_per_outer:
             assert all(b >= a - 1e-9 for a, b in zip(inner, inner[1:]))
     assert trace.iterations == len(trace.outer)
+
+
+def plan_bytes(plan):
+    a = plan.allocations
+    return (plan.trajectory.waypoints.tobytes(), a.tau.tobytes(),
+            a.p.tobytes(), a.q.tobytes(), a.r.tobytes(), plan.avg_throughput,
+            plan.scheme_tag)
+
+
+def test_solve_many_equals_solve(default_sc):
+    """Problems solved in lock step get the plans, traces and errors that
+    `solve` gives each alone: the scheme sweep's nine planner problems, a
+    fine grid stacked with them (coarse level included), a one-slot grid,
+    a raised guarantee and an infeasible one."""
+    def with_gamma(gamma):
+        return dataclasses.replace(default_sc, sites=tuple(
+            dataclasses.replace(s, gamma=gamma) for s in default_sc.sites))
+
+    problems = [(with_uav(default_sc, mission_t=t), mode)
+                for t in (40.0, 100.0, 200.0)
+                for mode in ("any", "egoistic", "altruistic")]
+    problems += [(with_uav(default_sc, n_slots=2000), "any"),
+                 (with_uav(default_sc, n_slots=1), "egoistic"),
+                 (with_gamma(3.0), "any"), (with_gamma(6.0), "any")]
+    many = solve_many(problems)
+    assert len(many) == len(problems)
+    assert isinstance(many[-1], InfeasibleScenario)
+    assert many[9][1].coarse is not None
+    for (sc, mode), got in zip(problems, many):
+        try:
+            plan, trace = solve(sc, mode)
+        except InfeasibleScenario as exc:
+            assert type(got) is InfeasibleScenario
+            assert str(got) == str(exc)
+            continue
+        assert plan_bytes(got[0]) == plan_bytes(plan)
+        assert got[1] == trace
+
+
+def test_solve_many_requires_shared_sites(default_sc):
+    moved = dataclasses.replace(default_sc, sites=(dataclasses.replace(
+        default_sc.sites[0], pos=(10.0, 0.0)),) + default_sc.sites[1:])
+    with pytest.raises(AssertionError, match="share sites"):
+        solve_many([(default_sc, "any"), (moved, "any")])
 
 
 # ---------------------------------------------------------------------------

@@ -253,18 +253,21 @@ def _dense_sites_draw(default_sc, seed=3, k=8, n_slots=25, mission_t=40.0):
 
 def _sweep_case(name, default_sc):
     """(surrogate, local waypoints) of one named sweep case."""
-    if name in ("active_tin", "two_active_tin", "mixed_colours"):
+    if name in ("active_tin", "two_active_tin", "mixed_colours",
+                "slack_tin"):
         # The noise-treating sites' guarantees hold with equality at u; with
         # two, the ascent direction is projected off both. In mixed_colours
         # the odd waypoints' slots decode at both sites, so the first colour
-        # has no guarantee and the second one has.
+        # has no guarantee and the second one has. slack_tin guarantees half
+        # the rate at u.
         n_tin = 2 if name == "two_active_tin" else 1
+        share = 0.5 if name == "slack_tin" else 1.0
         n_slots = 6 if name == "mixed_colours" else 4
         tin_sites = [make_site(pos=pos)
                      for pos in ((50.0, -40.0), (-60.0, -60.0))[:n_tin]]
         u, ch, p = (100.0, 10.0), make_channel(), 0.5
         sites = (make_site(pos=(0.0, 0.0)),) + tuple(
-            dataclasses.replace(site, gamma=float(
+            dataclasses.replace(site, gamma=share * float(
                 gu_rate_tin(p, u, 1.0, site, ch, 100.0)))
             for site in tin_sites)
         sc = Scenario(channel=ch, sites=sites,
@@ -331,9 +334,28 @@ def test_sweep_matches_reference(default_sc, name):
         assert not interior[:, 0::2].any() and interior[:, 1::2].any()
     want, got = local.copy(), local.copy()
     want_moved = reference_sweep(surro, want)
-    assert _sweep(surro, got) is want_moved
+    assert _sweep([surro], [got]) == [want_moved]
     assert got.tobytes() == want.tobytes()
     assert want_moved is (name != "zero_power")
+
+
+@pytest.mark.parametrize("names", [
+    ("any", "egoistic", "altruistic", "prolonged_n2000", "n2", "n3",
+     "zero_power", "no_tin_any"),
+    ("slack_tin", "active_tin", "mixed_colours")])
+def test_stacked_sweep_matches_reference(default_sc, names):
+    """Problems with their own slot counts (so their own reach per slot),
+    guarantees and stop tests, swept side by side in one call, each move
+    every waypoint bit for bit as the unstacked reference does. In the
+    second stack a slack guarantee comes first, so a floor or an active
+    test taken from the first problem would let the tight ones slip."""
+    cases = [_sweep_case(name, default_sc) for name in names]
+    got = [local.copy() for _, local in cases]
+    moved = _sweep([surro for surro, _ in cases], got)
+    for name, (surro, local), u, got_moved in zip(names, cases, got, moved):
+        want = local.copy()
+        assert got_moved is reference_sweep(surro, want), name
+        assert u.tobytes() == want.tobytes(), name
 
 
 def test_sweep_stops_when_movable_waypoints_converge(default_sc,
@@ -354,7 +376,7 @@ def test_sweep_stops_when_movable_waypoints_converge(default_sc,
     monkeypatch.setattr(sca_trajectory, "_ascent_direction", counted)
     want, got = local.copy(), local.copy()
     assert reference_sweep(surro, want) is False
-    assert _sweep(surro, got) is False
+    assert _sweep([surro], [got]) == [False]
     assert len(calls) < 2 * ASCENT_STEPS
     assert got.tobytes() == want.tobytes()
 
