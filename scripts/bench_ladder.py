@@ -18,12 +18,12 @@ One pass runs every rung once in a fresh worker process, in-process and
 with one BLAS thread, after one untimed warm-up plan. Passes run one at a
 time, REPEATS per column, alternating the columns (and their order), so a
 slow phase of a shared machine falls on all columns alike. Per rung a
-column holds the median wall seconds over its passes and the plans per
-second; per plan, the throughput in bps/Hz and the iteration counts: for a
-single-plan rung the outer and inner counts of its `ConvergenceTrace`, the
-coarse level's included, and for the sweep the `iters` cell of its
-`summary.csv` row. A rung whose plans differ between passes of one column
-is an error.
+column holds the median wall seconds over its passes, their quartiles,
+every pass's seconds and the plans per second; per plan, the throughput in
+bps/Hz and the iteration counts: for a single-plan rung the outer and inner
+counts of its `ConvergenceTrace`, the coarse level's included, and for the
+sweep the `iters` cell of its `summary.csv` row. A rung whose plans differ
+between passes of one column is an error.
 
 `python3 scripts/bench_ladder.py --pass ROOT` runs one pass and prints it as
 JSON.
@@ -47,7 +47,7 @@ SCHEMES = ("proposed", "straight_fly", "successive_hover_fly", "egoistic",
            "altruistic", "upper_bound")
 SWEEP_T = (40.0, 80.0, 120.0, 150.0, 160.0, 200.0)
 LADDER_SLOTS = 200
-REPEATS = 5
+REPEATS = 10  # passes per column, alternating, as in a 10-pair A/B
 
 
 def one_pass(root: Path) -> list[dict]:
@@ -135,7 +135,9 @@ def column(passes: list[list[dict]]) -> dict:
             raise RuntimeError(f"{first['rung']}: passes differ")
         walls = [r["wall_s"] for r in rung]
         wall = statistics.median(walls)
-        out[first["rung"]] = {"wall_s": wall, "wall_s_runs": walls,
+        q1, _, q3 = statistics.quantiles(walls, n=4)
+        out[first["rung"]] = {"wall_s": wall, "wall_s_q1_q3": [q1, q3],
+                              "wall_s_runs": walls,
                               "plans_per_s": len(first["plans"]) / wall,
                               "plans": first["plans"]}
     return out

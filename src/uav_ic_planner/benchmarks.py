@@ -15,7 +15,7 @@ from .planner import InfeasibleScenario, Plan, make_plan
 from .ra_solver import (slot_rates_on_points, solve_resource_allocation,
                         solve_slot)
 from .sca_trajectory import Trajectory, straight_line_trajectory
-from .scenario import Scenario, check_feasibility
+from .scenario import InfeasibleSite, Scenario, check_feasibility
 
 SCHEME_NAMES = ("proposed", "straight_fly", "successive_hover_fly",
                 "egoistic", "altruistic", "upper_bound")
@@ -161,3 +161,20 @@ def run_scheme(name: str, scenario: Scenario):
     if name == "upper_bound":
         return upper_bound(scenario), None
     raise ValueError(f"unknown scheme {name!r}")
+
+
+def run_schemes(items: list[tuple[str, Scenario]]) -> list:
+    """`run_scheme` for each (name, scenario), the planner's schemes in lock
+    step by one `planner.solve_many` call. An item whose scheme finds the
+    scenario infeasible or refuses it (e.g. K too large) gets the error."""
+    modes = planner_mod.SCHEME_MODES
+    stack = [(sc, modes[name]) for name, sc in items if name in modes]
+    plans = iter(planner_mod.solve_many(stack))
+    outcomes = []
+    for name, scenario in items:
+        try:
+            outcomes.append(next(plans) if name in modes
+                            else run_scheme(name, scenario))
+        except (InfeasibleScenario, InfeasibleSite, BenchmarkError) as exc:
+            outcomes.append(exc)
+    return outcomes

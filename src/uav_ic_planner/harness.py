@@ -23,9 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from .benchmarks import (SCHEME_NAMES, BenchmarkError, InsufficientDuration,
-                         UpperBoundResult, run_scheme)
+                         UpperBoundResult, run_scheme, run_schemes)
 from .planner import (SCHEME_MODES, ConvergenceTrace, InfeasibleScenario,
-                      Plan, make_plan, solve_many)
+                      Plan, make_plan)
 from .ra_solver import Allocation
 from .sca_trajectory import Trajectory
 from .scenario import (DEFAULT_SCENARIO_YAML, InfeasibleSite, Scenario,
@@ -184,8 +184,7 @@ def apply_sweep_value(scenario: Scenario, param: str, value: float) -> Scenario:
 
 
 def _summary_row(row: list[str], outcome) -> list:
-    """`row` (scheme, param, value) completed from the scheme's (result,
-    trace) or exception; a BenchmarkError is a refusal (e.g. K too large)."""
+    """`row` completed from the scheme's (result, trace) or exception."""
     if isinstance(outcome, Exception):
         return row + ["", "", "INFEASIBLE" if isinstance(
             outcome, _INFEASIBLE_ERRORS) else "REFUSED"]
@@ -196,13 +195,12 @@ def _summary_row(row: list[str], outcome) -> list:
                   trace.iterations if trace is not None else 1, "OK"]
 
 
-def _sweep_point(task):
-    scheme, param, value, scenario = task
-    try:
-        outcome = run_scheme(scheme, apply_sweep_value(scenario, param, value))
-    except (*_INFEASIBLE_ERRORS, BenchmarkError) as exc:
-        outcome = exc
-    return _summary_row([scheme, param, _fmt(value)], outcome)
+def _sweep_rows(tasks) -> list[list]:
+    """Summary rows of sweep points solved by one `run_schemes` call."""
+    outcomes = run_schemes([(scheme, apply_sweep_value(sc, param, value))
+                            for scheme, param, value, sc in tasks])
+    return [_summary_row([scheme, param, _fmt(value)], outcome)
+            for (scheme, param, value, _), outcome in zip(tasks, outcomes)]
 
 
 def cmd_sweep(args) -> int:
@@ -215,17 +213,11 @@ def cmd_sweep(args) -> int:
         raise ValueError("sweep values must be strictly increasing")
     tasks = [(scheme, args.param, value, scenario)
              for scheme in schemes for value in values]
-    if args.workers > 1:
+    if args.workers > 1:  # one point per task
         with concurrent.futures.ProcessPoolExecutor(args.workers) as pool:
-            rows = list(pool.map(_sweep_point, tasks))
-    else:
-        # The planner's schemes at every value are solved in lock step.
-        plans = iter(solve_many(
-            [(apply_sweep_value(sc, param, value), SCHEME_MODES[scheme])
-             for scheme, param, value, sc in tasks if scheme in SCHEME_MODES]))
-        rows = [_summary_row([s, p, _fmt(v)], next(plans))
-                if s in SCHEME_MODES else _sweep_point((s, p, v, sc))
-                for s, p, v, sc in tasks]
+            rows = sum(pool.map(_sweep_rows, [[task] for task in tasks]), [])
+    else:  # the planner's schemes at every value in lock step
+        rows = _sweep_rows(tasks)
 
     if args.param == "mission_T":
         last: dict[str, float] = {}
@@ -252,8 +244,8 @@ def cmd_trace(args) -> int:
     for scheme in schemes:
         if scheme not in SCHEME_MODES:
             raise ValueError(f"scheme {scheme!r} has no iteration trace")
-    outcomes = solve_many([(scenario, SCHEME_MODES[s]) for s in schemes])
-    if isinstance(outcomes[0], InfeasibleScenario):
+    outcomes = run_schemes([(scheme, scenario) for scheme in schemes])
+    if isinstance(outcomes[0], Exception):
         raise outcomes[0]
     traces = {s: trace.outer for s, (_, trace) in zip(schemes, outcomes)}
     write_trace_table(Path(args.out), traces)

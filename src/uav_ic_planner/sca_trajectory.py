@@ -97,7 +97,6 @@ class ScaResult:
     objective: float           # bps/Hz
     inner_trace: list[float]   # true objective per SCA iteration (incl. init)
     converged: bool
-    iterations: int
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +163,6 @@ class Surrogate:
         arrays."""
         return replace(self, **{f.name: getattr(self, f.name)[..., sel]
                                 for f in fields(self) if f.name != "scenario"})
-
-    def rate_bounds(self, points: np.ndarray) -> np.ndarray:
-        """Per-slot min over IC sites of the surrogate UAV rate (unclamped).
-        points: (N, 2)."""
-        return self._at(points, tin=False).rate.min(axis=0)
 
 
 def build_surrogate(local_traj: Trajectory, allocs: Allocation,
@@ -305,9 +299,8 @@ def _sweep(surrogates: list[Surrogate], waypoints: list[np.ndarray]
     colour (odd, then even waypoints) works on basic-slice views: its
     waypoints, their neighbours, its slots' surrogate, steps and reaches.
     The kernel is column-wise, so no problem's bits depend on another's and
-    the evaluation at the current waypoints is carried from pass to pass.
-    A colour none of whose slots has a TIN guarantee skips the TIN terms
-    (`lhs` is +inf where a slot has none)."""
+    the evaluation at the current waypoints is carried from pass to pass; a
+    colour with no TIN guarantee skips the TIN terms (`lhs` is +inf there)."""
     sizes = [u.shape[0] for u in waypoints]
     widths = [n + n % 2 for n in sizes]
     starts = np.cumsum([0] + widths[:-1])
@@ -319,9 +312,8 @@ def _sweep(surrogates: list[Surrogate], waypoints: list[np.ndarray]
                         for s in surrogates])
     v_step = np.repeat(v_steps, widths)[:n_wp]
     # A step is zeroed once its waypoint's direction is zero, which then
-    # stays zero (the kernel is column-wise): a problem's largest step is
-    # that of its movable waypoints. The first and last columns are in no
-    # colour.
+    # stays zero (the kernel is column-wise), so a problem's largest step is
+    # that of its movable waypoints. The end columns are in no colour.
     steps = 0.25 * v_step
     steps[[0, -1]] = 0.0
     alive = np.ones(n_wp, dtype=bool)  # problems stopped leave the mask
@@ -390,19 +382,18 @@ def _sweep(surrogates: list[Surrogate], waypoints: list[np.ndarray]
                                   starts).tolist()
 
 
-def solve_surrogate(surrogate: Surrogate, local_traj: Trajectory
-                    ) -> tuple[Trajectory, np.ndarray, bool]:
-    """Improve the surrogate objective from the local trajectory by
-    Gauss-Seidel sweeps (`_sweep`): the slot objectives are separable per
-    waypoint and only the speed constraints couple neighbors. Moves keep
-    the surrogate TIN guarantees, so every accepted iterate is exactly
-    feasible. Returns (trajectory, per-slot surrogate rate bounds clamped
-    at zero, stalled)."""
-    u = local_traj.waypoints.copy()
-    moved = _sweep([surrogate], [u])[0]
-    traj = Trajectory(u) if moved else local_traj
-    rates = np.maximum(surrogate.rate_bounds(traj.waypoints[1:]), 0.0)
-    return traj, rates, not moved
+def solve_surrogate(surrogates: list[Surrogate], local_trajs: list[Trajectory]
+                    ) -> tuple[list[Trajectory], list[bool], bool]:
+    """Improve each surrogate's objective from its local trajectory by
+    Gauss-Seidel sweeps, all in one `_sweep` call. Moves keep the surrogate
+    TIN guarantees, so every accepted iterate is exactly feasible. Returns
+    (trajectories, moved per problem, stalled: none moved); a problem that
+    did not move keeps its local trajectory."""
+    points = [traj.waypoints.copy() for traj in local_trajs]
+    moved = _sweep(surrogates, points)
+    trajs = [Trajectory(u) if m else traj
+             for u, m, traj in zip(points, moved, local_trajs)]
+    return trajs, moved, not any(moved)
 
 
 # ---------------------------------------------------------------------------
@@ -443,19 +434,18 @@ def verify_safe_step(traj: Trajectory, allocs: Allocation,
 
 def optimize_trajectory(init: Trajectory, allocs: Allocation,
                         scenario: Scenario) -> ScaResult:
-    """Iterate surrogate construction and improvement from `init` until the
-    relative objective gain falls below REL_TOL. The trace holds the true
-    fixed-allocation objective, non-decreasing because each surrogate is
-    tight at its local point and a global under-estimator."""
+    """`optimize_many` for one problem."""
     return optimize_many([(init, allocs, scenario)])[0]
 
 
 def optimize_many(problems: list[tuple[Trajectory, Allocation, Scenario]]
                   ) -> list[ScaResult]:
-    """`optimize_trajectory` for several (init, allocs, scenario) problems
-    in lock step: each SCA iteration improves the surrogates of the problems
-    not yet stopped in one `_sweep` call. The problems must share the
-    sites, noise powers, channel and altitude."""
+    """Per (init, allocs, scenario) problem, iterate surrogate construction
+    and improvement from `init` until the relative objective gain falls
+    below REL_TOL, with one `solve_surrogate` call for all problems not yet
+    stopped (they share sites, noise, channel and altitude). Each trace, of
+    the true objective, never decreases: a surrogate is tight at its local
+    point and a global under-estimator."""
     for init, _, scenario in problems:
         init.validate(scenario.uav)
     trajs = [init for init, _, _ in problems]
@@ -466,10 +456,10 @@ def optimize_many(problems: list[tuple[Trajectory, Allocation, Scenario]]
         if not live:
             break
         surros = [build_surrogate(trajs[i], *problems[i][1:]) for i in live]
-        points = [trajs[i].waypoints.copy() for i in live]
-        for i, u, moved in zip(live, points, _sweep(surros, points)):
+        new_trajs, moved, _ = solve_surrogate(
+            surros, [trajs[i] for i in live])
+        for i, new_traj, moved_i in zip(live, new_trajs, moved):
             _, allocs, scenario = problems[i]
-            new_traj = Trajectory(u) if moved else trajs[i]
             verify_safe_step(new_traj, allocs, scenario)
             new_obj = trajectory_objective(new_traj, allocs, scenario)
             trace = traces[i]
@@ -480,8 +470,7 @@ def optimize_many(problems: list[tuple[Trajectory, Allocation, Scenario]]
             trace.append(new_obj)
             trajs[i] = new_traj
             rel = (trace[-1] - trace[-2]) / max(abs(trace[-2]), 1e-12)
-            converged[i] = not moved or rel < REL_TOL
+            converged[i] = not moved_i or rel < REL_TOL
         live = [i for i in live if not converged[i]]
-    return [ScaResult(trajectory=traj, objective=trace[-1], inner_trace=trace,
-                      converged=conv, iterations=len(trace) - 1)
+    return [ScaResult(traj, trace[-1], trace, conv)
             for traj, trace, conv in zip(trajs, traces, converged)]

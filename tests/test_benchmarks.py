@@ -6,7 +6,8 @@ import pytest
 
 from uav_ic_planner.benchmarks import (SCHEME_NAMES, InsufficientDuration,
                                        UpperBoundResult,
-                                       run_scheme, shortest_site_tour,
+                                       run_scheme, run_schemes,
+                                       shortest_site_tour,
                                        straight_fly, successive_hover_fly,
                                        upper_bound)
 from uav_ic_planner.planner import InfeasibleScenario, evaluate_plan
@@ -173,6 +174,41 @@ def test_run_scheme_dispatch(default_sc):
         assert (trace is not None) == has_trace, name
     with pytest.raises(ValueError):
         run_scheme("bogus", default_sc)
+
+
+def test_run_schemes_matches_run_scheme(default_sc):
+    """`run_schemes` gives every item what `run_scheme` gives it alone, with
+    the error in place of a raise, while it stacks the planner's schemes:
+    every scheme on a feasible scenario, one too short to fly (planner and
+    straight-fly infeasible, hover-fly refused) and one with guarantees
+    above the IC cap."""
+    sc = dataclasses.replace(
+        default_sc, uav=dataclasses.replace(default_sc.uav, n_slots=20))
+    short = dataclasses.replace(
+        sc, uav=dataclasses.replace(sc.uav, mission_t=1.0))
+    bad = dataclasses.replace(sc, sites=tuple(
+        dataclasses.replace(s, gamma=6.0) for s in sc.sites))
+    items = [(name, scenario) for scenario in (sc, short, bad)
+             for name in SCHEME_NAMES]
+    outcomes = run_schemes(items)
+    assert len(outcomes) == len(items)
+    errors = set()
+    for (name, scenario), got in zip(items, outcomes):
+        try:
+            result, trace = run_scheme(name, scenario)
+        except Exception as exc:  # noqa: BLE001 - compared below
+            assert type(got) is type(exc) and str(got) == str(exc), name
+            errors.add(type(exc))
+            continue
+        if isinstance(result, UpperBoundResult):
+            assert got == (result, None)
+            continue
+        plan = got[0]
+        assert plan.trajectory.waypoints.tobytes() == \
+            result.trajectory.waypoints.tobytes(), name
+        assert plan.allocations.r.tobytes() == result.allocations.r.tobytes()
+        assert got[1] == trace, name
+    assert errors == {InfeasibleScenario, InsufficientDuration}
 
 
 def test_infeasible_scenario_rejected_by_benchmarks(default_sc):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uav_ic_planner import planner
+from uav_ic_planner import sca_trajectory as sca
 from uav_ic_planner.benchmarks import straight_fly
 from uav_ic_planner.planner import (COARSE_SLOTS, InfeasibleScenario,
                                     MonotonicityError, Plan, PlannerError,
@@ -322,6 +323,23 @@ def test_solve_many_equals_solve(default_sc):
             continue
         assert plan_bytes(got[0]) == plan_bytes(plan)
         assert got[1] == trace
+
+
+def test_lone_problem_calls_one_problem_entry_points(default_sc,
+                                                    monkeypatch):
+    """A lone problem's SCA loops go through `optimize_trajectory`, and each
+    SCA iteration through one `solve_surrogate` call: the module attributes
+    that perfbench's tracer wraps, so a `plan` keeps its per-layer counts."""
+    calls = dict.fromkeys(("optimize_trajectory", "solve_surrogate"), 0)
+    for name in calls:
+        def spy(*args, name=name, original=getattr(sca, name)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(sca, name, spy)
+    _, trace = solve(with_uav(default_sc, n_slots=2000), "any")
+    inner = trace.coarse.inner_per_outer + trace.inner_per_outer
+    assert calls["optimize_trajectory"] == len(inner) > 1
+    assert calls["solve_surrogate"] == sum(len(t) - 1 for t in inner)
 
 
 def test_solve_many_requires_shared_sites(default_sc):

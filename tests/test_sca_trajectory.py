@@ -149,6 +149,12 @@ def test_surrogate_constant_for_zero_power():
     assert np.all(surro.coeff == 0.0)
 
 
+def _surrogate_rates(surro, points):
+    """Per-slot min over IC sites of the surrogate UAV rate, clamped at
+    zero; points (N, 2)."""
+    return np.maximum(surro._at(points, tin=False).rate.min(axis=0), 0.0)
+
+
 def test_solve_surrogate_fixed_point_returns_local():
     """Hovering exactly above the single site is surrogate-optimal, so the
     solver must return the local trajectory unchanged (stalled)."""
@@ -158,10 +164,12 @@ def test_solve_surrogate_fixed_point_returns_local():
     traj = Trajectory(wp)
     allocs, _ = solve_resource_allocation(traj, sc)
     surro = build_surrogate(traj, allocs, sc)
-    new_traj, rates, stalled = solve_surrogate(surro, traj)
-    assert stalled
+    [new_traj], moved, stalled = solve_surrogate([surro], [traj])
+    assert stalled and moved == [False]
+    assert new_traj is traj
     assert np.array_equal(new_traj.waypoints, wp)
-    assert rates == pytest.approx([math.log2(3.5)] * 4, rel=1e-9)
+    assert _surrogate_rates(surro, wp[1:]) == pytest.approx(
+        [math.log2(3.5)] * 4, rel=1e-9)
 
 
 def test_solve_surrogate_matches_disc_grid_search():
@@ -172,11 +180,11 @@ def test_solve_surrogate_matches_disc_grid_search():
     traj = straight_line_trajectory(sc.uav)
     allocs, _ = solve_resource_allocation(traj, sc)
     surro = build_surrogate(traj, allocs, sc)
-    new_traj, _, stalled = solve_surrogate(surro, traj)
-    assert not stalled
+    [new_traj], moved, stalled = solve_surrogate([surro], [traj])
+    assert not stalled and moved == [True]
 
     def objective(pts):
-        return float(np.maximum(surro.rate_bounds(pts), 0.0).mean())
+        return float(_surrogate_rates(surro, pts).mean())
 
     got = objective(new_traj.waypoints[1:])
 
@@ -406,7 +414,7 @@ def test_optimize_trajectory_zero_power_converges_immediately():
     allocs = uniform_allocation(3, tau=(True,), q=(0.3,), p=0.0, r=0.0)
     result = optimize_trajectory(traj, allocs, sc)
     assert result.objective == 0.0
-    assert result.iterations == 1
+    assert len(result.inner_trace) == 2  # one SCA iteration
     assert result.converged
 
 
