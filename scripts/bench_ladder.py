@@ -14,16 +14,18 @@ generator of ROOT/perfbench/workloads.py (read only). Rungs:
                150, 160 and 200 s on the built-in scenario, timed as one
                `uavplan sweep` call (`harness.main`), so that however the
                command schedules its plans, the rung sees it
-One pass runs every rung once in a fresh worker process, in-process and
-with one BLAS thread, after one untimed warm-up plan. Passes run one at a
-time, REPEATS per column, alternating the columns (and their order), so a
-slow phase of a shared machine falls on all columns alike. Per rung a
-column holds the median wall seconds over its passes, their quartiles,
-every pass's seconds and the plans per second; per plan, the throughput in
-bps/Hz and the iteration counts: for a single-plan rung the outer and inner
-counts of its `ConvergenceTrace`, the coarse level's included, and for the
-sweep the `iters` cell of its `summary.csv` row. A rung whose plans differ
-between passes of one column is an error.
+One pass runs every rung in a fresh worker process, in-process and with
+one BLAS thread, after one untimed warm-up plan: a one-plan rung plans
+PLANS_PER_PASS times and its pass time is the median seconds per plan, the
+sweep runs once. Passes run one at a time, REPEATS per column, alternating
+the columns (and their order), so a slow phase of a shared machine falls on
+all columns alike. Per rung a column holds the median wall seconds over its
+passes, their quartiles, every pass's seconds and the plans per second; per
+plan, the throughput in bps/Hz and the iteration counts: for a one-plan
+rung the outer and inner counts of its `ConvergenceTrace`, the coarse
+level's included, and for the sweep the `iters` cell of its `summary.csv`
+row. A rung whose plans differ between the plans of one pass or between
+passes of one column is an error.
 
 `python3 scripts/bench_ladder.py --pass ROOT` runs one pass and prints it as
 JSON.
@@ -48,6 +50,9 @@ SCHEMES = ("proposed", "straight_fly", "successive_hover_fly", "egoistic",
 SWEEP_T = (40.0, 80.0, 120.0, 150.0, 160.0, 200.0)
 LADDER_SLOTS = 200
 REPEATS = 10  # passes per column, alternating, as in a 10-pair A/B
+# Plans per pass on a one-plan rung: one plan of the default rung takes
+# under 0.1 s, too short for one timing to resolve a 20 % change.
+PLANS_PER_PASS = 5
 
 
 def one_pass(root: Path) -> list[dict]:
@@ -90,13 +95,18 @@ def one_pass(root: Path) -> list[dict]:
     run_scheme("proposed", base)  # warm-up, untimed
     rungs = []
     for rung, point, scenario in ladder:
-        start = time.perf_counter()
-        plan, trace = run_scheme("proposed", scenario)
-        wall = time.perf_counter() - start
-        rungs.append({"rung": rung, "wall_s": wall, "plans": [
-            {"scheme": "proposed", "point": point,
-             "throughput_bpshz": plan.avg_throughput,
-             "iterations": counts(trace)}]})
+        walls, plans = [], []
+        for _ in range(PLANS_PER_PASS):
+            start = time.perf_counter()
+            plan, trace = run_scheme("proposed", scenario)
+            walls.append(time.perf_counter() - start)
+            plans.append({"scheme": "proposed", "point": point,
+                          "throughput_bpshz": plan.avg_throughput,
+                          "iterations": counts(trace)})
+        if any(other != plans[0] for other in plans[1:]):
+            raise RuntimeError(f"{rung}: plans of one pass differ")
+        rungs.append({"rung": rung, "wall_s": statistics.median(walls),
+                      "plans": plans[:1]})
 
     argv = ["sweep", "--param", "mission_T",
             "--values", ",".join(f"{t:g}" for t in SWEEP_T),
@@ -162,6 +172,7 @@ def main(argv=None) -> int:
     doc = {"setup": {"python": platform.python_version(),
                      "cpus": os.cpu_count(), "processes": 1,
                      "blas_threads": 1, "repeats": REPEATS,
+                     "plans_per_pass": PLANS_PER_PASS,
                      "statistic": "median wall seconds per plan"},
            "columns": {name: column(p) for name, p in passes.items()}}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")

@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 internal/config error, 2 infeasible, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import dataclasses
 import sys
@@ -150,6 +149,9 @@ def _schemes(text: str) -> list[str]:
     schemes = [_normalize_scheme(s) for s in text.split(",") if s]
     if not schemes:
         raise ValueError("at least one scheme is required")
+    for i, scheme in enumerate(schemes):
+        if scheme in schemes[:i]:
+            raise ValueError(f"duplicate scheme {scheme!r}")
     return schemes
 
 
@@ -195,14 +197,6 @@ def _summary_row(row: list[str], outcome) -> list:
                   trace.iterations if trace is not None else 1, "OK"]
 
 
-def _sweep_rows(tasks) -> list[list]:
-    """Summary rows of sweep points solved by one `run_schemes` call."""
-    outcomes = run_schemes([(scheme, apply_sweep_value(sc, param, value))
-                            for scheme, param, value, sc in tasks])
-    return [_summary_row([scheme, param, _fmt(value)], outcome)
-            for (scheme, param, value, _), outcome in zip(tasks, outcomes)]
-
-
 def cmd_sweep(args) -> int:
     scenario = load_scenario(args.scenario)
     schemes = _schemes(args.schemes)
@@ -211,27 +205,23 @@ def cmd_sweep(args) -> int:
         raise ValueError("at least one sweep value is required")
     if sorted(values) != values or len(set(values)) != len(values):
         raise ValueError("sweep values must be strictly increasing")
-    tasks = [(scheme, args.param, value, scenario)
-             for scheme in schemes for value in values]
-    if args.workers > 1:  # one point per task
-        with concurrent.futures.ProcessPoolExecutor(args.workers) as pool:
-            rows = sum(pool.map(_sweep_rows, [[task] for task in tasks]), [])
-    else:  # the planner's schemes at every value in lock step
-        rows = _sweep_rows(tasks)
+    points = [(scheme, value) for scheme in schemes for value in values]
+    outcomes = run_schemes([
+        (scheme, apply_sweep_value(scenario, args.param, value))
+        for scheme, value in points])
+    rows = [_summary_row([scheme, args.param, _fmt(value)], outcome)
+            for (scheme, value), outcome in zip(points, outcomes)]
 
     if args.param == "mission_T":
         last: dict[str, float] = {}
         for row in rows:
-            scheme, status = row[0], row[5]
-            if status != "OK":
-                row.append("")
-                continue
-            value = float(row[3])
-            if scheme in last:
-                row.append("yes" if value >= last[scheme] - 1e-12 else "no")
-            else:
-                row.append("")
-            last[scheme] = value
+            scheme, mark = row[0], ""
+            if row[5] == "OK":
+                value = float(row[3])
+                if scheme in last:
+                    mark = "yes" if value >= last[scheme] - 1e-12 else "no"
+                last[scheme] = value
+            row.append(mark)
     write_summary_table(Path(args.out), rows, sweep_param=args.param)
     for row in rows:
         print(",".join(str(c) for c in row))
@@ -287,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scenario file path, or 'default'")
         p.add_argument("--out", default="out", help="output directory")
         if workers:
-            p.add_argument("--workers", type=int, default=1)
+            p.add_argument("--workers", type=int, default=1,
+                           help="must be at least 1; has no effect")
 
     p = sub.add_parser("plan", help="run one scheme and export its tables")
     add_common(p)

@@ -128,6 +128,13 @@ def _alternate(trajs: list[sca.Trajectory],
     return list(zip(trajs, allocs, traces))
 
 
+def _stack_key(scenario: Scenario) -> dict:
+    """What the stacked SCA reads from a stack's first problem only."""
+    return {"site positions": scenario.site_pos.tolist(),
+            "noise powers": scenario.sigma2_vec.tolist(),
+            "channel": scenario.channel, "altitude": scenario.uav.altitude}
+
+
 def solve(scenario: Scenario, mode_constraint: ModeConstraint = "any"
           ) -> tuple[Plan, ConvergenceTrace]:
     """Run the full alternating algorithm from the straight-fly trajectory.
@@ -145,10 +152,15 @@ def solve_many(problems: list[tuple[Scenario, ModeConstraint]]
                ) -> list[tuple[Plan, ConvergenceTrace] | InfeasibleScenario]:
     """`solve` for several (scenario, mode constraint) problems in lock
     step: each gets the plan and trace `solve` gives it, or its
-    InfeasibleScenario. They must share the sites, noise powers, channel
-    and altitude, as `mission_T` and `gamma_all_sites` sweep points do."""
-    for _, mode_constraint in problems:
+    InfeasibleScenario. The one check that they share site positions, noise
+    powers, channel and altitude (as sweep points do) raises ValueError."""
+    keys = [_stack_key(sc) for sc, _ in problems]
+    for i, ((_, mode_constraint), key) in enumerate(zip(problems, keys)):
         check_mode_constraint(mode_constraint)
+        differ = [name for name in key if key[name] != keys[0][name]]
+        if differ:
+            raise ValueError(f"problem {i} of a stack differs from problem "
+                             f"0 in its {', '.join(differ)}")
     results = [None if report.feasible else InfeasibleScenario(report)
                for report in (check_feasibility(sc) for sc, _ in problems)]
     live = [i for i, result in enumerate(results) if result is None]

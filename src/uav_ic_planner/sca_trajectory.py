@@ -264,17 +264,12 @@ def _ascent_direction(surrogate: Surrogate, ev: _SlotEval,
 
 
 def _stack(surrogates: list[Surrogate], widths: list[int]) -> Surrogate:
-    """The surrogates side by side along the slot axis: each one's slots
-    1..N-1, then inert columns (no IC or TIN site, all zero) up to its block
-    width. One surrogate is its own stack (its slot N is never read)."""
+    """The surrogates side by side along the slot axis, under the first
+    one's scenario (see `optimize_many`): each one's slots 1..N-1, then
+    inert columns (no IC or TIN site, all zero) up to its block width. One
+    surrogate is its own stack (its slot N is never read)."""
     if len(surrogates) == 1:
         return surrogates[0]
-    sc = surrogates[0].scenario
-    assert all(o.channel == sc.channel and o.uav.altitude == sc.uav.altitude
-               and np.array_equal(o.site_pos, sc.site_pos)
-               and np.array_equal(o.sigma2_vec, sc.sigma2_vec)
-               for o in (s.scenario for s in surrogates)), \
-        "stacked problems must share sites, noise, channel and altitude"
 
     def stacked(name: str) -> np.ndarray:
         parts = []
@@ -443,9 +438,10 @@ def optimize_many(problems: list[tuple[Trajectory, Allocation, Scenario]]
     """Per (init, allocs, scenario) problem, iterate surrogate construction
     and improvement from `init` until the relative objective gain falls
     below REL_TOL, with one `solve_surrogate` call for all problems not yet
-    stopped (they share sites, noise, channel and altitude). Each trace, of
-    the true objective, never decreases: a surrogate is tight at its local
-    point and a global under-estimator."""
+    stopped (`planner.solve_many` checks that they share sites, noise,
+    channel and altitude). Each trace, of the true objective, never
+    decreases: a surrogate is tight at its local point and a global
+    under-estimator."""
     for init, _, scenario in problems:
         init.validate(scenario.uav)
     trajs = [init for init, _, _ in problems]

@@ -11,6 +11,7 @@ import pytest
 
 import uav_ic_planner
 from uav_ic_planner import harness
+from uav_ic_planner.benchmarks import run_scheme
 from uav_ic_planner.harness import (EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_IO,
                                     EXIT_OK, SCHEMA_LINE, load_plan, main)
 from uav_ic_planner.planner import (ConvergenceTrace, Plan, evaluate_plan,
@@ -162,6 +163,10 @@ def test_tuning_flags_are_unrecognized(tmp_path, capsys, command, flag):
     (SWEEP_ARGS + ["--workers", "-2"], "--workers must be at least 1, got -2"),
     (["plan", "--workers", "0"], "--workers must be at least 1, got 0"),
     (["plan", "--workers", "-2"], "--workers must be at least 1, got -2"),
+    (SWEEP_ARGS + ["--schemes", "upperbound,upper_bound"],
+     "duplicate scheme 'upper_bound'"),
+    (["trace", "--schemes", "proposed,proposed"],
+     "duplicate scheme 'proposed'"),
 ])
 def test_empty_lists_and_non_positive_workers_rejected(tmp_path, capsys,
                                                        argv, message):
@@ -250,20 +255,33 @@ def test_sweep_rejects_unsorted_values(tmp_path, capsys):
 
 
 def test_sweep_workers_bit_identical(tmp_path, capsys):
-    """One worker solves the planner's schemes at all values in lock step,
-    two workers solve each point in its own task; the tables agree on both
-    sweep parameters, and an infeasible point (gamma 6) keeps its row."""
-    for param, values in (("mission_T", "40,80"), ("gamma_all_sites", "2,6")):
-        args = ["sweep", "--param", param, "--values", values, "--schemes",
-                "straight_fly,successive_hover_fly,proposed,egoistic,"
-                "altruistic"]
-        out1, out2 = tmp_path / param / "w1", tmp_path / param / "w2"
-        assert main(args + ["--out", str(out1), "--workers", "1"]) == EXIT_OK
-        assert main(args + ["--out", str(out2), "--workers", "2"]) == EXIT_OK
-        assert read(out1 / "summary.csv") == read(out2 / "summary.csv")
-        _, rows = harness._read_table(out1 / "summary.csv")
+    """The sweep solves the planner's schemes at all values in one lock-step
+    stack; its rows are bit for bit those of `run_scheme` on each point
+    alone, on both sweep parameters, and an infeasible point (gamma 6)
+    keeps its row."""
+    schemes = ["straight_fly", "successive_hover_fly", "proposed",
+               "egoistic", "altruistic"]
+    for param, values in (("mission_T", ["40", "80"]),
+                          ("gamma_all_sites", ["2", "6"])):
+        out = tmp_path / param
+        assert main(["sweep", "--param", param, "--values", ",".join(values),
+                     "--schemes", ",".join(schemes),
+                     "--out", str(out)]) == EXIT_OK
+        _, rows = harness._read_table(out / "summary.csv")
+        expected = []
+        for scheme in schemes:
+            for value in values:
+                point = harness.apply_sweep_value(default_scenario(), param,
+                                                  float(value))
+                try:
+                    outcome = run_scheme(scheme, point)
+                except harness._INFEASIBLE_ERRORS as exc:
+                    outcome = exc
+                expected.append([str(c) for c in harness._summary_row(
+                    [scheme, param, value], outcome)])
+        assert [row[:6] for row in rows] == expected
         status = {(r[0], r[2]): r[5] for r in rows}
-        assert status["proposed", values.split(",")[0]] == "OK"
+        assert status["proposed", values[0]] == "OK"
     assert status["proposed", "6"] == "INFEASIBLE"
 
 

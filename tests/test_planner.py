@@ -342,11 +342,28 @@ def test_lone_problem_calls_one_problem_entry_points(default_sc,
     assert calls["solve_surrogate"] == sum(len(t) - 1 for t in inner)
 
 
-def test_solve_many_requires_shared_sites(default_sc):
-    moved = dataclasses.replace(default_sc, sites=(dataclasses.replace(
-        default_sc.sites[0], pos=(10.0, 0.0)),) + default_sc.sites[1:])
-    with pytest.raises(AssertionError, match="share sites"):
-        solve_many([(default_sc, "any"), (moved, "any")])
+def test_solve_many_requires_shared_sites(default_sc, monkeypatch):
+    """A stack whose problems differ in what the stacked SCA reads from the
+    first one is refused with ValueError, before any feasibility check or
+    RA pass; the check is no `assert`, so `python -O` keeps it."""
+    def unreachable(*args):
+        raise AssertionError("solve_many went past its input check")
+    for name in ("check_feasibility", "solve_resource_allocation"):
+        monkeypatch.setattr(planner, name, unreachable)
+    site, rest = default_sc.sites[0], default_sc.sites[1:]
+    channel, uav = default_sc.channel, default_sc.uav
+    for field, other in (
+            ("site positions", dataclasses.replace(default_sc, sites=(
+                dataclasses.replace(site, pos=(10.0, 0.0)),) + rest)),
+            ("noise powers", dataclasses.replace(default_sc, sites=(
+                dataclasses.replace(site, sigma2=2.0 * site.sigma2),) + rest)),
+            ("channel", dataclasses.replace(default_sc, channel=(
+                dataclasses.replace(channel, alpha=channel.alpha + 0.1)))),
+            ("altitude", with_uav(default_sc, altitude=uav.altitude + 10.0))):
+        with pytest.raises(ValueError, match="^problem 2 of a stack differs "
+                           f"from problem 0 in its {field}$"):
+            solve_many([(default_sc, "any"), (default_sc, "egoistic"),
+                        (other, "any")])
 
 
 # ---------------------------------------------------------------------------
