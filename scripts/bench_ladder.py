@@ -20,12 +20,18 @@ PLANS_PER_PASS times and its pass time is the median seconds per plan, the
 sweep runs once. Passes run one at a time, REPEATS per column, alternating
 the columns (and their order), so a slow phase of a shared machine falls on
 all columns alike. Per rung a column holds the median wall seconds over its
-passes, their quartiles, every pass's seconds and the plans per second; per
+passes, their quartiles, every pass's seconds and the plans per second, the
+same for process CPU seconds (`time.process_time`, this process only); per
 plan, the throughput in bps/Hz and the iteration counts: for a one-plan
 rung the outer and inner counts of its `ConvergenceTrace`, the coarse
 level's included, and for the sweep the `iters` cell of its `summary.csv`
 row. A rung whose plans differ between the plans of one pass or between
-passes of one column is an error.
+passes of one column is an error. The `paired` section holds, for every
+column after the first and per rung, its ratio to the first column within
+each alternation pair (wall and CPU), their median and the pairs it won
+(ratio below 1). Naming the parent twice, e.g. `parent=../base
+parent_again=../base change=.`, gives an A/A column: the ratios that noise
+alone produces.
 
 `python3 scripts/bench_ladder.py --pass ROOT` runs one pass and prints it as
 JSON.
@@ -95,33 +101,35 @@ def one_pass(root: Path) -> list[dict]:
     run_scheme("proposed", base)  # warm-up, untimed
     rungs = []
     for rung, point, scenario in ladder:
-        walls, plans = [], []
+        walls, cpus, plans = [], [], []
         for _ in range(PLANS_PER_PASS):
-            start = time.perf_counter()
+            start, cpu = time.perf_counter(), time.process_time()
             plan, trace = run_scheme("proposed", scenario)
             walls.append(time.perf_counter() - start)
+            cpus.append(time.process_time() - cpu)
             plans.append({"scheme": "proposed", "point": point,
                           "throughput_bpshz": plan.avg_throughput,
                           "iterations": counts(trace)})
         if any(other != plans[0] for other in plans[1:]):
             raise RuntimeError(f"{rung}: plans of one pass differ")
         rungs.append({"rung": rung, "wall_s": statistics.median(walls),
-                      "plans": plans[:1]})
+                      "cpu_s": statistics.median(cpus), "plans": plans[:1]})
 
     argv = ["sweep", "--param", "mission_T",
             "--values", ",".join(f"{t:g}" for t in SWEEP_T),
             "--schemes", ",".join(SCHEMES)]
     with tempfile.TemporaryDirectory() as out:
         with contextlib.redirect_stdout(io.StringIO()):
-            start = time.perf_counter()
+            start, cpu = time.perf_counter(), time.process_time()
             code = harness.main(argv + ["--out", out])
             wall = time.perf_counter() - start
+            cpu = time.process_time() - cpu
         if code != 0:
             raise RuntimeError(f"sweep exited {code}")
         _, rows = harness._read_table(Path(out) / "summary.csv")
     if any(row[5] != "OK" for row in rows):
         raise RuntimeError(f"sweep rows not OK: {rows}")
-    rungs.append({"rung": "sweep", "wall_s": wall, "plans": [
+    rungs.append({"rung": "sweep", "wall_s": wall, "cpu_s": cpu, "plans": [
         {"scheme": row[0], "point": f"T={row[2]}",
          "throughput_bpshz": float(row[3]), "iterations": int(row[4])}
         for row in rows]})
@@ -143,13 +151,29 @@ def column(passes: list[list[dict]]) -> dict:
         first = rung[0]
         if any(other["plans"] != first["plans"] for other in rung[1:]):
             raise RuntimeError(f"{first['rung']}: passes differ")
-        walls = [r["wall_s"] for r in rung]
-        wall = statistics.median(walls)
-        q1, _, q3 = statistics.quantiles(walls, n=4)
-        out[first["rung"]] = {"wall_s": wall, "wall_s_q1_q3": [q1, q3],
-                              "wall_s_runs": walls,
-                              "plans_per_s": len(first["plans"]) / wall,
-                              "plans": first["plans"]}
+        entry = {}
+        for key in ("wall_s", "cpu_s"):
+            runs = [r[key] for r in rung]
+            q1, _, q3 = statistics.quantiles(runs, n=4)
+            entry |= {key: statistics.median(runs), f"{key}_q1_q3": [q1, q3],
+                      f"{key}_runs": runs}
+        out[first["rung"]] = entry | {
+            "plans_per_s": len(first["plans"]) / entry["wall_s"],
+            "plans": first["plans"]}
+    return out
+
+
+def paired(col: dict, base: dict) -> dict:
+    """Per rung, `col`'s ratio to `base` within each alternation pair."""
+    out = {}
+    for rung, entry in col.items():
+        out[rung] = {}
+        for key in ("wall_s", "cpu_s"):
+            ratios = [a / b for a, b in zip(entry[f"{key}_runs"],
+                                            base[rung][f"{key}_runs"])]
+            out[rung] |= {f"{key}_ratio_runs": ratios,
+                          f"{key}_ratio_median": statistics.median(ratios),
+                          f"{key}_pairs_won": sum(r < 1.0 for r in ratios)}
     return out
 
 
@@ -169,12 +193,17 @@ def main(argv=None) -> int:
         for name, root in columns if rep % 2 == 0 else columns[::-1]:
             print(f"pass {rep + 1}/{REPEATS}: {name}", file=sys.stderr)
             passes[name].append(run_pass(root))
+    cols = {name: column(p) for name, p in passes.items()}
+    base = columns[0][0]
     doc = {"setup": {"python": platform.python_version(),
                      "cpus": os.cpu_count(), "processes": 1,
                      "blas_threads": 1, "repeats": REPEATS,
                      "plans_per_pass": PLANS_PER_PASS,
-                     "statistic": "median wall seconds per plan"},
-           "columns": {name: column(p) for name, p in passes.items()}}
+                     "statistic": "median wall (and CPU) seconds per plan"},
+           "columns": cols,
+           "paired": {"against": base, "columns": {
+               name: paired(col, cols[base])
+               for name, col in cols.items() if name != base}}}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

@@ -14,15 +14,13 @@ from . import planner as planner_mod
 from .planner import InfeasibleScenario, Plan, make_plan
 from .ra_solver import (slot_rates_on_points, solve_resource_allocation,
                         solve_slot)
-from .sca_trajectory import Trajectory, straight_line_trajectory
-from .scenario import InfeasibleSite, Scenario, check_feasibility
+from .sca_trajectory import REL_TOL, Trajectory, straight_line_trajectory
+from .scenario import LN2, InfeasibleSite, Scenario, check_feasibility
 
 SCHEME_NAMES = ("proposed", "straight_fly", "successive_hover_fly",
                 "egoistic", "altruistic", "upper_bound")
 
 MAX_TSP_SITES = 8
-GRID_STEP_M = 5.0  # spacing of the upper bound's hover-point grid
-GRID_MARGIN_M = 100.0
 
 
 class BenchmarkError(Exception):
@@ -125,27 +123,38 @@ def successive_hover_fly(scenario: Scenario) -> Plan:
 # Hover-anywhere upper bound
 
 def upper_bound(scenario: Scenario) -> UpperBoundResult:
-    """Exhaustive 2D search for the best hover point on a GRID_STEP_M grid,
-    ignoring the flight constraints; valid as the unlimited-duration
-    throughput bound."""
+    """Best hover point anywhere. A mode's rate rises with its decoders' gains
+    and its UAV power cap numer_k / h_k falls with its TIN sites' gains, so the
+    threshold scan (`ra_solver`, a_k = h_hi_k / c_k) with gains at a square's
+    nearest and caps at its farthest point bounds every mode on it. A rate is
+    at most log2(1 + h_j p_max / c_j) at its weakest decoder j; beyond R of
+    every site, where log2(1 + beta0 (H^2 + R^2)^(-alpha/2) p_max / min_k c_k)
+    = best, it is below the best at the sites and endpoints: the root square is
+    the sites' box grown by R. Squares bounded above best * (1 + REL_TOL) split
+    in four; the throughput, max(best, largest pruned bound), is at least the
+    supremum and within REL_TOL of the hover point's rate."""
     report = check_feasibility(scenario)
     if report.failing_sites:
         raise InfeasibleScenario(report)
-    pts = np.vstack([scenario.site_pos,
-                     np.asarray(scenario.uav.u_init)[None, :],
-                     np.asarray(scenario.uav.u_final)[None, :]])
-    lo = pts.min(axis=0) - GRID_MARGIN_M
-    hi = pts.max(axis=0) + GRID_MARGIN_M
-    xs = np.arange(lo[0], hi[0] + GRID_STEP_M / 2, GRID_STEP_M)
-    ys = np.arange(lo[1], hi[1] + GRID_STEP_M / 2, GRID_STEP_M)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    grid = np.column_stack([gx.ravel(), gy.ravel()])
-    rates = slot_rates_on_points(grid, scenario)
-    best = int(np.argmax(rates))
-    return UpperBoundResult(
-        hover_point=(float(grid[best, 0]), float(grid[best, 1])),
-        throughput=float(rates[best]),
-    )
+    uav, ch, sites = scenario.uav, scenario.channel, scenario.site_pos
+    seeds = np.vstack([sites, uav.u_init, uav.u_final])
+    rates = slot_rates_on_points(seeds, scenario)
+    best, hover = rates.max(), seeds[rates.argmax()]
+    c = (scenario.sigma2_vec + scenario.q_ic_vec * scenario.g_vec).min()
+    d2 = (ch.beta0 * uav.p_max / c / np.expm1(best * LN2)) ** (2 / ch.alpha)
+    half = np.ptp(sites, 0).max() / 2 + max(d2 - uav.altitude ** 2, 0) ** 0.5
+    centres, pruned = (sites.min(axis=0) + sites.max(axis=0))[None] / 2, 0.0
+    while len(centres):
+        rates = slot_rates_on_points(centres, scenario)
+        if rates.max() > best:
+            best, hover = rates.max(), centres[rates.argmax()]
+        bounds = slot_rates_on_points(centres, scenario, half)
+        split = bounds > best * (1.0 + REL_TOL)
+        pruned = max(pruned, bounds[~split].max(initial=0.0))
+        half /= 2
+        centres = (centres[split, None] + half * np.array(
+            [[-1, -1], [-1, 1], [1, -1], [1, 1]])).reshape(-1, 2)
+    return UpperBoundResult(tuple(map(float, hover)), float(max(best, pruned)))
 
 
 def run_scheme(name: str, scenario: Scenario):

@@ -36,6 +36,14 @@ def a2g_gain(points, scenario: Scenario) -> np.ndarray:
     return geometry(points, scenario)[3]
 
 
+def square_gains(points, half_width: float, scenario: Scenario):
+    """Site gains (K, M) at the nearest and farthest points of the squares."""
+    off = np.abs(points.T[:, None, :] - scenario.site_pos.T[:, :, None])
+    ch, h2 = scenario.channel, scenario.uav.altitude ** 2
+    return [ch.beta0 * (h2 + (d * d).sum(axis=0)) ** (-ch.alpha / 2.0)
+            for d in (np.maximum(off - half_width, 0.0), off + half_width)]
+
+
 def uav_rate(h, p, q, scenario: Scenario):
     """UAV -> GBS rate with GU interference, bps/Hz."""
     return log2_1p(h * p / (scenario.sigma2_vec[:, None]

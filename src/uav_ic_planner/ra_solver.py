@@ -27,8 +27,8 @@ from typing import Literal, get_args
 
 import numpy as np
 
-from .channel import a2g_gain, log2_1p, uav_rate
-from .scenario import LN2, InfeasibleSite, Scenario, gu_power_ic  # noqa: F401
+from .channel import a2g_gain, log2_1p, square_gains, uav_rate
+from .scenario import LN2, Scenario
 
 # Modes whose rates differ by less than this are considered tied.
 TIE_TOL = 1e-12
@@ -112,15 +112,18 @@ def _blocks(n_points: int, n_sites: int):
     return (slice(lo, lo + rows) for lo in range(0, n_points, rows))
 
 
-def slot_rates_on_points(points, scenario: Scenario) -> np.ndarray:
-    """Best slot rate at each of M candidate UAV positions, (M, 2) -> (M,).
-
-    Uses only the rate part of the threshold scan, with O(M K) temporaries.
-    """
+def slot_rates_on_points(points, scenario: Scenario,
+                         half_width: float = 0.0) -> np.ndarray:
+    """Best slot rate at each of M candidate UAV positions, (M, 2) -> (M,), or
+    a bound on it over the square of `half_width` > 0 centred at each point
+    (`benchmarks.upper_bound`). The scan's rate part, O(M K) temporaries."""
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     rates = np.empty(points.shape[0])
     for blk in _blocks(points.shape[0], scenario.n_sites):
         h, c_ic, cap = _site_terms(points[blk], scenario, scenario.n_sites > 1)
+        if half_width:
+            h_hi, h_lo = square_gains(points[blk], half_width, scenario)
+            h, cap = h_hi.T, np.maximum(scenario.tin_cap_numer, 0.0) / h_lo.T
         rates[blk] = _scan_rates(h, c_ic, cap, scenario.uav.p_max)
     return rates
 

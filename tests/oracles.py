@@ -39,11 +39,11 @@ import numpy as np
 
 from uav_ic_planner.benchmarks import shortest_site_tour
 from uav_ic_planner.ra_solver import (TIE_TOL, InternalConsistencyError,
-                                      gu_power_ic, solve_slot)
+                                      solve_slot)
 from uav_ic_planner.sca_trajectory import (ACTIVE_SLACK, ASCENT_STEPS,
                                            AUX_WEIGHT, SURROGATE_FEAS_TOL,
                                            Surrogate, _log_slope)
-from uav_ic_planner.scenario import LN2, Scenario
+from uav_ic_planner.scenario import LN2, Scenario, gu_power_ic
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uav_ic_planner.benchmarks import (SCHEME_NAMES, InsufficientDuration,
                                        UpperBoundResult,
@@ -11,8 +14,9 @@ from uav_ic_planner.benchmarks import (SCHEME_NAMES, InsufficientDuration,
                                        straight_fly, successive_hover_fly,
                                        upper_bound)
 from uav_ic_planner.planner import InfeasibleScenario, evaluate_plan
-from uav_ic_planner.ra_solver import solve_slot
-from uav_ic_planner.scenario import Scenario
+from uav_ic_planner.ra_solver import slot_rates_on_points, solve_slot
+from uav_ic_planner.sca_trajectory import REL_TOL
+from uav_ic_planner.scenario import Scenario, parse_scenario
 
 from conftest import (make_channel, make_site, make_uav,
                       random_feasible_scenario, single_site_scenario)
@@ -135,8 +139,121 @@ def test_upper_bound_single_site_overhead():
                               n_slots=10, u_init=(0.0, 0.0),
                               u_final=(500.0, 500.0))
     result = upper_bound(sc)
-    assert math.dist(result.hover_point, (300.0, 400.0)) <= 5.0 * math.sqrt(2)
+    assert result.hover_point == (300.0, 400.0)
     assert result.throughput == pytest.approx(math.log2(3.5), rel=1e-3)
+
+
+# Two scenarios on which the best point of a 5 m hover grid (100 m margin)
+# fell below `proposed`: the optimum lies directly above a site that is not
+# on the grid. Site fields are those of the built-in scenario.
+UB_REPRO_DOCS = ("""\
+channel: {beta0_db: -30.0, alpha: 2.0, theta0_db: -40.0, epsilon: 3.0}
+uav: {altitude_m: 500.0, v_max_mps: 50.0, p_max_dbm: 30.0, u_init: [0.0, 0.0],
+      u_final: [0.0, 0.0], T_s: 150.0, N: 1, t_max_s: 1800.0}
+sites:
+  - {pos: [0.0, 0.0], theta_m: 6.5, sigma2_dbm: -50.0, q_max_dbm: 30.0,
+     gamma_bpshz: 0.5}
+  - {pos: [204.0, -106.0], theta_m: 6.5, sigma2_dbm: -50.0, q_max_dbm: 30.0,
+     gamma_bpshz: 4.5}
+""", """\
+channel: {beta0_db: -30.0, alpha: 2.0, theta0_db: -40.0, epsilon: 3.0}
+uav: {altitude_m: 1.0, v_max_mps: 50.0, p_max_dbm: 30.0, u_init: [0.0, 0.0],
+      u_final: [0.0, 0.0], T_s: 600.0, N: 50, t_max_s: 1800.0}
+sites:
+  - {pos: [398.6, 1045.3], theta_m: 6.5, sigma2_dbm: -50.0, q_max_dbm: 30.0,
+     gamma_bpshz: 4.5}
+  - {pos: [966.0, 178.1], theta_m: 6.5, sigma2_dbm: -50.0, q_max_dbm: 30.0,
+     gamma_bpshz: 4.5}
+""")
+
+
+@pytest.mark.parametrize("doc", UB_REPRO_DOCS, ids=("h500_n1", "h1_t600"))
+def test_upper_bound_above_every_scheme_on_repros(doc):
+    """The bound is at least every scheme's throughput and every rate of a
+    dense sample around the sites, the endpoints and the hover point."""
+    sc = parse_scenario(doc)
+    ub = upper_bound(sc)
+    for name in SCHEME_NAMES[:-1]:
+        plan, _ = run_scheme(name, sc)
+        assert ub.throughput >= plan.avg_throughput, name
+    rng = np.random.default_rng(7)
+    anchors = np.vstack([sc.site_pos, sc.uav.u_init, ub.hover_point])
+    pts = np.vstack([a + rng.normal(size=(2000, 2)) * scale
+                     for a in anchors for scale in (0.01, 1.0, 30.0)])
+    assert ub.throughput >= slot_rates_on_points(pts, sc).max()
+    assert ub.throughput >= slot_rates_on_points(sc.site_pos, sc).max()
+
+
+def test_upper_bound_gamma5_default_finds_off_grid_point(default_sc):
+    """At gamma = 5 the optimum lies between lattice points of a 5 m grid
+    (which gave 0.292236714); the bound covers the rate at (760.58, 760.58)."""
+    sc = dataclasses.replace(default_sc, sites=tuple(
+        dataclasses.replace(s, gamma=5.0) for s in default_sc.sites))
+    ub = upper_bound(sc)
+    assert ub.throughput >= 0.292254
+    assert ub.throughput >= slot_rates_on_points([(760.58, 760.58)], sc)[0]
+    hover_rate = slot_rates_on_points([ub.hover_point], sc)[0]
+    assert hover_rate * (1.0 + REL_TOL) >= ub.throughput
+
+
+@st.composite
+def wide_scenarios(draw):
+    """K 1-8 sites over a 100 m - 100 km square, altitude 1-500 m, alpha
+    2-3, guarantees from 0 up to cap * (1 - 1e-12), GU distance 6-14 m."""
+    k = draw(st.integers(1, 8))
+    spread = 10.0 ** draw(st.floats(2.0, 5.0))
+    unit = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    channel = make_channel(alpha=draw(st.floats(2.0, 3.0)))
+    sites = []
+    for _ in range(k):
+        x, y = draw(unit)
+        q_max = draw(st.floats(0.5, 1.5))
+        g = channel.theta0 * draw(st.floats(6.0, 14.0)) ** -channel.epsilon
+        cap = math.log2(1.0 + g * q_max / 1e-8)
+        sites.append(make_site(pos=(x * spread, y * spread), g=g, q_max=q_max,
+                               gamma=cap * draw(st.floats(0.0, 1.0 - 1e-12))))
+    (xi, yi), (xf, yf) = draw(unit), draw(unit)
+    uav = make_uav(altitude=draw(st.floats(1.0, 500.0)),
+                   p_max=draw(st.floats(0.5, 1.5)),
+                   u_init=(xi * spread, yi * spread),
+                   u_final=(xf * spread, yf * spread), t_max=1e9)
+    return Scenario(channel=channel, sites=tuple(sites), uav=uav)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(sc=wide_scenarios(), seed=st.integers(0, 2 ** 32 - 1))
+def test_upper_bound_certified_on_wide_draws(sc, seed):
+    """The throughput is at least the rate at 20k sampled points (around the
+    hover point at 0.1-100 m, and uniform over the site and endpoint spread)
+    and within REL_TOL of the rate at the hover point."""
+    ub = upper_bound(sc)
+    rng = np.random.default_rng(seed)
+    hover = np.asarray(ub.hover_point)
+    anchors = np.vstack([sc.site_pos, sc.uav.u_init, sc.uav.u_final])
+    lo, hi = anchors.min(axis=0) - 100.0, anchors.max(axis=0) + 100.0
+    pts = np.vstack([hover + rng.normal(size=(4000, 2)) * scale
+                     for scale in (0.1, 1.0, 10.0, 100.0)]
+                    + [rng.uniform(lo, hi, size=(4000, 2))])
+    assert ub.throughput >= slot_rates_on_points(pts, sc).max()
+    hover_rate = slot_rates_on_points(hover, sc)[0]
+    assert hover_rate >= ub.throughput / (1.0 + REL_TOL)
+
+
+def test_upper_bound_memory_flat_in_spread(default_sc):
+    """Sites 100 km apart: the search holds a few squares per level, where a
+    5 m grid would need about 4e8 points."""
+    sc = dataclasses.replace(default_sc, sites=tuple(
+        dataclasses.replace(s, pos=pos) for s, pos in zip(
+            default_sc.sites, ((0.0, 0.0), (1e5, 0.0), (0.0, 1e5)))))
+    upper_bound(sc)  # caches the scenario's site arrays
+    tracemalloc.start()
+    try:
+        ub = upper_bound(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert ub.hover_point == (0.0, 0.0)
 
 
 def test_upper_bound_invariant_to_duration(default_sc):

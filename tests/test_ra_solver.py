@@ -6,11 +6,12 @@ import pytest
 
 from uav_ic_planner.planner import evaluate_plan, make_plan
 from uav_ic_planner import ra_solver
-from uav_ic_planner.ra_solver import (InfeasibleSite, InternalConsistencyError,
-                                      gu_power_ic, slot_rates_on_points,
+from uav_ic_planner.ra_solver import (InternalConsistencyError,
+                                      slot_rates_on_points,
                                       solve_resource_allocation, solve_slot)
 from uav_ic_planner.sca_trajectory import Trajectory, straight_line_trajectory
-from uav_ic_planner.scenario import GbsSite, Scenario
+from uav_ic_planner.scenario import (GbsSite, InfeasibleSite, Scenario,
+                                     gu_power_ic)
 
 from conftest import (make_channel, make_site, make_uav,
                       random_feasible_scenario, single_site_scenario)
@@ -290,6 +291,30 @@ def test_slot_rates_on_points_matches_solve_slot(default_sc, rng):
     assert np.array_equal(rates, solve_slot(pts, default_sc).r)
     for i in range(50):
         assert abs(rates[i] - enumerate_slot(pts[i], default_sc).r) <= 1e-12
+
+
+def test_slot_rate_square_bound_covers_its_square(default_sc, rng):
+    """With a half-width, `slot_rates_on_points` bounds the rate at every
+    point of each square (corners, centre and 200 uniform points), tends to
+    the centre's rate as the square shrinks, and at half-width 0 is the
+    point rate bit for bit. A corner can attain the bound, where the two
+    sides differ only by rounding (seen: 4e-17 on a rate of 0.087)."""
+    for sc in [default_sc] + [random_feasible_scenario(rng, k=k)
+                              for k in (1, 2, 3, 5, 8)]:
+        centres = rng.uniform(-200.0, 1000.0, size=(40, 2))
+        centres[:sc.n_sites] = sc.site_pos  # squares around the sites
+        rates = slot_rates_on_points(centres, sc)
+        assert np.array_equal(slot_rates_on_points(centres, sc, 0.0), rates)
+        for half in (0.5, 20.0, 300.0):
+            bounds = slot_rates_on_points(centres, sc, half)
+            offsets = np.vstack([[[-1, -1], [-1, 1], [1, -1], [1, 1]],
+                                 rng.uniform(-1.0, 1.0, size=(200, 2))])
+            for c, bound in zip(centres, bounds):
+                inside = slot_rates_on_points(c + half * offsets, sc)
+                assert bound * (1.0 + 1e-12) >= inside.max()
+        tight = slot_rates_on_points(centres, sc, 1e-6)
+        assert np.all(tight >= rates)
+        assert np.allclose(tight, rates, rtol=1e-6, atol=0.0)
 
 
 def test_k64_resource_allocation_passes_audit():
