@@ -29,9 +29,15 @@ row. A rung whose plans differ between the plans of one pass or between
 passes of one column is an error. The `paired` section holds, for every
 column after the first and per rung, its ratio to the first column within
 each alternation pair (wall and CPU), their median and the pairs it won
-(ratio below 1). Naming the parent twice, e.g. `parent=../base
-parent_again=../base change=.`, gives an A/A column: the ratios that noise
-alone produces.
+(ratio below 1), the sign test's interval on the median wall ratio (at
+least 95 % coverage where the pairs allow it, see `sign_interval`) and a
+verdict. Naming the parent twice, e.g. `parent=../base
+parent_again=../base change=.`, gives an A/A column (a later column with
+the first one's ROOT): the ratios that noise alone produces. The verdict is
+`faster` when the interval lies wholly below the first A/A column's
+interval, `slower` when wholly above, and `unresolved` when the two
+overlap; without an A/A column, and for the A/A columns themselves, the
+interval is compared with a ratio of 1.
 
 `python3 scripts/bench_ladder.py --pass ROOT` runs one pass and prints it as
 JSON.
@@ -41,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -163,8 +170,37 @@ def column(passes: list[list[dict]]) -> dict:
     return out
 
 
-def paired(col: dict, base: dict) -> dict:
-    """Per rung, `col`'s ratio to `base` within each alternation pair."""
+def sign_interval(ratios: list[float]) -> tuple[list[float], float]:
+    """The sign test's interval on the median of `ratios`: their j-th
+    smallest and j-th largest, j the largest whose coverage, 1 - 2 P(B < j)
+    with B ~ Binomial(n, 1/2), is at least 95 % (j = 1, the whole range,
+    when no j reaches it: fewer than 6 pairs). Returns (interval,
+    coverage); 10 pairs give the 2nd smallest to the 2nd largest, 97.9 %."""
+    n, ordered = len(ratios), sorted(ratios)
+
+    def coverage(j: int) -> float:
+        return 1.0 - 2.0 * sum(math.comb(n, i) for i in range(j)) / 2 ** n
+
+    j = 1
+    while 2 * j + 2 <= n + 1 and coverage(j + 1) >= 0.95:
+        j += 1
+    return [ordered[j - 1], ordered[n - j]], coverage(j)
+
+
+def verdict(interval: list[float], noise: list[float] | None) -> str:
+    """`faster`, `slower` or `unresolved`: where the wall-ratio `interval`
+    lies against the A/A column's interval `noise` (a ratio of 1 without
+    one)."""
+    low, high = noise or (1.0, 1.0)
+    if interval[1] < low:
+        return "faster"
+    return "slower" if interval[0] > high else "unresolved"
+
+
+def paired(col: dict, base: dict, noise: dict | None = None) -> dict:
+    """Per rung, `col`'s ratio to `base` within each alternation pair, the
+    wall ratio's sign-test interval and its verdict against `noise`, the
+    A/A column's paired entry."""
     out = {}
     for rung, entry in col.items():
         out[rung] = {}
@@ -174,6 +210,11 @@ def paired(col: dict, base: dict) -> dict:
             out[rung] |= {f"{key}_ratio_runs": ratios,
                           f"{key}_ratio_median": statistics.median(ratios),
                           f"{key}_pairs_won": sum(r < 1.0 for r in ratios)}
+        interval, cover = sign_interval(out[rung]["wall_s_ratio_runs"])
+        out[rung] |= {"wall_s_ratio_interval": interval,
+                      "wall_s_ratio_coverage": cover,
+                      "verdict": verdict(interval, noise and noise[rung][
+                          "wall_s_ratio_interval"])}
     return out
 
 
@@ -194,16 +235,20 @@ def main(argv=None) -> int:
             print(f"pass {rep + 1}/{REPEATS}: {name}", file=sys.stderr)
             passes[name].append(run_pass(root))
     cols = {name: column(p) for name, p in passes.items()}
-    base = columns[0][0]
+    (base, base_root), rest = columns[0], columns[1:]
+    # The first A/A column measures the noise the others are judged against.
+    same = [name for name, root in rest if root == base_root]
+    noise = paired(cols[same[0]], cols[base]) if same else None
+    pairs = {name: paired(cols[name], cols[base],
+                          None if name in same else noise)
+             for name, _ in rest}
     doc = {"setup": {"python": platform.python_version(),
                      "cpus": os.cpu_count(), "processes": 1,
                      "blas_threads": 1, "repeats": REPEATS,
                      "plans_per_pass": PLANS_PER_PASS,
                      "statistic": "median wall (and CPU) seconds per plan"},
            "columns": cols,
-           "paired": {"against": base, "columns": {
-               name: paired(col, cols[base])
-               for name, col in cols.items() if name != base}}}
+           "paired": {"against": base, "columns": pairs}}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

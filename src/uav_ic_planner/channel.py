@@ -37,11 +37,15 @@ def a2g_gain(points, scenario: Scenario) -> np.ndarray:
 
 
 def square_gains(points, half_width: float, scenario: Scenario):
-    """Site gains (K, M) at the nearest and farthest points of the squares."""
-    off = np.abs(points.T[:, None, :] - scenario.site_pos.T[:, :, None])
+    """Site gains (K, M) at the nearest and farthest points of the squares,
+    the offsets moved out by 4 ulps of the coordinates' size (rounding here,
+    in a computed offset and in a computed corner takes up to 2.5)."""
+    pts, sites = points.T[:, None, :], scenario.site_pos.T[:, :, None]
+    off = np.abs(pts - sites)
+    pad = half_width + 4.0 * np.spacing(abs(pts) + abs(sites) + half_width)
     ch, h2 = scenario.channel, scenario.uav.altitude ** 2
     return [ch.beta0 * (h2 + (d * d).sum(axis=0)) ** (-ch.alpha / 2.0)
-            for d in (np.maximum(off - half_width, 0.0), off + half_width)]
+            for d in (np.maximum(off - pad, 0.0), off + pad)]
 
 
 def uav_rate(h, p, q, scenario: Scenario):

@@ -4,6 +4,7 @@ and that guarantee enforced at runtime."""
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 
@@ -93,7 +94,9 @@ def _alternate(trajs: list[sca.Trajectory],
                ) -> list[tuple[sca.Trajectory, Allocation, ConvergenceTrace]]:
     """The alternating RA/SCA loop of each (scenario, mode constraint)
     problem from its trajectory in `trajs`, in lock step: each outer round
-    runs RA per problem not yet stopped, then one SCA loop for them all."""
+    runs RA per problem not yet stopped, then one SCA loop for them all, in
+    which problems with equal scenario, waypoints and allocation are one
+    (e.g. `proposed` and `egoistic` alike after RA); each gets a copy."""
     trajs, allocs = list(trajs), [None] * len(problems)
     traces = [ConvergenceTrace([], [], 0, False) for _ in problems]
     live = range(len(problems))
@@ -117,13 +120,20 @@ def _alternate(trajs: list[sca.Trajectory],
                 moving.append(i)
         if not moving:
             break
-        stack = [(trajs[i], allocs[i], problems[i][0]) for i in moving]
+        groups = {}
+        for i in moving:
+            groups.setdefault((problems[i][0], *(a.tobytes() for a in (
+                trajs[i].waypoints, *vars(allocs[i]).values()))), []).append(i)
+        stack = [(trajs[i], allocs[i], problems[i][0])
+                 for i, *_ in groups.values()]
         # perfbench's tracer times the one-problem entry point.
         results = (sca.optimize_many(stack) if len(stack) > 1
                    else [sca.optimize_trajectory(*stack[0])])
-        for i, result in zip(moving, results):
-            traces[i].inner_per_outer.append(result.inner_trace)
-            trajs[i] = result.trajectory
+        for members, result in zip(groups.values(), results):
+            for j, i in enumerate(members):
+                own = copy.deepcopy(result) if j else result
+                traces[i].inner_per_outer.append(own.inner_trace)
+                trajs[i] = own.trajectory
         live = moving
     return list(zip(trajs, allocs, traces))
 

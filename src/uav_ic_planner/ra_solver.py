@@ -116,7 +116,12 @@ def slot_rates_on_points(points, scenario: Scenario,
                          half_width: float = 0.0) -> np.ndarray:
     """Best slot rate at each of M candidate UAV positions, (M, 2) -> (M,), or
     a bound on it over the square of `half_width` > 0 centred at each point
-    (`benchmarks.upper_bound`). The scan's rate part, O(M K) temporaries."""
+    (`benchmarks.upper_bound`). The scan's rate part, O(M K) temporaries.
+
+    From the offsets on (`square_gains` orders them exactly), a bound and a
+    point's rate run the same operations, which rounding keeps in order but
+    for the gains' power, the scan's order at ties and log1p, a few ulps
+    each; rounding the bound up by 32 epsilons (16-32 ulps) covers them."""
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     rates = np.empty(points.shape[0])
     for blk in _blocks(points.shape[0], scenario.n_sites):
@@ -125,7 +130,7 @@ def slot_rates_on_points(points, scenario: Scenario,
             h_hi, h_lo = square_gains(points[blk], half_width, scenario)
             h, cap = h_hi.T, np.maximum(scenario.tin_cap_numer, 0.0) / h_lo.T
         rates[blk] = _scan_rates(h, c_ic, cap, scenario.uav.p_max)
-    return rates
+    return rates * (1.0 + 32 * np.finfo(float).eps) if half_width else rates
 
 
 def _choose_block(h: np.ndarray, c_ic: np.ndarray, cap: np.ndarray,

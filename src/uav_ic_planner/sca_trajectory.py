@@ -159,10 +159,10 @@ class Surrogate:
         return _SlotEval(diff, d2, h, rate, lhs)
 
     def rows(self, sel: slice) -> Surrogate:
-        """The surrogate of the slots `sel`, on views of the per-slot
-        arrays."""
-        return replace(self, **{f.name: getattr(self, f.name)[..., sel]
-                                for f in fields(self) if f.name != "scenario"})
+        """The surrogate of the slots `sel`, on contiguous copies."""
+        return replace(self, **{
+            f.name: np.ascontiguousarray(getattr(self, f.name)[..., sel])
+            for f in fields(self) if f.name != "scenario"})
 
 
 def build_surrogate(local_traj: Trajectory, allocs: Allocation,
@@ -236,30 +236,29 @@ def _ascent_direction(surrogate: Surrogate, ev: _SlotEval,
         rows = np.arange(ev.rate.shape[1])
     kstar = ev.rate.argmin(axis=0)
     g = -2.0 * surrogate.coeff[kstar, rows] * ev.diff[:, kstar, rows]
-    if ev.lhs is None:
+    if ev.lhs is None or not (
+            active := ev.lhs - surrogate.gamma < ACTIVE_SLACK).any():
         return g
     # Listed through the transpose: slot by slot, sites ascending.
-    rows_a, k_a = (ev.lhs - surrogate.gamma < ACTIVE_SLACK).T.nonzero()
-    if rows_a.size:
-        # Gradient of each active guarantee; _log_slope gives the slope of
-        # its exact log-term log2(sigma2 + h * p).
-        slope_e = _log_slope(ev.d2[k_a, rows_a], ev.h[k_a, rows_a],
-                             surrogate.p[rows_a], sc.sigma2_vec[k_a],
-                             sc.channel)
-        grad_lhs = 2.0 * (slope_e - surrogate.coeff[k_a, rows_a]) \
-            * ev.diff[:, k_a, rows_a]
-        nrm2 = grad_lhs[0] * grad_lhs[0] + grad_lhs[1] * grad_lhs[1]
-        # Each slot projects onto its active sites in ascending site order;
-        # pass i takes the i-th active site of every slot at once.
-        rank = np.arange(rows_a.size) - np.searchsorted(rows_a, rows_a)
-        for i in range(int(rank.max()) + 1):
-            at = rank == i
-            rows_i, grad_i, nrm2_i = rows_a[at], grad_lhs[:, at], nrm2[at]
-            g_i = g[:, rows_i]
-            dot = g_i[0] * grad_i[0] + g_i[1] * grad_i[1]
-            adj = np.flatnonzero((dot < 0.0) & (nrm2_i > 1e-30))
-            if adj.size:
-                g[:, rows_i[adj]] -= (dot[adj] / nrm2_i[adj]) * grad_i[:, adj]
+    rows_a, k_a = active.T.nonzero()
+    # Gradient of each active guarantee; _log_slope gives the slope of its
+    # exact log-term log2(sigma2 + h * p).
+    slope_e = _log_slope(ev.d2[k_a, rows_a], ev.h[k_a, rows_a],
+                         surrogate.p[rows_a], sc.sigma2_vec[k_a], sc.channel)
+    grad_lhs = 2.0 * (slope_e - surrogate.coeff[k_a, rows_a]) \
+        * ev.diff[:, k_a, rows_a]
+    nrm2 = grad_lhs[0] * grad_lhs[0] + grad_lhs[1] * grad_lhs[1]
+    # Each slot projects onto its active sites in ascending site order; pass
+    # i takes the i-th active site of every slot at once.
+    rank = np.arange(rows_a.size) - np.searchsorted(rows_a, rows_a)
+    for i in range(int(rank.max()) + 1):
+        at = rank == i
+        rows_i, grad_i, nrm2_i = rows_a[at], grad_lhs[:, at], nrm2[at]
+        g_i = g[:, rows_i]
+        dot = g_i[0] * grad_i[0] + g_i[1] * grad_i[1]
+        adj = np.flatnonzero((dot < 0.0) & (nrm2_i > 1e-30))
+        if adj.size:
+            g[:, rows_i[adj]] -= (dot[adj] / nrm2_i[adj]) * grad_i[:, adj]
     return g
 
 
@@ -288,14 +287,34 @@ def _sweep(surrogates: list[Surrogate], waypoints: list[np.ndarray]
            ) -> list[bool]:
     """Red-black sweeps over the interior waypoints of each `waypoints[i]`
     under `surrogates[i]`, in lock step and in place; per problem, True if
-    any move was accepted. Waypoint n owns slot n, i.e. column n-1 of the
-    per-slot arrays, and problem i's waypoint n is column starts[i] + n of
-    x and y planes (2, W). Each problem starts at an even column, so each
-    colour (odd, then even waypoints) works on basic-slice views: its
-    waypoints, their neighbours, its slots' surrogate, steps and reaches.
-    The kernel is column-wise, so no problem's bits depend on another's and
-    the evaluation at the current waypoints is carried from pass to pass; a
-    colour with no TIN guarantee skips the TIN terms (`lhs` is +inf there)."""
+    any move was accepted. The problems not yet stopped sweep side by side
+    (`_sweep_stack`); when some stop, the others are stacked afresh from
+    their current waypoints and steps. The kernel is column-wise, so no
+    problem's bits depend on which others share its stack."""
+    start = [u.copy() for u in waypoints]
+    steps = [np.pad(np.full(u.shape[0] - 2, 0.25 * s.scenario.uav.v_max
+                            * s.scenario.uav.delta_t), 1)  # ends never move
+             for s, u in zip(surrogates, waypoints)]
+    live, done = list(range(len(surrogates))), 0
+    while live and done < ASCENT_STEPS:
+        stop, done = _sweep_stack(*([seq[i] for i in live] for seq in (
+            surrogates, waypoints, steps)), done)
+        live = [i for i, s in zip(live, stop) if not s]
+    return [bool((u != s).any()) for u, s in zip(waypoints, start)]
+
+
+def _sweep_stack(surrogates: list[Surrogate], waypoints: list[np.ndarray],
+                 steps: list[np.ndarray], done: int
+                 ) -> tuple[np.ndarray, int]:
+    """Sweeps done+1, ... of the problems side by side, in place, until one
+    stops or ASCENT_STEPS have run; returns (stopped per problem, sweeps
+    done). Waypoint n owns slot n, i.e. column n-1 of the per-slot arrays,
+    and problem i's waypoint n is column starts[i] + n of x and y planes
+    (2, W). Each problem starts at an even column, so each colour (odd,
+    then even waypoints) works on basic-slice views of its waypoints, their
+    neighbours, steps and reaches, and on its slots' surrogate. The
+    evaluation at the current waypoints is carried from pass to pass; a
+    colour with no TIN guarantee skips the TIN terms (+inf there)."""
     sizes = [u.shape[0] for u in waypoints]
     widths = [n + n % 2 for n in sizes]
     starts = np.cumsum([0] + widths[:-1])
@@ -303,15 +322,11 @@ def _sweep(surrogates: list[Surrogate], waypoints: list[np.ndarray]
     surrogate = _stack(surrogates, widths)
     planes = np.concatenate([np.vstack([u, u[-1:]])[:w] for u, w in zip(
         waypoints, widths)])[:n_wp].T.copy()  # pads repeat the endpoint
+    step_all = np.concatenate([np.append(s, 0.0)[:w] for s, w in zip(
+        steps, widths)])[:n_wp]
     v_steps = np.array([s.scenario.uav.v_max * s.scenario.uav.delta_t
                         for s in surrogates])
     v_step = np.repeat(v_steps, widths)[:n_wp]
-    # A step is zeroed once its waypoint's direction is zero, which then
-    # stays zero (the kernel is column-wise), so a problem's largest step is
-    # that of its movable waypoints. The end columns are in no colour.
-    steps = 0.25 * v_step
-    steps[[0, -1]] = 0.0
-    alive = np.ones(n_wp, dtype=bool)  # problems stopped leave the mask
     colours = []
     for first in range(1, min(n_wp - 1, 3)):  # odd, then even waypoints
         wp = slice(first, n_wp - 1, 2)
@@ -321,18 +336,19 @@ def _sweep(surrogates: list[Surrogate], waypoints: list[np.ndarray]
         colours.append((
             sub, tin, np.arange(ev.rate.shape[1]), planes[:, wp],
             planes[:, first - 1:n_wp - 2:2], planes[:, first + 1::2],
-            steps[wp], v_step[wp], v_step[wp] * (1.0 - 1e-12),
-            sub.gamma - SURROGATE_FEAS_TOL if tin else None, alive[wp], ev,
+            step_all[wp], v_step[wp], v_step[wp] * (1.0 - 1e-12),
+            sub.gamma - SURROGATE_FEAS_TOL if tin else None, ev,
             _line_search_objective(ev)))
 
-    start = planes.copy()
-    for _ in range(ASCENT_STEPS):
+    stop = np.zeros(len(sizes), dtype=bool)
+    while done < ASCENT_STEPS and not stop.any():
+        done += 1
         before = planes.copy()
         for (sub, tin, rows, cur, left, right, step, reach, disc, tin_floor,
-             live, ev, obj) in colours:
+             ev, obj) in colours:
             g = _ascent_direction(sub, ev, rows)
             gnorm = _norm(g)
-            movable = (gnorm > 1e-18) & live
+            movable = gnorm > 1e-18
             all_movable = movable.all()
             if not all_movable:
                 step *= movable
@@ -360,21 +376,20 @@ def _sweep(surrogates: list[Surrogate], waypoints: list[np.ndarray]
                         np.copyto(held, new, where=accept)
                 np.copyto(step, np.minimum(step * 1.5, reach), where=accept)
             np.multiply(step, 0.5, out=step, where=movable & ~accept)
-        # A problem stops once its steps have collapsed and it accepted no
-        # move in this sweep. An accepted move strictly raises its slot's
+        # A step is zeroed once its waypoint's direction is zero, which then
+        # stays zero, so a problem's largest step is that of its movable
+        # waypoints. It stops once its steps have collapsed and it accepted
+        # no move in this sweep. An accepted move strictly raises its slot's
         # objective, a function of that waypoint alone, so a problem
         # accepted a move iff one of its waypoints has changed.
-        collapsed = np.maximum.reduceat(steps, starts) < 1e-9 * v_steps
+        collapsed = np.maximum.reduceat(step_all, starts) < 1e-9 * v_steps
         if collapsed.any():
             changed = (planes != before).any(axis=0)
             stop = collapsed & ~np.logical_or.reduceat(changed, starts)
-            if stop.all():
-                break
-            alive[...] = np.repeat(~stop, widths)[:n_wp]
-    for u, first, n in zip(waypoints, starts, sizes):
+    for u, s, first, n in zip(waypoints, steps, starts, sizes):
         u[...] = planes[:, first:first + n].T
-    return np.logical_or.reduceat((planes != start).any(axis=0),
-                                  starts).tolist()
+        s[...] = step_all[first:first + n]
+    return stop, done
 
 
 def solve_surrogate(surrogates: list[Surrogate], local_trajs: list[Trajectory]
@@ -452,9 +467,8 @@ def optimize_many(problems: list[tuple[Trajectory, Allocation, Scenario]]
         if not live:
             break
         surros = [build_surrogate(trajs[i], *problems[i][1:]) for i in live]
-        new_trajs, moved, _ = solve_surrogate(
-            surros, [trajs[i] for i in live])
-        for i, new_traj, moved_i in zip(live, new_trajs, moved):
+        new_trajs, _, _ = solve_surrogate(surros, [trajs[i] for i in live])
+        for i, new_traj in zip(live, new_trajs):
             _, allocs, scenario = problems[i]
             verify_safe_step(new_traj, allocs, scenario)
             new_obj = trajectory_objective(new_traj, allocs, scenario)
@@ -466,7 +480,8 @@ def optimize_many(problems: list[tuple[Trajectory, Allocation, Scenario]]
             trace.append(new_obj)
             trajs[i] = new_traj
             rel = (trace[-1] - trace[-2]) / max(abs(trace[-2]), 1e-12)
-            converged[i] = not moved_i or rel < REL_TOL
+            # An unmoved trajectory repeats its objective: rel is 0.
+            converged[i] = rel < REL_TOL
         live = [i for i in live if not converged[i]]
     return [ScaResult(traj, trace[-1], trace, conv)
             for traj, trace, conv in zip(trajs, traces, converged)]

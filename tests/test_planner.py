@@ -325,6 +325,24 @@ def test_solve_many_equals_solve(default_sc):
         assert got[1] == trace
 
 
+def test_identical_problems_share_one_sca_problem(default_sc, monkeypatch):
+    """The default mission_T sweep's nine planner problems: after the first
+    RA round, `proposed` and `egoistic` at each T have the same scenario,
+    waypoints and allocation, so the first stacked sweep plans 6 problems,
+    and no later one more."""
+    sizes = []
+
+    def spy(surrogates, waypoints, original=sca._sweep):
+        sizes.append(len(surrogates))
+        return original(surrogates, waypoints)
+
+    monkeypatch.setattr(sca, "_sweep", spy)
+    solve_many([(with_uav(default_sc, mission_t=t), mode)
+                for t in (40.0, 100.0, 200.0)
+                for mode in ("any", "egoistic", "altruistic")])
+    assert sizes[0] == 6 and max(sizes) == 6
+
+
 def test_lone_problem_calls_one_problem_entry_points(default_sc,
                                                     monkeypatch):
     """A lone problem's SCA loops go through `optimize_trajectory`, and each

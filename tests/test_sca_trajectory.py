@@ -366,6 +366,32 @@ def test_stacked_sweep_matches_reference(default_sc, names):
         assert u.tobytes() == want.tobytes(), name
 
 
+def test_stopped_problem_leaves_the_stack(default_sc, monkeypatch):
+    """A problem with no movable waypoint (zero power) stops after sweep 1
+    and leaves the stack: the later colour passes evaluate only the other
+    problem's columns, re-sliced from column 0, and both move bit for bit
+    as the unstacked reference does."""
+    cases = [_sweep_case(name, default_sc) for name in ("zero_power", "any")]
+    columns = []
+
+    def counted(surrogate, ev, rows=None):
+        columns.append(ev.rate.shape[1])
+        return _ascent_direction(surrogate, ev, rows)
+
+    monkeypatch.setattr(sca_trajectory, "_ascent_direction", counted)
+    got = [local.copy() for _, local in cases]
+    moved = _sweep([surro for surro, _ in cases], got)
+    assert moved == [False, True]
+    # Sweep 1: 201 + 1 pad + 201 stacked waypoints, 201 odd and 200 even
+    # interior ones. Then "any" alone: 100 odd and 99 even.
+    assert columns[:2] == [201, 200]
+    assert len(columns) > 2 and set(columns[2:]) == {100, 99}
+    for (surro, local), u in zip(cases, got):
+        want = local.copy()
+        reference_sweep(surro, want)
+        assert u.tobytes() == want.tobytes()
+
+
 def test_sweep_stops_when_movable_waypoints_converge(default_sc,
                                                     monkeypatch):
     """At the default plan, u[150] sits above the site at (750, 750) that
