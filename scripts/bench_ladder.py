@@ -25,22 +25,26 @@ same for process CPU seconds (`time.process_time`, this process only); per
 plan, the throughput in bps/Hz and the iteration counts: for a one-plan
 rung the outer and inner counts of its `ConvergenceTrace`, the coarse
 level's included, and for the sweep the `iters` cell of its `summary.csv`
-row. A rung whose plans differ between the plans of one pass or between
-passes of one column is an error. The `paired` section holds, for every
-column after the first and per rung, its ratio to the first column within
-each alternation pair (wall and CPU), their median and the pairs it won
-(ratio below 1), the sign test's interval on the median wall ratio (at
-least 95 % coverage where the pairs allow it, see `sign_interval`) and a
-verdict. Naming the parent twice, e.g. `parent=../base
-parent_again=../base change=.`, gives an A/A column (a later column with
-the first one's ROOT): the ratios that noise alone produces. The verdict is
+row. Each pass of a rung also records `steal_ticks`, the CPU time the
+hypervisor gave to other guests while it ran (see `steal_ticks`), so that
+a slow pass can be matched against stolen time. A rung whose plans differ
+between the plans of one pass or between passes of one column is an
+error. The `paired` section holds, for every column after the first and
+per rung, its ratio to the first column within each alternation pair
+(wall and CPU), their median and the pairs it won (ratio below 1), the
+sign test's interval on the median wall ratio (at least 95 % coverage
+where the pairs allow it, see `sign_interval`) and a verdict. Naming the
+parent twice, e.g. `parent=../base parent_again=../base change=.`, gives
+an A/A column (a later column with the first one's ROOT): the ratios that
+noise alone produces. The verdict is
 `faster` when the interval lies wholly below the first A/A column's
 interval, `slower` when wholly above, and `unresolved` when the two
 overlap; without an A/A column, and for the A/A columns themselves, the
 interval is compared with a ratio of 1.
 
 `python3 scripts/bench_ladder.py --pass ROOT` runs one pass and prints it as
-JSON.
+JSON: per rung its wall and CPU seconds, its plans and its `steal_ticks`.
+The script reads /proc/stat, so it runs on Linux only.
 """
 
 from __future__ import annotations
@@ -66,6 +70,15 @@ REPEATS = 10  # passes per column, alternating, as in a 10-pair A/B
 # Plans per pass on a one-plan rung: one plan of the default rung takes
 # under 0.1 s, too short for one timing to resolve a 20 % change.
 PLANS_PER_PASS = 5
+
+
+def steal_ticks() -> int:
+    """The `steal` field of the `cpu` line of /proc/stat: the time, summed
+    over all CPUs, in USER_HZ ticks (usually 1/100 s) since boot, in which
+    the hypervisor ran something else while this machine's CPUs were
+    runnable."""
+    with open("/proc/stat") as stat:
+        return int(stat.readline().split()[8])
 
 
 def one_pass(root: Path) -> list[dict]:
@@ -109,6 +122,7 @@ def one_pass(root: Path) -> list[dict]:
     rungs = []
     for rung, point, scenario in ladder:
         walls, cpus, plans = [], [], []
+        steal = steal_ticks()
         for _ in range(PLANS_PER_PASS):
             start, cpu = time.perf_counter(), time.process_time()
             plan, trace = run_scheme("proposed", scenario)
@@ -120,17 +134,20 @@ def one_pass(root: Path) -> list[dict]:
         if any(other != plans[0] for other in plans[1:]):
             raise RuntimeError(f"{rung}: plans of one pass differ")
         rungs.append({"rung": rung, "wall_s": statistics.median(walls),
-                      "cpu_s": statistics.median(cpus), "plans": plans[:1]})
+                      "cpu_s": statistics.median(cpus), "plans": plans[:1],
+                      "steal_ticks": steal_ticks() - steal})
 
     argv = ["sweep", "--param", "mission_T",
             "--values", ",".join(f"{t:g}" for t in SWEEP_T),
             "--schemes", ",".join(SCHEMES)]
     with tempfile.TemporaryDirectory() as out:
         with contextlib.redirect_stdout(io.StringIO()):
+            steal = steal_ticks()
             start, cpu = time.perf_counter(), time.process_time()
             code = harness.main(argv + ["--out", out])
             wall = time.perf_counter() - start
             cpu = time.process_time() - cpu
+            steal = steal_ticks() - steal
         if code != 0:
             raise RuntimeError(f"sweep exited {code}")
         _, rows = harness._read_table(Path(out) / "summary.csv")
@@ -139,7 +156,7 @@ def one_pass(root: Path) -> list[dict]:
     rungs.append({"rung": "sweep", "wall_s": wall, "cpu_s": cpu, "plans": [
         {"scheme": row[0], "point": f"T={row[2]}",
          "throughput_bpshz": float(row[3]), "iterations": int(row[4])}
-        for row in rows]})
+        for row in rows], "steal_ticks": steal})
     return rungs
 
 
@@ -166,6 +183,7 @@ def column(passes: list[list[dict]]) -> dict:
                       f"{key}_runs": runs}
         out[first["rung"]] = entry | {
             "plans_per_s": len(first["plans"]) / entry["wall_s"],
+            "steal_ticks_runs": [r["steal_ticks"] for r in rung],
             "plans": first["plans"]}
     return out
 

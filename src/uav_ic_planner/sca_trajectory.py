@@ -225,41 +225,41 @@ def _line_search_objective(ev: _SlotEval) -> np.ndarray:
     return np.maximum(rhat, AUX_WEIGHT * rhat)
 
 
-def _ascent_direction(surrogate: Surrogate, ev: _SlotEval,
-                      rows: np.ndarray | None = None) -> np.ndarray:
-    """Gradient (2, M) of each slot's binding surrogate rate bound, x plane
-    first, projected so it slides along the active TIN guarantees in `ev`
-    instead of crossing them. `ev` has a column per slot of `surrogate`,
-    `rows` is arange(M)."""
+def _ascent_direction(surrogate: Surrogate, ev: _SlotEval) -> np.ndarray:
+    """Unit direction (2, M) of each slot's binding surrogate rate bound's
+    gradient, x plane first, projected so it slides along the active TIN
+    guarantees in `ev` instead of crossing them; zero where the projected
+    gradient's norm is at most 1e-18. `ev` has a column per slot of
+    `surrogate`."""
     sc = surrogate.scenario
-    if rows is None:
-        rows = np.arange(ev.rate.shape[1])
+    rows = np.arange(ev.rate.shape[1])
     kstar = ev.rate.argmin(axis=0)
     g = -2.0 * surrogate.coeff[kstar, rows] * ev.diff[:, kstar, rows]
-    if ev.lhs is None or not (
+    if ev.lhs is not None and (
             active := ev.lhs - surrogate.gamma < ACTIVE_SLACK).any():
-        return g
-    # Listed through the transpose: slot by slot, sites ascending.
-    rows_a, k_a = active.T.nonzero()
-    # Gradient of each active guarantee; _log_slope gives the slope of its
-    # exact log-term log2(sigma2 + h * p).
-    slope_e = _log_slope(ev.d2[k_a, rows_a], ev.h[k_a, rows_a],
-                         surrogate.p[rows_a], sc.sigma2_vec[k_a], sc.channel)
-    grad_lhs = 2.0 * (slope_e - surrogate.coeff[k_a, rows_a]) \
-        * ev.diff[:, k_a, rows_a]
-    nrm2 = grad_lhs[0] * grad_lhs[0] + grad_lhs[1] * grad_lhs[1]
-    # Each slot projects onto its active sites in ascending site order; pass
-    # i takes the i-th active site of every slot at once.
-    rank = np.arange(rows_a.size) - np.searchsorted(rows_a, rows_a)
-    for i in range(int(rank.max()) + 1):
-        at = rank == i
-        rows_i, grad_i, nrm2_i = rows_a[at], grad_lhs[:, at], nrm2[at]
-        g_i = g[:, rows_i]
-        dot = g_i[0] * grad_i[0] + g_i[1] * grad_i[1]
-        adj = np.flatnonzero((dot < 0.0) & (nrm2_i > 1e-30))
-        if adj.size:
-            g[:, rows_i[adj]] -= (dot[adj] / nrm2_i[adj]) * grad_i[:, adj]
-    return g
+        # Listed through the transpose: slot by slot, sites ascending.
+        rows_a, k_a = active.T.nonzero()
+        # Gradient of each active guarantee; _log_slope gives the slope of
+        # its exact log-term log2(sigma2 + h * p).
+        slope_e = _log_slope(ev.d2[k_a, rows_a], ev.h[k_a, rows_a],
+                             surrogate.p[rows_a], sc.sigma2_vec[k_a],
+                             sc.channel)
+        grad_lhs = 2.0 * (slope_e - surrogate.coeff[k_a, rows_a]) \
+            * ev.diff[:, k_a, rows_a]
+        nrm2 = grad_lhs[0] * grad_lhs[0] + grad_lhs[1] * grad_lhs[1]
+        # Each slot projects onto its active sites in ascending site order;
+        # pass i takes the i-th active site of every slot at once.
+        rank = np.arange(rows_a.size) - np.searchsorted(rows_a, rows_a)
+        for i in range(int(rank.max()) + 1):
+            at = rank == i
+            rows_i, grad_i, nrm2_i = rows_a[at], grad_lhs[:, at], nrm2[at]
+            g_i = g[:, rows_i]
+            dot = g_i[0] * grad_i[0] + g_i[1] * grad_i[1]
+            adj = np.flatnonzero((dot < 0.0) & (nrm2_i > 1e-30))
+            if adj.size:
+                g[:, rows_i[adj]] -= (dot[adj] / nrm2_i[adj]) * grad_i[:, adj]
+    gnorm = _norm(g)
+    return np.divide(g, gnorm, out=np.zeros_like(g), where=gnorm > 1e-18)
 
 
 def _stack(surrogates: list[Surrogate], widths: list[int]) -> Surrogate:
@@ -312,9 +312,12 @@ def _sweep_stack(surrogates: list[Surrogate], waypoints: list[np.ndarray],
     and problem i's waypoint n is column starts[i] + n of x and y planes
     (2, W). Each problem starts at an even column, so each colour (odd,
     then even waypoints) works on basic-slice views of its waypoints, their
-    neighbours, steps and reaches, and on its slots' surrogate. The
-    evaluation at the current waypoints is carried from pass to pass; a
-    colour with no TIN guarantee skips the TIN terms (+inf there)."""
+    neighbours, steps and reaches, and on its slots' surrogate. A pass
+    carries each waypoint's position, step, line-search objective and unit
+    ascent direction, which changes only where a move is accepted (the
+    kernel is column-wise); a step is zeroed once its direction is zero,
+    so `step > 0` marks the movable waypoints. A colour with no TIN
+    guarantee skips the TIN terms (+inf there)."""
     sizes = [u.shape[0] for u in waypoints]
     widths = [n + n % 2 for n in sizes]
     starts = np.cumsum([0] + widths[:-1])
@@ -333,49 +336,42 @@ def _sweep_stack(surrogates: list[Surrogate], waypoints: list[np.ndarray],
         sub = surrogate.rows(slice(first - 1, n_wp - 2, 2))
         tin = bool(sub.tin_mask.any())
         ev = sub._at(planes[:, wp].T, tin)
+        direction = _ascent_direction(sub, ev)
+        step = step_all[wp]
+        step *= direction.any(axis=0)
         colours.append((
-            sub, tin, np.arange(ev.rate.shape[1]), planes[:, wp],
-            planes[:, first - 1:n_wp - 2:2], planes[:, first + 1::2],
-            step_all[wp], v_step[wp], v_step[wp] * (1.0 - 1e-12),
-            sub.gamma - SURROGATE_FEAS_TOL if tin else None, ev,
-            _line_search_objective(ev)))
+            sub, tin, planes[:, wp], planes[:, first - 1:n_wp - 2:2],
+            planes[:, first + 1::2], step, v_step[wp],
+            v_step[wp] * (1.0 - 1e-12),
+            sub.gamma - SURROGATE_FEAS_TOL if tin else None,
+            _line_search_objective(ev), direction))
 
     stop = np.zeros(len(sizes), dtype=bool)
     while done < ASCENT_STEPS and not stop.any():
         done += 1
         before = planes.copy()
-        for (sub, tin, rows, cur, left, right, step, reach, disc, tin_floor,
-             ev, obj) in colours:
-            g = _ascent_direction(sub, ev, rows)
-            gnorm = _norm(g)
-            movable = gnorm > 1e-18
-            all_movable = movable.all()
-            if not all_movable:
-                step *= movable
-                if not movable.any():
-                    continue
-            direction = g / gnorm if all_movable else np.divide(
-                g, gnorm, out=np.zeros_like(g), where=movable)
+        for (sub, tin, cur, left, right, step, reach, disc, tin_floor, obj,
+             direction) in colours:
             # step never exceeds the reach of one slot.
             cand = cur + step * direction
-            in_left = movable
+            accept = step > 0.0
             if (_clip_to_disc(cand, left, disc)
                     | _clip_to_disc(cand, right, disc)):
                 # An unclipped point is within the margin of `left` already.
-                in_left = movable & (_norm(cand - left) <= reach)
+                accept &= _norm(cand - left) <= reach
             cand_ev = sub._at(cand.T, tin)
             cand_obj = _line_search_objective(cand_ev)
-            accept = in_left & (cand_obj > obj + 1e-14)
+            accept &= cand_obj > obj + 1e-14
             if tin:
                 accept &= (cand_ev.lhs >= tin_floor).all(axis=0)
             if accept.any():
-                # Every carried array has the slots on its last axis.
-                for held, new in zip((cur, obj, *ev),
-                                     (cand, cand_obj, *cand_ev)):
-                    if held is not None:
-                        np.copyto(held, new, where=accept)
-                np.copyto(step, np.minimum(step * 1.5, reach), where=accept)
-            np.multiply(step, 0.5, out=step, where=movable & ~accept)
+                np.copyto(cur, cand, where=accept)
+                np.copyto(obj, cand_obj, where=accept)
+                np.copyto(direction, _ascent_direction(sub, cand_ev),
+                          where=accept)
+                np.copyto(step, np.minimum(step * 1.5, reach)
+                          * direction.any(axis=0), where=accept)
+            np.multiply(step, 0.5, out=step, where=~accept)
         # A step is zeroed once its waypoint's direction is zero, which then
         # stays zero, so a problem's largest step is that of its movable
         # waypoints. It stops once its steps have collapsed and it accepted

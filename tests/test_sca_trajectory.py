@@ -8,7 +8,7 @@ from uav_ic_planner.planner import prolong, solve
 from uav_ic_planner.ra_solver import Allocation, solve_resource_allocation
 from uav_ic_planner import sca_trajectory
 from uav_ic_planner.sca_trajectory import (ACTIVE_SLACK, ASCENT_STEPS,
-                                           Trajectory,
+                                           Surrogate, Trajectory,
                                            _ascent_direction, _sweep,
                                            build_surrogate,
                                            optimize_trajectory, slot_rates,
@@ -235,7 +235,8 @@ def test_ascent_direction_slides_along_active_tin_guarantee():
     assert raw @ grad_lhs < -0.1 * np.linalg.norm(raw) * scale
 
     g = _ascent_direction(surro, ev)[:, 0]
-    assert np.linalg.norm(g) > 0.1 * np.linalg.norm(raw)
+    # raw . (proj / |proj|) = |proj| for an orthogonal projection.
+    assert g @ raw > 0.1 * np.linalg.norm(raw)
     assert g @ grad_lhs >= -1e-6 * np.linalg.norm(g) * scale
 
 
@@ -373,19 +374,22 @@ def test_stopped_problem_leaves_the_stack(default_sc, monkeypatch):
     as the unstacked reference does."""
     cases = [_sweep_case(name, default_sc) for name in ("zero_power", "any")]
     columns = []
+    kernel = Surrogate._at
 
-    def counted(surrogate, ev, rows=None):
+    def counted(surrogate, points, tin=True):
+        ev = kernel(surrogate, points, tin)
         columns.append(ev.rate.shape[1])
-        return _ascent_direction(surrogate, ev, rows)
+        return ev
 
-    monkeypatch.setattr(sca_trajectory, "_ascent_direction", counted)
+    monkeypatch.setattr(Surrogate, "_at", counted)
     got = [local.copy() for _, local in cases]
     moved = _sweep([surro for surro, _ in cases], got)
     assert moved == [False, True]
-    # Sweep 1: 201 + 1 pad + 201 stacked waypoints, 201 odd and 200 even
-    # interior ones. Then "any" alone: 100 odd and 99 even.
-    assert columns[:2] == [201, 200]
-    assert len(columns) > 2 and set(columns[2:]) == {100, 99}
+    # Sweep 1 (each colour's current points, then each colour's candidates):
+    # 201 + 1 pad + 201 stacked waypoints, 201 odd and 200 even interior
+    # ones. Then "any" alone: 100 odd and 99 even.
+    assert columns[:4] == [201, 200] * 2
+    assert len(columns) > 4 and set(columns[4:]) == {100, 99}
     for (surro, local), u in zip(cases, got):
         want = local.copy()
         reference_sweep(surro, want)
@@ -397,21 +401,30 @@ def test_sweep_stops_when_movable_waypoints_converge(default_sc,
     """At the default plan, u[150] sits above the site at (750, 750) that
     decodes it, with a zero direction; the sweeps end once the movable
     waypoints' steps have collapsed instead of running all ASCENT_STEPS,
-    and move nothing the reference would."""
+    and move nothing the reference would. With no move accepted, the
+    ascent direction is computed once per colour and never again."""
     plan, _ = solve(default_sc)
     local = plan.trajectory.waypoints
     surro = build_surrogate(plan.trajectory, plan.allocations, default_sc)
-    calls = []
+    calls, evals = [], []
+    kernel = Surrogate._at
 
     def counted(*args):
         calls.append(1)
         return _ascent_direction(*args)
 
+    def counted_kernel(*args):
+        evals.append(1)
+        return kernel(*args)
+
     monkeypatch.setattr(sca_trajectory, "_ascent_direction", counted)
+    monkeypatch.setattr(Surrogate, "_at", counted_kernel)
     want, got = local.copy(), local.copy()
     assert reference_sweep(surro, want) is False
     assert _sweep([surro], [got]) == [False]
-    assert len(calls) < 2 * ASCENT_STEPS
+    assert len(calls) == 2
+    # One evaluation per colour before the sweeps, then one per pass.
+    assert len(evals) < 2 + 2 * ASCENT_STEPS
     assert got.tobytes() == want.tobytes()
 
 
