@@ -143,26 +143,26 @@ class Surrogate:
     gamma: np.ndarray        # (K, N) rate guarantees; per slot for stacking
 
     def _at(self, points: np.ndarray, tin: bool = True) -> _SlotEval:
-        """Evaluate the surrogate with the waypoints at `points` (one row
-        per slot, or the transpose of x and y planes), skipping the TIN
-        guarantees unless `tin`. Column-wise: a column depends on its own
-        point and slot only."""
+        """The surrogate at `points` (one row per slot, or the transpose of
+        x and y planes), its TIN guarantees only if `tin`; inf off the masks
+        once `rows` has masked the intercepts. Column n reads slot n only."""
         sc = self.scenario
         diff, s, d2, h = geometry(points, sc)
         cs = self.coeff * s
-        rate = np.where(self.ic_mask, self.intercept_a - cs, np.inf)
+        rate = self.intercept_a - cs
         if not tin:
             return _SlotEval(diff, None, None, rate, None)
-        lhs = np.where(self.tin_mask, self.intercept_b - cs
-                       - np.log2(sc.sigma2_vec[:, None] + h * self.p),
-                       np.inf)
-        return _SlotEval(diff, d2, h, rate, lhs)
+        return _SlotEval(diff, d2, h, rate, self.intercept_b - cs - np.log2(
+            sc.sigma2_vec[:, None] + h * self.p))
 
     def rows(self, sel: slice) -> Surrogate:
-        """The surrogate of the slots `sel`, on contiguous copies."""
-        return replace(self, **{
-            f.name: np.ascontiguousarray(getattr(self, f.name)[..., sel])
-            for f in fields(self) if f.name != "scenario"})
+        """The surrogate of the slots `sel` (a colour's, say), on contiguous
+        copies, its intercepts +inf off its IC and TIN masks."""
+        kw = {f.name: np.ascontiguousarray(getattr(self, f.name)[..., sel])
+              for f in fields(self) if f.name != "scenario"}
+        kw["intercept_a"] = np.where(kw["ic_mask"], kw["intercept_a"], np.inf)
+        kw["intercept_b"] = np.where(kw["tin_mask"], kw["intercept_b"], np.inf)
+        return replace(self, **kw)
 
 
 def build_surrogate(local_traj: Trajectory, allocs: Allocation,
@@ -200,7 +200,8 @@ def build_surrogate(local_traj: Trajectory, allocs: Allocation,
 
 def _norm(v: np.ndarray) -> np.ndarray:
     """Lengths (M,) of the vectors with x and y planes `v` (2, M)."""
-    return np.sqrt(v[0] * v[0] + v[1] * v[1])
+    sq = v * v
+    return np.sqrt(sq[0] + sq[1])
 
 
 def _clip_to_disc(pts: np.ndarray, centers: np.ndarray,
@@ -210,56 +211,62 @@ def _clip_to_disc(pts: np.ndarray, centers: np.ndarray,
     delta = pts - centers
     dist = _norm(delta)
     over = dist > radius
-    if not over.any():
+    if not np.logical_or.reduce(over):
         return False
-    # max(dist, radius) is dist where over, and never 0
-    np.copyto(pts, centers + delta * (radius / np.maximum(dist, radius)),
-              where=over)
+    np.divide(radius, dist, out=dist, where=over)  # dist > radius >= 0
+    np.add(centers, delta * dist, out=pts, where=over)
     return True
 
 
 def _line_search_objective(ev: _SlotEval) -> np.ndarray:
     """Per-slot surrogate rate, plus a small pull on slots whose bound is
     negative so they are not permanently stuck at zero."""
-    rhat = ev.rate.min(axis=0)
+    rhat = np.minimum.reduce(ev.rate)
     return np.maximum(rhat, AUX_WEIGHT * rhat)
 
 
-def _ascent_direction(surrogate: Surrogate, ev: _SlotEval) -> np.ndarray:
+def _ascent_direction(surrogate: Surrogate, ev: _SlotEval
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """Unit direction (2, M) of each slot's binding surrogate rate bound's
     gradient, x plane first, projected so it slides along the active TIN
-    guarantees in `ev` instead of crossing them; zero where the projected
-    gradient's norm is at most 1e-18. `ev` has a column per slot of
-    `surrogate`."""
+    guarantees in `ev` instead of crossing them, zero unless the projected
+    gradient's norm is above 1e-18, and that movable mask (M,). `ev` has a
+    column per slot of `surrogate`; (K, M) entry (k, n) is flat k M + n."""
     sc = surrogate.scenario
-    rows = np.arange(ev.rate.shape[1])
-    kstar = ev.rate.argmin(axis=0)
-    g = -2.0 * surrogate.coeff[kstar, rows] * ev.diff[:, kstar, rows]
-    if ev.lhs is not None and (
-            active := ev.lhs - surrogate.gamma < ACTIVE_SLACK).any():
+    m = ev.rate.shape[1]
+    diff = ev.diff.reshape(2, -1)
+    binding = ev.rate.argmin(axis=0) * m + np.arange(m)
+    g = -2.0 * surrogate.coeff.take(binding) * diff.take(binding, axis=1)
+    if ev.lhs is not None and np.logical_or.reduce(
+            active := ev.lhs - surrogate.gamma < ACTIVE_SLACK, axis=None):
         # Listed through the transpose: slot by slot, sites ascending.
         rows_a, k_a = active.T.nonzero()
+        flat = k_a * m + rows_a
         # Gradient of each active guarantee; _log_slope gives the slope of
         # its exact log-term log2(sigma2 + h * p).
-        slope_e = _log_slope(ev.d2[k_a, rows_a], ev.h[k_a, rows_a],
-                             surrogate.p[rows_a], sc.sigma2_vec[k_a],
+        slope_e = _log_slope(ev.d2.take(flat), ev.h.take(flat),
+                             surrogate.p.take(rows_a), sc.sigma2_vec.take(k_a),
                              sc.channel)
-        grad_lhs = 2.0 * (slope_e - surrogate.coeff[k_a, rows_a]) \
-            * ev.diff[:, k_a, rows_a]
+        grad_lhs = 2.0 * (slope_e - surrogate.coeff.take(flat)) \
+            * diff.take(flat, axis=1)
         nrm2 = grad_lhs[0] * grad_lhs[0] + grad_lhs[1] * grad_lhs[1]
         # Each slot projects onto its active sites in ascending site order;
-        # pass i takes the i-th active site of every slot at once.
-        rank = np.arange(rows_a.size) - np.searchsorted(rows_a, rows_a)
-        for i in range(int(rank.max()) + 1):
-            at = rank == i
+        # pass i takes the i-th active site of every slot (one pass if <= 1).
+        passes = [slice(None)]
+        if rows_a.size > np.count_nonzero(np.logical_or.reduce(active)):
+            rank = np.arange(rows_a.size) - np.searchsorted(rows_a, rows_a)
+            passes = [rank == i for i in range(int(rank.max()) + 1)]
+        for at in passes:
             rows_i, grad_i, nrm2_i = rows_a[at], grad_lhs[:, at], nrm2[at]
             g_i = g[:, rows_i]
             dot = g_i[0] * grad_i[0] + g_i[1] * grad_i[1]
-            adj = np.flatnonzero((dot < 0.0) & (nrm2_i > 1e-30))
-            if adj.size:
-                g[:, rows_i[adj]] -= (dot[adj] / nrm2_i[adj]) * grad_i[:, adj]
-    gnorm = _norm(g)
-    return np.divide(g, gnorm, out=np.zeros_like(g), where=gnorm > 1e-18)
+            adj = (dot < 0.0) & (nrm2_i > 1e-30)
+            if np.logical_or.reduce(adj):
+                np.divide(dot, nrm2_i, out=dot, where=adj)
+                np.subtract(g_i, dot * grad_i, out=g_i, where=adj)
+                g[:, rows_i] = g_i
+    movable = (gnorm := _norm(g)) > 1e-18
+    return np.divide(g, gnorm, out=np.zeros(g.shape), where=movable), movable
 
 
 def _stack(surrogates: list[Surrogate], widths: list[int]) -> Surrogate:
@@ -287,10 +294,9 @@ def _sweep(surrogates: list[Surrogate], waypoints: list[np.ndarray]
            ) -> list[bool]:
     """Red-black sweeps over the interior waypoints of each `waypoints[i]`
     under `surrogates[i]`, in lock step and in place; per problem, True if
-    any move was accepted. The problems not yet stopped sweep side by side
-    (`_sweep_stack`); when some stop, the others are stacked afresh from
-    their current waypoints and steps. The kernel is column-wise, so no
-    problem's bits depend on which others share its stack."""
+    any move was accepted. The live problems sweep side by side, restacked
+    when some stop (`_sweep_stack`); the kernel is column-wise, so no bit
+    depends on the stack."""
     start = [u.copy() for u in waypoints]
     steps = [np.pad(np.full(u.shape[0] - 2, 0.25 * s.scenario.uav.v_max
                             * s.scenario.uav.delta_t), 1)  # ends never move
@@ -300,7 +306,7 @@ def _sweep(surrogates: list[Surrogate], waypoints: list[np.ndarray]
         stop, done = _sweep_stack(*([seq[i] for i in live] for seq in (
             surrogates, waypoints, steps)), done)
         live = [i for i, s in zip(live, stop) if not s]
-    return [bool((u != s).any()) for u, s in zip(waypoints, start)]
+    return [not np.array_equal(u, s) for u, s in zip(waypoints, start)]
 
 
 def _sweep_stack(surrogates: list[Surrogate], waypoints: list[np.ndarray],
@@ -308,16 +314,14 @@ def _sweep_stack(surrogates: list[Surrogate], waypoints: list[np.ndarray],
                  ) -> tuple[np.ndarray, int]:
     """Sweeps done+1, ... of the problems side by side, in place, until one
     stops or ASCENT_STEPS have run; returns (stopped per problem, sweeps
-    done). Waypoint n owns slot n, i.e. column n-1 of the per-slot arrays,
-    and problem i's waypoint n is column starts[i] + n of x and y planes
-    (2, W). Each problem starts at an even column, so each colour (odd,
-    then even waypoints) works on basic-slice views of its waypoints, their
-    neighbours, steps and reaches, and on its slots' surrogate. A pass
-    carries each waypoint's position, step, line-search objective and unit
-    ascent direction, which changes only where a move is accepted (the
-    kernel is column-wise); a step is zeroed once its direction is zero,
-    so `step > 0` marks the movable waypoints. A colour with no TIN
-    guarantee skips the TIN terms (+inf there)."""
+    done). Problem i's waypoint n, owner of slot n (column n-1 of the
+    per-slot arrays), is column starts[i] + n of x and y planes (2, W); all
+    starts are even, so each colour (odd, then even waypoints) works on
+    basic-slice views and on its slots' `rows`. A pass carries each
+    waypoint's position, step, line-search objective and unit ascent
+    direction (column-wise, so it changes only with an accepted move); a
+    zero direction zeroes the step, so `step > 0` marks the movable
+    waypoints. A colour with no TIN guarantee skips the TIN terms."""
     sizes = [u.shape[0] for u in waypoints]
     widths = [n + n % 2 for n in sizes]
     starts = np.cumsum([0] + widths[:-1])
@@ -336,9 +340,9 @@ def _sweep_stack(surrogates: list[Surrogate], waypoints: list[np.ndarray],
         sub = surrogate.rows(slice(first - 1, n_wp - 2, 2))
         tin = bool(sub.tin_mask.any())
         ev = sub._at(planes[:, wp].T, tin)
-        direction = _ascent_direction(sub, ev)
+        direction, movable = _ascent_direction(sub, ev)
         step = step_all[wp]
-        step *= direction.any(axis=0)
+        step *= movable
         colours.append((
             sub, tin, planes[:, wp], planes[:, first - 1:n_wp - 2:2],
             planes[:, first + 1::2], step, v_step[wp],
@@ -347,7 +351,7 @@ def _sweep_stack(surrogates: list[Surrogate], waypoints: list[np.ndarray],
             _line_search_objective(ev), direction))
 
     stop = np.zeros(len(sizes), dtype=bool)
-    while done < ASCENT_STEPS and not stop.any():
+    while done < ASCENT_STEPS and not np.logical_or.reduce(stop):
         done += 1
         before = planes.copy()
         for (sub, tin, cur, left, right, step, reach, disc, tin_floor, obj,
@@ -363,24 +367,20 @@ def _sweep_stack(surrogates: list[Surrogate], waypoints: list[np.ndarray],
             cand_obj = _line_search_objective(cand_ev)
             accept &= cand_obj > obj + 1e-14
             if tin:
-                accept &= (cand_ev.lhs >= tin_floor).all(axis=0)
-            if accept.any():
+                accept &= np.logical_and.reduce(cand_ev.lhs >= tin_floor)
+            if np.logical_or.reduce(accept):
+                new_direction, movable = _ascent_direction(sub, cand_ev)
                 np.copyto(cur, cand, where=accept)
                 np.copyto(obj, cand_obj, where=accept)
-                np.copyto(direction, _ascent_direction(sub, cand_ev),
+                np.copyto(direction, new_direction, where=accept)
+                np.copyto(step, np.minimum(step * 1.5, reach) * movable,
                           where=accept)
-                np.copyto(step, np.minimum(step * 1.5, reach)
-                          * direction.any(axis=0), where=accept)
             np.multiply(step, 0.5, out=step, where=~accept)
-        # A step is zeroed once its waypoint's direction is zero, which then
-        # stays zero, so a problem's largest step is that of its movable
-        # waypoints. It stops once its steps have collapsed and it accepted
-        # no move in this sweep. An accepted move strictly raises its slot's
-        # objective, a function of that waypoint alone, so a problem
-        # accepted a move iff one of its waypoints has changed.
+        # A problem stops once its steps have collapsed and it accepted no
+        # move, i.e. no waypoint changed (a move raises its slot's objective).
         collapsed = np.maximum.reduceat(step_all, starts) < 1e-9 * v_steps
-        if collapsed.any():
-            changed = (planes != before).any(axis=0)
+        if np.logical_or.reduce(collapsed):
+            changed = np.logical_or.reduce(planes != before)
             stop = collapsed & ~np.logical_or.reduceat(changed, starts)
     for u, s, first, n in zip(waypoints, steps, starts, sizes):
         u[...] = planes[:, first:first + n].T

@@ -86,7 +86,8 @@ def surrogate_bounds(surro, points) -> tuple[np.ndarray, np.ndarray]:
     `points` (one per slot), site-major (K, N), for every site/slot pair,
     not only the pairs the allocation decodes or treats as noise."""
     on = np.ones_like(surro.ic_mask)
-    ev = dataclasses.replace(surro, ic_mask=on, tin_mask=on)._at(points)
+    ev = dataclasses.replace(surro, ic_mask=on, tin_mask=on).rows(
+        slice(None))._at(points)
     return ev.rate, ev.lhs
 
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uav_ic_planner.planner import prolong, solve
 from uav_ic_planner.ra_solver import Allocation, solve_resource_allocation
@@ -152,7 +154,8 @@ def test_surrogate_constant_for_zero_power():
 def _surrogate_rates(surro, points):
     """Per-slot min over IC sites of the surrogate UAV rate, clamped at
     zero; points (N, 2)."""
-    return np.maximum(surro._at(points, tin=False).rate.min(axis=0), 0.0)
+    ev = surro.rows(slice(None))._at(points, tin=False)
+    return np.maximum(ev.rate.min(axis=0), 0.0)
 
 
 def test_solve_surrogate_fixed_point_returns_local():
@@ -234,7 +237,9 @@ def test_ascent_direction_slides_along_active_tin_guarantee():
     scale = np.linalg.norm(grad_lhs)
     assert raw @ grad_lhs < -0.1 * np.linalg.norm(raw) * scale
 
-    g = _ascent_direction(surro, ev)[:, 0]
+    direction, movable = _ascent_direction(surro, ev)
+    assert movable[0]
+    g = direction[:, 0]
     # raw . (proj / |proj|) = |proj| for an orthogonal projection.
     assert g @ raw > 0.1 * np.linalg.norm(raw)
     assert g @ grad_lhs >= -1e-6 * np.linalg.norm(g) * scale
@@ -263,14 +268,16 @@ def _dense_sites_draw(default_sc, seed=3, k=8, n_slots=25, mission_t=40.0):
 def _sweep_case(name, default_sc):
     """(surrogate, local waypoints) of one named sweep case."""
     if name in ("active_tin", "two_active_tin", "mixed_colours",
-                "slack_tin"):
+                "slack_tin", "one_tight_tin"):
         # The noise-treating sites' guarantees hold with equality at u; with
         # two, the ascent direction is projected off both. In mixed_colours
         # the odd waypoints' slots decode at both sites, so the first colour
         # has no guarantee and the second one has. slack_tin guarantees half
-        # the rate at u.
-        n_tin = 2 if name == "two_active_tin" else 1
-        share = 0.5 if name == "slack_tin" else 1.0
+        # the rate at u; one_tight_tin has two_active_tin's sites, but its
+        # second guarantee is half the rate at u.
+        n_tin = 2 if name in ("two_active_tin", "one_tight_tin") else 1
+        shares = {"slack_tin": (0.5,), "one_tight_tin": (1.0, 0.5)}.get(
+            name, (1.0, 1.0))
         n_slots = 6 if name == "mixed_colours" else 4
         tin_sites = [make_site(pos=pos)
                      for pos in ((50.0, -40.0), (-60.0, -60.0))[:n_tin]]
@@ -278,7 +285,7 @@ def _sweep_case(name, default_sc):
         sites = (make_site(pos=(0.0, 0.0)),) + tuple(
             dataclasses.replace(site, gamma=share * float(
                 gu_rate_tin(p, u, 1.0, site, ch, 100.0)))
-            for site in tin_sites)
+            for site, share in zip(tin_sites, shares))
         sc = Scenario(channel=ch, sites=sites,
                       uav=make_uav(u_init=u, u_final=u,
                                    mission_t=2.5 * n_slots, n_slots=n_slots))
@@ -321,6 +328,13 @@ def _sweep_case(name, default_sc):
     return build_surrogate(traj, allocs, sc), traj.waypoints
 
 
+def _most_active(surro, local) -> int:
+    """The most TIN guarantees active in one slot at the waypoints `local`."""
+    ev = surro.rows(slice(None))._at(local[1:])
+    active = ev.lhs - surro.scenario.gamma_vec[:, None] < ACTIVE_SLACK
+    return int(active.sum(axis=0).max())
+
+
 @pytest.mark.parametrize("name", ["any", "egoistic", "altruistic",
                                   "dense_sites", "prolonged_n2000", "n2", "n3",
                                   "zero_power", "active_tin",
@@ -332,9 +346,7 @@ def test_sweep_matches_reference(default_sc, name):
     waypoint bit for bit as the plain two-evaluation sweeps do."""
     surro, local = _sweep_case(name, default_sc)
     if name in ("two_active_tin", "k64"):
-        ev = surro._at(local[1:])
-        active = ev.lhs - surro.scenario.gamma_vec[:, None] < ACTIVE_SLACK
-        assert active.sum(axis=0).max() >= 2
+        assert _most_active(surro, local) >= 2
     if name == "no_tin_any":
         # Some slots treat a site as noise, none with a guarantee.
         assert not surro.ic_mask.all() and not surro.tin_mask.any()
@@ -351,20 +363,50 @@ def test_sweep_matches_reference(default_sc, name):
 @pytest.mark.parametrize("names", [
     ("any", "egoistic", "altruistic", "prolonged_n2000", "n2", "n3",
      "zero_power", "no_tin_any"),
-    ("slack_tin", "active_tin", "mixed_colours")])
+    ("slack_tin", "active_tin", "mixed_colours"),
+    ("one_tight_tin", "two_active_tin")])
 def test_stacked_sweep_matches_reference(default_sc, names):
     """Problems with their own slot counts (so their own reach per slot),
     guarantees and stop tests, swept side by side in one call, each move
     every waypoint bit for bit as the unstacked reference does. In the
     second stack a slack guarantee comes first, so a floor or an active
-    test taken from the first problem would let the tight ones slip."""
+    test taken from the first problem would let the tight ones slip. In
+    the third, the first problem has one active guarantee per slot and the
+    second two, so the one-pass projection must be decided per slot, not
+    from the first problem."""
     cases = [_sweep_case(name, default_sc) for name in names]
+    if names[0] == "one_tight_tin":
+        assert [_most_active(*case) for case in cases] == [1, 2]
     got = [local.copy() for _, local in cases]
     moved = _sweep([surro for surro, _ in cases], got)
     for name, (surro, local), u, got_moved in zip(names, cases, got, moved):
         want = local.copy()
         assert got_moved is reference_sweep(surro, want), name
         assert u.tobytes() == want.tobytes(), name
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 5),
+       problems=st.lists(st.tuples(st.integers(2, 39), st.sampled_from(
+           ["any", "egoistic", "altruistic"])), min_size=1, max_size=3))
+def test_random_stacks_sweep_as_reference(seed, k, problems):
+    """Stacks of 1-3 problems on the sites of one random feasible draw, each
+    with its own slot count and mode constraint, from straight-fly: every
+    problem moves bit for bit as the unstacked reference does."""
+    base = random_feasible_scenario(np.random.default_rng(seed), k=k)
+    cases = []
+    for n_slots, mode in problems:
+        sc = dataclasses.replace(base, uav=dataclasses.replace(
+            base.uav, n_slots=n_slots))
+        traj = straight_line_trajectory(sc.uav)
+        allocs, _ = solve_resource_allocation(traj, sc, mode)
+        cases.append((build_surrogate(traj, allocs, sc), traj.waypoints))
+    got = [local.copy() for _, local in cases]
+    moved = _sweep([surro for surro, _ in cases], got)
+    for (surro, local), u, got_moved in zip(cases, got, moved):
+        want = local.copy()
+        assert got_moved is reference_sweep(surro, want)
+        assert u.tobytes() == want.tobytes()
 
 
 def test_stopped_problem_leaves_the_stack(default_sc, monkeypatch):
