@@ -74,14 +74,21 @@ def _read_table(path: Path) -> tuple[list[str], list[list[str]]]:
         return header, [row for row in reader if row]
 
 
+def _plan_headers(k: int) -> dict[str, list[str]]:
+    """The header row of each plan table, for K sites."""
+    return {"trajectory.csv": ["slot", "t_s", "x_m", "y_m"],
+            "allocation.csv": ["slot", "tau_bitmask", "p_w"]
+            + [f"q_{j + 1}_w" for j in range(k)] + ["r_bpshz"]}
+
+
 def write_plan_tables(out_dir: Path, plan: Plan, scenario: Scenario,
                       trace: ConvergenceTrace | None = None) -> None:
-    dt = scenario.uav.delta_t
+    dt, k = scenario.uav.delta_t, scenario.n_sites
+    headers = _plan_headers(k)
     x, y = plan.trajectory.waypoints.T.tolist()
-    _write_table(out_dir / "trajectory.csv", ["slot", "t_s", "x_m", "y_m"],
+    _write_table(out_dir / "trajectory.csv", headers["trajectory.csv"],
                  "%d,%.12g,%.12g,%.12g",
                  zip(range(len(x)), [n * dt for n in range(len(x))], x, y))
-    k = scenario.n_sites
     a = plan.allocations
     # Python ints keep the bit mask exact for any K (no 64-bit overflow);
     # site j is bit j of a row's little-endian packed bytes.
@@ -89,9 +96,8 @@ def write_plan_tables(out_dir: Path, plan: Plan, scenario: Scenario,
              for row in np.packbits(a.tau, axis=1, bitorder="little")]
     nums = np.column_stack([a.p, a.q, a.r]).tolist()
     _write_table(
-        out_dir / "allocation.csv",
-        ["slot", "tau_bitmask", "p_w"] + [f"q_{j + 1}_w" for j in range(k)]
-        + ["r_bpshz"], "%d,%d" + ",%.12g" * (k + 2),
+        out_dir / "allocation.csv", headers["allocation.csv"],
+        "%d,%d" + ",%.12g" * (k + 2),
         [(n, mask, *row)
          for n, (mask, row) in enumerate(zip(masks, nums), start=1)])
     if trace is not None:
@@ -116,11 +122,17 @@ def write_summary_table(out_dir: Path, rows: list[list],
 
 
 def load_plan(out_dir: Path, scenario: Scenario, scheme_tag: str) -> Plan:
-    """Rebuild a Plan from exported tables; the inverse of write_plan_tables."""
-    _, traj_rows = _read_table(out_dir / "trajectory.csv")
-    waypoints = np.array([[float(r[2]), float(r[3])] for r in traj_rows])
-    _, alloc_rows = _read_table(out_dir / "allocation.csv")
+    """Rebuild a Plan from exported tables; the inverse of write_plan_tables.
+    A header that is not the one for the scenario's K raises ValueError."""
     k = scenario.n_sites
+    rows = {}
+    for name, want in _plan_headers(k).items():
+        header, rows[name] = _read_table(out_dir / name)
+        if header != want:
+            raise ValueError(f"{out_dir / name}: expected the {k}-site "
+                             f"header {','.join(want)}")
+    traj_rows, alloc_rows = rows.values()
+    waypoints = np.array([[float(r[2]), float(r[3])] for r in traj_rows])
     masks = [int(row[1]) for row in alloc_rows]
     if any(not 0 < mask < 1 << k for mask in masks):
         raise ValueError(f"allocation.csv: tau_bitmask outside 1..2^{k}-1")

@@ -4,7 +4,6 @@ and that guarantee enforced at runtime."""
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, replace
 
@@ -17,7 +16,6 @@ from .ra_solver import (Allocation, ModeConstraint, check_mode_constraint,
 from .scenario import FeasibilityReport, Scenario, check_feasibility
 
 OUTER_MAX_ITERS = 30  # RA passes per slot grid; sca.REL_TOL also stops it
-OUTER_MONOTONE_TOL = 1e-9
 COARSE_SLOTS = 200  # slot count of the coarse level on finer grids
 RESIDUAL_TOL = -1e-8
 
@@ -64,10 +62,13 @@ class Plan:
 class ConvergenceTrace:
     outer: list[float]
     inner_per_outer: list[list[float]]
-    iterations: int
     converged: bool
     # The COARSE_SLOTS-slot level that seeded this one; None when none ran.
     coarse: ConvergenceTrace | None = None
+
+    @property
+    def iterations(self) -> int:
+        return len(self.outer)
 
 
 def _trajectory_step_possible(scenario: Scenario) -> bool:
@@ -96,24 +97,17 @@ def _alternate(trajs: list[sca.Trajectory],
     problem from its trajectory in `trajs`, in lock step: each outer round
     runs RA per problem not yet stopped, then one SCA loop for them all, in
     which problems with equal scenario, waypoints and allocation are one
-    (e.g. `proposed` and `egoistic` alike after RA); each gets a copy."""
+    (e.g. `proposed` and `egoistic` after RA); each gets its own trace."""
     trajs, allocs = list(trajs), [None] * len(problems)
-    traces = [ConvergenceTrace([], [], 0, False) for _ in problems]
+    traces = [ConvergenceTrace([], [], False) for _ in problems]
     live = range(len(problems))
     for it in range(OUTER_MAX_ITERS):
         moving = []
         for i in live:
-            (scenario, mode_constraint), outer = problems[i], traces[i].outer
+            scenario, mode_constraint = problems[i]
             allocs[i], obj = solve_resource_allocation(trajs[i], scenario,
                                                        mode_constraint)
-            if outer and not (obj >= outer[-1] - OUTER_MONOTONE_TOL):
-                raise MonotonicityError(
-                    f"outer objective decreased or is NaN: {outer[-1]:.12g} "
-                    f"-> {obj:.12g}")
-            outer.append(obj)
-            traces[i].iterations = len(outer)
-            if ((len(outer) > 1 and (obj - outer[-2])
-                 / max(abs(outer[-2]), 1e-12) < sca.REL_TOL)
+            if (sca.extend_trace(traces[i].outer, obj, MonotonicityError)
                     or not _trajectory_step_possible(scenario)):
                 traces[i].converged = True
             elif it < OUTER_MAX_ITERS - 1:
@@ -131,9 +125,9 @@ def _alternate(trajs: list[sca.Trajectory],
                    else [sca.optimize_trajectory(*stack[0])])
         for members, result in zip(groups.values(), results):
             for j, i in enumerate(members):
-                own = copy.deepcopy(result) if j else result
-                traces[i].inner_per_outer.append(own.inner_trace)
-                trajs[i] = own.trajectory
+                traces[i].inner_per_outer.append(
+                    result.inner_trace[:] if j else result.inner_trace)
+                trajs[i] = result.trajectory
         live = moving
     return list(zip(trajs, allocs, traces))
 

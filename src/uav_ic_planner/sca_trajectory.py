@@ -94,9 +94,32 @@ def straight_line_trajectory(uav: UavParams) -> Trajectory:
 @dataclass
 class ScaResult:
     trajectory: Trajectory
-    objective: float           # bps/Hz
     inner_trace: list[float]   # true objective per SCA iteration (incl. init)
-    converged: bool
+
+    @property
+    def objective(self) -> float:  # bps/Hz
+        return self.inner_trace[-1]
+
+    @property
+    def converged(self) -> bool:
+        return gain_stops(self.inner_trace)
+
+
+def gain_stops(trace: list[float]) -> bool:
+    """The SCA and outer loops' stop test: the last objective in `trace`
+    gains less than REL_TOL, relative, on the one before it."""
+    return len(trace) > 1 and (
+        (trace[-1] - trace[-2]) / max(abs(trace[-2]), 1e-12) < REL_TOL)
+
+
+def extend_trace(trace: list[float], value: float, error: type) -> bool:
+    """Append `value` to the objective `trace`, or raise `error` if it is
+    NaN or more than 1e-9 below the last one; then `gain_stops(trace)`."""
+    if trace and not (value >= trace[-1] - 1e-9):
+        raise error(f"objective decreased or is NaN: {trace[-1]:.12g} -> "
+                    f"{value:.12g}")
+    trace.append(value)
+    return gain_stops(trace)
 
 
 # ---------------------------------------------------------------------------
@@ -205,17 +228,14 @@ def _norm(v: np.ndarray) -> np.ndarray:
 
 
 def _clip_to_disc(pts: np.ndarray, centers: np.ndarray,
-                  radius: np.ndarray) -> bool:
+                  radius: np.ndarray) -> None:
     """Pull points (2, M) back onto discs of radii `radius` (M,) around
-    `centers`, in place; True if any point moved."""
+    `centers`, in place."""
     delta = pts - centers
     dist = _norm(delta)
     over = dist > radius
-    if not np.logical_or.reduce(over):
-        return False
     np.divide(radius, dist, out=dist, where=over)  # dist > radius >= 0
     np.add(centers, delta * dist, out=pts, where=over)
-    return True
 
 
 def _line_search_objective(ev: _SlotEval) -> np.ndarray:
@@ -269,75 +289,45 @@ def _ascent_direction(surrogate: Surrogate, ev: _SlotEval
     return np.divide(g, gnorm, out=np.zeros(g.shape), where=movable), movable
 
 
-def _stack(surrogates: list[Surrogate], widths: list[int]) -> Surrogate:
-    """The surrogates side by side along the slot axis, under the first
-    one's scenario (see `optimize_many`): each one's slots 1..N-1, then
-    inert columns (no IC or TIN site, all zero) up to its block width. One
-    surrogate is its own stack (its slot N is never read)."""
-    if len(surrogates) == 1:
-        return surrogates[0]
-
-    def stacked(name: str) -> np.ndarray:
-        parts = []
-        for surro, width in zip(surrogates, widths):
-            a = getattr(surro, name)
-            parts += [a[..., :-1], np.zeros(
-                a.shape[:-1] + (width - a.shape[-1] + 1,), a.dtype)]
-        return np.concatenate(parts[:-1], axis=-1)
-
-    return replace(surrogates[0], **{f.name: stacked(f.name)
-                                     for f in fields(Surrogate)
-                                     if f.name != "scenario"})
-
-
-def _sweep(surrogates: list[Surrogate], waypoints: list[np.ndarray]
-           ) -> list[bool]:
-    """Red-black sweeps over the interior waypoints of each `waypoints[i]`
-    under `surrogates[i]`, in lock step and in place; per problem, True if
-    any move was accepted. The live problems sweep side by side, restacked
-    when some stop (`_sweep_stack`); the kernel is column-wise, so no bit
-    depends on the stack."""
-    start = [u.copy() for u in waypoints]
-    steps = [np.pad(np.full(u.shape[0] - 2, 0.25 * s.scenario.uav.v_max
-                            * s.scenario.uav.delta_t), 1)  # ends never move
-             for s, u in zip(surrogates, waypoints)]
-    live, done = list(range(len(surrogates))), 0
-    while live and done < ASCENT_STEPS:
-        stop, done = _sweep_stack(*([seq[i] for i in live] for seq in (
-            surrogates, waypoints, steps)), done)
-        live = [i for i, s in zip(live, stop) if not s]
-    return [not np.array_equal(u, s) for u, s in zip(waypoints, start)]
+def _side_by_side(blocks: list, starts: np.ndarray, width: int) -> np.ndarray:
+    """The arrays `blocks` side by side on their last axis, block i from
+    column starts[i], zeros elsewhere, `width` columns in all."""
+    out = np.zeros(blocks[0].shape[:-1] + (width,), blocks[0].dtype)
+    for block, start in zip(blocks, starts):
+        out[..., start:start + block.shape[-1]] = block
+    return out
 
 
 def _sweep_stack(surrogates: list[Surrogate], waypoints: list[np.ndarray],
-                 steps: list[np.ndarray], done: int
+                 steps: list[np.ndarray], v_steps: list[float], done: int
                  ) -> tuple[np.ndarray, int]:
     """Sweeps done+1, ... of the problems side by side, in place, until one
     stops or ASCENT_STEPS have run; returns (stopped per problem, sweeps
-    done). Problem i's waypoint n, owner of slot n (column n-1 of the
-    per-slot arrays), is column starts[i] + n of x and y planes (2, W); all
-    starts are even, so each colour (odd, then even waypoints) works on
-    basic-slice views and on its slots' `rows`. A pass carries each
-    waypoint's position, step, line-search objective and unit ascent
-    direction (column-wise, so it changes only with an accepted move); a
-    zero direction zeroes the step, so `step > 0` marks the movable
+    done). Column starts[i] + n of every row (x and y planes, steps, one
+    slot's reach, the surrogate under the first problem's scenario) is
+    problem i's waypoint n and its slot n; endpoint and pad columns are
+    zero (no site, step or slope), so they never move. The starts are
+    even, so each colour (odd, then even waypoints) is one basic slice. A
+    pass carries each waypoint's position, step, line-search objective and
+    ascent direction (column-wise: it changes only with an accepted move);
+    a zero direction zeroes the step, so `step > 0` marks the movable
     waypoints. A colour with no TIN guarantee skips the TIN terms."""
     sizes = [u.shape[0] for u in waypoints]
-    widths = [n + n % 2 for n in sizes]
-    starts = np.cumsum([0] + widths[:-1])
+    starts = np.cumsum([0] + [n + n % 2 for n in sizes[:-1]])
     n_wp = int(starts[-1]) + sizes[-1]
-    surrogate = _stack(surrogates, widths)
-    planes = np.concatenate([np.vstack([u, u[-1:]])[:w] for u, w in zip(
-        waypoints, widths)])[:n_wp].T.copy()  # pads repeat the endpoint
-    step_all = np.concatenate([np.append(s, 0.0)[:w] for s, w in zip(
-        steps, widths)])[:n_wp]
-    v_steps = np.array([s.scenario.uav.v_max * s.scenario.uav.delta_t
-                        for s in surrogates])
-    v_step = np.repeat(v_steps, widths)[:n_wp]
+    surrogate = replace(surrogates[0], **{
+        f.name: _side_by_side([getattr(s, f.name)[..., :-1]
+                               for s in surrogates], starts + 1, n_wp)
+        for f in fields(Surrogate) if f.name != "scenario"})
+    planes = _side_by_side([u.T for u in waypoints], starts, n_wp)
+    step_all = _side_by_side(steps, starts, n_wp)
+    v_steps = np.array(v_steps)
+    v_step = _side_by_side([np.full(n, v) for n, v in zip(sizes, v_steps)],
+                           starts, n_wp)
     colours = []
     for first in range(1, min(n_wp - 1, 3)):  # odd, then even waypoints
         wp = slice(first, n_wp - 1, 2)
-        sub = surrogate.rows(slice(first - 1, n_wp - 2, 2))
+        sub = surrogate.rows(wp)
         tin = bool(sub.tin_mask.any())
         ev = sub._at(planes[:, wp].T, tin)
         direction, movable = _ascent_direction(sub, ev)
@@ -358,11 +348,9 @@ def _sweep_stack(surrogates: list[Surrogate], waypoints: list[np.ndarray],
              direction) in colours:
             # step never exceeds the reach of one slot.
             cand = cur + step * direction
-            accept = step > 0.0
-            if (_clip_to_disc(cand, left, disc)
-                    | _clip_to_disc(cand, right, disc)):
-                # An unclipped point is within the margin of `left` already.
-                accept &= _norm(cand - left) <= reach
+            _clip_to_disc(cand, left, disc)
+            _clip_to_disc(cand, right, disc)
+            accept = (step > 0.0) & (_norm(cand - left) <= reach)
             cand_ev = sub._at(cand.T, tin)
             cand_obj = _line_search_objective(cand_ev)
             accept &= cand_obj > obj + 1e-14
@@ -391,12 +379,24 @@ def _sweep_stack(surrogates: list[Surrogate], waypoints: list[np.ndarray],
 def solve_surrogate(surrogates: list[Surrogate], local_trajs: list[Trajectory]
                     ) -> tuple[list[Trajectory], list[bool], bool]:
     """Improve each surrogate's objective from its local trajectory by
-    Gauss-Seidel sweeps, all in one `_sweep` call. Moves keep the surrogate
-    TIN guarantees, so every accepted iterate is exactly feasible. Returns
-    (trajectories, moved per problem, stalled: none moved); a problem that
-    did not move keeps its local trajectory."""
+    red-black Gauss-Seidel sweeps, the live problems side by side and
+    restacked when some stop; the kernel is column-wise, so no bit depends
+    on the stack. Moves keep the surrogate TIN guarantees, so every
+    accepted iterate is exactly feasible. Returns (trajectories, moved per
+    problem, stalled: none moved); an unmoved problem keeps its local
+    trajectory."""
     points = [traj.waypoints.copy() for traj in local_trajs]
-    moved = _sweep(surrogates, points)
+    v_steps = [s.scenario.uav.v_max * s.scenario.uav.delta_t
+               for s in surrogates]  # one slot's reach
+    steps = [np.pad(np.full(u.shape[0] - 2, 0.25 * v), 1)  # ends never move
+             for u, v in zip(points, v_steps)]
+    live, done = list(range(len(surrogates))), 0
+    while live and done < ASCENT_STEPS:
+        stop, done = _sweep_stack(*([seq[i] for i in live] for seq in (
+            surrogates, points, steps, v_steps)), done)
+        live = [i for i, s in zip(live, stop) if not s]
+    moved = [not np.array_equal(u, traj.waypoints)
+             for u, traj in zip(points, local_trajs)]
     trajs = [Trajectory(u) if m else traj
              for u, m, traj in zip(points, moved, local_trajs)]
     return trajs, moved, not any(moved)
@@ -457,27 +457,19 @@ def optimize_many(problems: list[tuple[Trajectory, Allocation, Scenario]]
         init.validate(scenario.uav)
     trajs = [init for init, _, _ in problems]
     traces = [[trajectory_objective(*problem)] for problem in problems]
-    converged = [False] * len(problems)
     live = list(range(len(problems)))
     for _ in range(SCA_MAX_ITERS):
         if not live:
             break
         surros = [build_surrogate(trajs[i], *problems[i][1:]) for i in live]
         new_trajs, _, _ = solve_surrogate(surros, [trajs[i] for i in live])
+        moving = []
         for i, new_traj in zip(live, new_trajs):
             _, allocs, scenario = problems[i]
             verify_safe_step(new_traj, allocs, scenario)
-            new_obj = trajectory_objective(new_traj, allocs, scenario)
-            trace = traces[i]
-            if not (new_obj >= trace[-1] - 1e-9):
-                raise ScaError(
-                    f"inner objective decreased or is NaN: {trace[-1]:.12g} "
-                    f"-> {new_obj:.12g}")
-            trace.append(new_obj)
             trajs[i] = new_traj
-            rel = (trace[-1] - trace[-2]) / max(abs(trace[-2]), 1e-12)
-            # An unmoved trajectory repeats its objective: rel is 0.
-            converged[i] = rel < REL_TOL
-        live = [i for i in live if not converged[i]]
-    return [ScaResult(traj, trace[-1], trace, conv)
-            for traj, trace, conv in zip(trajs, traces, converged)]
+            if not extend_trace(traces[i], trajectory_objective(
+                    new_traj, allocs, scenario), ScaError):
+                moving.append(i)
+        live = moving
+    return [ScaResult(traj, trace) for traj, trace in zip(trajs, traces)]

@@ -19,14 +19,15 @@ not rejected by float rounding.
 `reference_hover_fly_waypoints` is the reference for the waypoints of
 `benchmarks.successive_hover_fly`: its event list walked slot by slot.
 
-`reference_sweep` is the reference for `sca_trajectory._sweep`: the
-red-black waypoint sweeps written plainly, evaluating the surrogate at the
-current waypoints and at the candidates in every colour pass, on
-fancy-indexed slot rows. It keeps the slot-major layout: its own (M, K, 2)
-geometry, evaluation and line-search objective, reading the site-major
-surrogate through transposed (N, K) views. Only the elementwise slope
-`_log_slope` is shared, and the arithmetic of every element is the same,
-since it must match `_sweep` bit for bit.
+`reference_sweep` is the reference for the sweeps of
+`sca_trajectory.solve_surrogate`: the red-black waypoint sweeps written
+plainly, evaluating the surrogate at the current waypoints and at the
+candidates in every colour pass, on fancy-indexed slot rows. It keeps
+the slot-major layout: its own (M, K, 2) geometry, evaluation and
+line-search objective, reading the site-major surrogate through
+transposed (N, K) views. Only the elementwise slope `_log_slope` is
+shared, and the arithmetic of every element is the same, since it must
+match `solve_surrogate` bit for bit.
 """
 
 from __future__ import annotations

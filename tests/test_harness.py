@@ -15,14 +15,14 @@ from uav_ic_planner.benchmarks import run_scheme
 from uav_ic_planner.harness import (EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_IO,
                                     EXIT_OK, SCHEMA_LINE, load_plan, main)
 from uav_ic_planner.planner import (ConvergenceTrace, Plan, evaluate_plan,
-                                    make_plan)
+                                    make_plan, solve)
 from uav_ic_planner.ra_solver import Allocation, solve_resource_allocation
 from uav_ic_planner.sca_trajectory import Trajectory, straight_line_trajectory
 from uav_ic_planner.scenario import (DEFAULT_SCENARIO_YAML, Scenario,
                                      default_scenario)
 
-from conftest import (make_channel, make_site, make_uav,
-                      random_feasible_scenario, scenario_yaml)
+from conftest import (dense_diagonal_scenario, make_channel, make_site,
+                      make_uav, random_feasible_scenario, scenario_yaml)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -109,6 +109,28 @@ def test_plan_round_trip_matches_summary(tmp_path, capsys):
     summary = read(out / "summary.csv").strip().splitlines()[-1].split(",")
     assert float(summary[3]) == pytest.approx(report.recomputed_objective,
                                               abs=1e-9)
+
+
+def test_load_plan_checks_headers_against_site_count(tmp_path):
+    """The tables of the K=8 dense-sites plan do not load under 7 or 9 of
+    its sites. Under the first 7 its masks alone would pass, since no slot
+    decodes at site 8, and the 8th GU power would be read as the rate; the
+    header check names the table and the header it expects."""
+    sc = dense_diagonal_scenario(np.random.default_rng(3))
+    plan, trace = solve(sc)
+    harness.write_plan_tables(tmp_path, plan, sc, trace)
+    assert not plan.allocations.tau[:, 7].any()
+    extra = dataclasses.replace(sc.sites[0], pos=(500.0, 0.0))
+    for sites in (sc.sites[:7], sc.sites + (extra,)):
+        k = len(sites)
+        want = ",".join(["slot", "tau_bitmask", "p_w"]
+                        + [f"q_{j + 1}_w" for j in range(k)] + ["r_bpshz"])
+        with pytest.raises(ValueError, match=f"allocation.csv: expected "
+                           f"the {k}-site header {want}$"):
+            load_plan(tmp_path, dataclasses.replace(sc, sites=sites),
+                      "proposed")
+    back = load_plan(tmp_path, sc, "proposed")
+    assert back.avg_throughput == pytest.approx(plan.avg_throughput, abs=1e-9)
 
 
 def test_plan_upper_bound_writes_hover_point(tmp_path, capsys):
@@ -374,7 +396,7 @@ def test_tables_match_csv_module_bytes(tmp_path, k):
     tau[0], tau[1], tau[2] = True, np.arange(k) == 0, np.arange(k) == k - 1
     allocs = Allocation(tau=tau, q=values(n, k), p=values(n), r=values(n))
     trace = ConvergenceTrace(outer=values(4).tolist(), inner_per_outer=[],
-                             iterations=4, converged=True)
+                             converged=True)
     plan = Plan(trajectory=Trajectory(values(n + 1, 2)), allocations=allocs,
                 avg_throughput=1.0, scheme_tag="proposed")
     harness.write_plan_tables(tmp_path, plan, sc, trace)

@@ -332,11 +332,11 @@ def test_identical_problems_share_one_sca_problem(default_sc, monkeypatch):
     and no later one more."""
     sizes = []
 
-    def spy(surrogates, waypoints, original=sca._sweep):
+    def spy(surrogates, local_trajs, original=sca.solve_surrogate):
         sizes.append(len(surrogates))
-        return original(surrogates, waypoints)
+        return original(surrogates, local_trajs)
 
-    monkeypatch.setattr(sca, "_sweep", spy)
+    monkeypatch.setattr(sca, "solve_surrogate", spy)
     solve_many([(with_uav(default_sc, mission_t=t), mode)
                 for t in (40.0, 100.0, 200.0)
                 for mode in ("any", "egoistic", "altruistic")])

@@ -11,8 +11,9 @@ from uav_ic_planner.ra_solver import Allocation, solve_resource_allocation
 from uav_ic_planner import sca_trajectory
 from uav_ic_planner.sca_trajectory import (ACTIVE_SLACK, ASCENT_STEPS,
                                            Surrogate, Trajectory,
-                                           _ascent_direction, _sweep,
-                                           build_surrogate,
+                                           _ascent_direction,
+                                           build_surrogate, extend_trace,
+                                           gain_stops,
                                            optimize_trajectory, slot_rates,
                                            solve_surrogate,
                                            straight_line_trajectory,
@@ -328,6 +329,18 @@ def _sweep_case(name, default_sc):
     return build_surrogate(traj, allocs, sc), traj.waypoints
 
 
+def _solve_in_place(surrogates, waypoints):
+    """`solve_surrogate` on the local waypoints (N+1, 2) of each surrogate,
+    writing the swept waypoints back in place; per problem, True if it
+    moved."""
+    trajs, moved, stalled = solve_surrogate(
+        surrogates, [Trajectory(u.copy()) for u in waypoints])
+    assert stalled is not any(moved)
+    for u, traj in zip(waypoints, trajs):
+        u[...] = traj.waypoints
+    return moved
+
+
 def _most_active(surro, local) -> int:
     """The most TIN guarantees active in one slot at the waypoints `local`."""
     ev = surro.rows(slice(None))._at(local[1:])
@@ -355,7 +368,7 @@ def test_sweep_matches_reference(default_sc, name):
         assert not interior[:, 0::2].any() and interior[:, 1::2].any()
     want, got = local.copy(), local.copy()
     want_moved = reference_sweep(surro, want)
-    assert _sweep([surro], [got]) == [want_moved]
+    assert _solve_in_place([surro], [got]) == [want_moved]
     assert got.tobytes() == want.tobytes()
     assert want_moved is (name != "zero_power")
 
@@ -378,7 +391,7 @@ def test_stacked_sweep_matches_reference(default_sc, names):
     if names[0] == "one_tight_tin":
         assert [_most_active(*case) for case in cases] == [1, 2]
     got = [local.copy() for _, local in cases]
-    moved = _sweep([surro for surro, _ in cases], got)
+    moved = _solve_in_place([surro for surro, _ in cases], got)
     for name, (surro, local), u, got_moved in zip(names, cases, got, moved):
         want = local.copy()
         assert got_moved is reference_sweep(surro, want), name
@@ -402,7 +415,7 @@ def test_random_stacks_sweep_as_reference(seed, k, problems):
         allocs, _ = solve_resource_allocation(traj, sc, mode)
         cases.append((build_surrogate(traj, allocs, sc), traj.waypoints))
     got = [local.copy() for _, local in cases]
-    moved = _sweep([surro for surro, _ in cases], got)
+    moved = _solve_in_place([surro for surro, _ in cases], got)
     for (surro, local), u, got_moved in zip(cases, got, moved):
         want = local.copy()
         assert got_moved is reference_sweep(surro, want)
@@ -425,7 +438,7 @@ def test_stopped_problem_leaves_the_stack(default_sc, monkeypatch):
 
     monkeypatch.setattr(Surrogate, "_at", counted)
     got = [local.copy() for _, local in cases]
-    moved = _sweep([surro for surro, _ in cases], got)
+    moved = _solve_in_place([surro for surro, _ in cases], got)
     assert moved == [False, True]
     # Sweep 1 (each colour's current points, then each colour's candidates):
     # 201 + 1 pad + 201 stacked waypoints, 201 odd and 200 even interior
@@ -463,7 +476,7 @@ def test_sweep_stops_when_movable_waypoints_converge(default_sc,
     monkeypatch.setattr(Surrogate, "_at", counted_kernel)
     want, got = local.copy(), local.copy()
     assert reference_sweep(surro, want) is False
-    assert _sweep([surro], [got]) == [False]
+    assert _solve_in_place([surro], [got]) == [False]
     assert len(calls) == 2
     # One evaluation per colour before the sweeps, then one per pass.
     assert len(evals) < 2 + 2 * ASCENT_STEPS
@@ -487,6 +500,38 @@ def test_verify_safe_step_detects_violation():
     from uav_ic_planner.sca_trajectory import SafeStepViolation
     with pytest.raises(SafeStepViolation):
         verify_safe_step(traj, bad, sc2)
+
+
+class _Guard(Exception):
+    pass
+
+
+def test_extend_trace_guards_and_stops():
+    """The one convergence record of the SCA and the alternating loop: a
+    drop of more than 1e-9, or a NaN, raises the caller's error and leaves
+    the trace as it was; a drop within 1e-9 is kept; the stop verdict is
+    the relative gain against REL_TOL, on either side of it."""
+    rel_tol = sca_trajectory.REL_TOL
+    for bad in (2.0 - 2e-9, math.nan):
+        trace = [2.0]
+        with pytest.raises(_Guard, match="decreased or is NaN"):
+            extend_trace(trace, bad, _Guard)
+        assert trace == [2.0]
+    trace = [2.0]
+    assert extend_trace(trace, 2.0 - 0.5e-9, _Guard) is True
+    assert trace == [2.0, 2.0 - 0.5e-9]
+    assert extend_trace(trace, trace[-1] * (1.0 + 2.0 * rel_tol),
+                        _Guard) is False
+    assert extend_trace(trace, trace[-1] * (1.0 + 0.5 * rel_tol),
+                        _Guard) is True
+    # The first entry has nothing to gain on; zero is guarded by 1e-12.
+    first = []
+    assert extend_trace(first, -1.0, _Guard) is False and first == [-1.0]
+    assert gain_stops([0.0, 1e-12 * 0.5 * rel_tol])
+    assert not gain_stops([0.0, 1e-12 * 2.0 * rel_tol])
+    result = sca_trajectory.ScaResult(None, [1.0, 1.0 + 2.0 * rel_tol])
+    assert result.objective == 1.0 + 2.0 * rel_tol
+    assert result.converged is False
 
 
 def test_optimize_trajectory_zero_power_converges_immediately():
