@@ -27,8 +27,12 @@ rung the outer and inner counts of its `ConvergenceTrace`, the coarse
 level's included, and for the sweep the `iters` cell of its `summary.csv`
 row. Each pass of a rung also records `steal_ticks`, the CPU time the
 hypervisor gave to other guests while it ran (see `steal_ticks`), so that
-a slow pass can be matched against stolen time. A rung whose plans differ
-between the plans of one pass or between passes of one column is an
+a slow pass can be matched against stolen time, and `work`, the
+deterministic work counts of `work_counts.counted` (SCA colour passes,
+column-passes, `Surrogate._at` and `_ascent_direction` calls, RA passes)
+of one more plan of a one-plan rung, or one more sweep, run untimed after
+the timed ones. A rung whose plans differ between the plans of one pass,
+or whose plans or work counts differ between passes of one column, is an
 error. The `paired` section holds, for every column after the first and
 per rung, its ratio to the first column within each alternation pair
 (wall and CPU), their median and the pairs it won (ratio below 1), the
@@ -43,7 +47,8 @@ overlap; without an A/A column, and for the A/A columns themselves, the
 interval is compared with a ratio of 1.
 
 `python3 scripts/bench_ladder.py --pass ROOT` runs one pass and prints it as
-JSON: per rung its wall and CPU seconds, its plans and its `steal_ticks`.
+JSON: per rung its wall and CPU seconds, its plans, its `steal_ticks` and
+its `work`.
 The script reads /proc/stat, so it runs on Linux only.
 """
 
@@ -94,6 +99,7 @@ def one_pass(root: Path) -> list[dict]:
     from uav_ic_planner import harness
     from uav_ic_planner.benchmarks import run_scheme
     from uav_ic_planner.scenario import default_scenario, parse_scenario
+    from work_counts import counted
     from workloads import DENSE_DRAW, dense_sites_doc
 
     def with_uav(scenario, **changes):
@@ -131,11 +137,14 @@ def one_pass(root: Path) -> list[dict]:
             plans.append({"scheme": "proposed", "point": point,
                           "throughput_bpshz": plan.avg_throughput,
                           "iterations": counts(trace)})
+        steal = steal_ticks() - steal
         if any(other != plans[0] for other in plans[1:]):
             raise RuntimeError(f"{rung}: plans of one pass differ")
+        with counted() as work:
+            run_scheme("proposed", scenario)
         rungs.append({"rung": rung, "wall_s": statistics.median(walls),
                       "cpu_s": statistics.median(cpus), "plans": plans[:1],
-                      "steal_ticks": steal_ticks() - steal})
+                      "steal_ticks": steal, "work": work})
 
     argv = ["sweep", "--param", "mission_T",
             "--values", ",".join(f"{t:g}" for t in SWEEP_T),
@@ -151,12 +160,16 @@ def one_pass(root: Path) -> list[dict]:
         if code != 0:
             raise RuntimeError(f"sweep exited {code}")
         _, rows = harness._read_table(Path(out) / "summary.csv")
+        with counted() as work, contextlib.redirect_stdout(io.StringIO()):
+            code = harness.main(argv + ["--out", out])
+        if code != 0:
+            raise RuntimeError(f"counted sweep exited {code}")
     if any(row[5] != "OK" for row in rows):
         raise RuntimeError(f"sweep rows not OK: {rows}")
     rungs.append({"rung": "sweep", "wall_s": wall, "cpu_s": cpu, "plans": [
         {"scheme": row[0], "point": f"T={row[2]}",
          "throughput_bpshz": float(row[3]), "iterations": int(row[4])}
-        for row in rows], "steal_ticks": steal})
+        for row in rows], "steal_ticks": steal, "work": work})
     return rungs
 
 
@@ -173,7 +186,9 @@ def column(passes: list[list[dict]]) -> dict:
     out: dict[str, dict] = {}
     for rung in zip(*passes):
         first = rung[0]
-        if any(other["plans"] != first["plans"] for other in rung[1:]):
+        if any((other["plans"], other["work"]) != (first["plans"],
+                                                   first["work"])
+               for other in rung[1:]):
             raise RuntimeError(f"{first['rung']}: passes differ")
         entry = {}
         for key in ("wall_s", "cpu_s"):
@@ -184,7 +199,7 @@ def column(passes: list[list[dict]]) -> dict:
         out[first["rung"]] = entry | {
             "plans_per_s": len(first["plans"]) / entry["wall_s"],
             "steal_ticks_runs": [r["steal_ticks"] for r in rung],
-            "plans": first["plans"]}
+            "plans": first["plans"], "work": first["work"]}
     return out
 
 

@@ -20,6 +20,8 @@ These counts repeat exactly from run to run and machine to machine, so two
 commits that should do the same work can be compared by them where paired
 timings on a shared machine cannot resolve a few per cent. Run it from the
 repository root's checkout; it exits 1 if an invocation does not exit 0.
+`scripts/bench_ladder.py` records every count but `profiled_calls` per
+rung, through `counted`, on each of its columns' own checkout.
 """
 
 from __future__ import annotations
@@ -29,17 +31,10 @@ import io
 import pstats
 import sys
 import tempfile
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
-sys.path.insert(0, str(ROOT / "perfbench"))
-
-from uav_ic_planner import benchmarks, harness, planner  # noqa: E402
-from uav_ic_planner import sca_trajectory as sca  # noqa: E402
-from workloads import WORKLOADS, write_scenario  # noqa: E402
-
 COLUMNS = ("passes", "column_passes", "at_calls", "directions", "ra_passes",
            "profiled_calls")
 
@@ -53,18 +48,13 @@ def _counted(counts: dict, key: str, fn, columns: str | None = None):
     return wrapper
 
 
-def _invoke(argv: list[str]) -> None:
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        rc = harness.main(argv)
-    if rc != 0:
-        raise SystemExit(f"{' '.join(argv)}: exit {rc}")
-
-
-def work_counts(name: str, tmp: Path) -> dict[str, int]:
-    workload = WORKLOADS[name]
-    scenario = tmp / f"{name}.yaml"
-    write_scenario(workload, scenario)
-    argv = workload.argv(scenario, tmp / name)
+@contextmanager
+def counted():
+    """Count the work that the block does in the `uav_ic_planner` package
+    already on `sys.path`. Yields a dict that holds, once the block ends,
+    every column of COLUMNS but `profiled_calls`."""
+    from uav_ic_planner import benchmarks, planner
+    from uav_ic_planner import sca_trajectory as sca
 
     counts = dict.fromkeys(("clips", "clip_columns", "at_calls", "directions",
                             "ra_passes"), 0)
@@ -74,26 +64,47 @@ def work_counts(name: str, tmp: Path) -> dict[str, int]:
              (planner, "solve_resource_allocation", "ra_passes", None),
              (benchmarks, "solve_resource_allocation", "ra_passes", None)]
     saved = [(owner, attr, getattr(owner, attr)) for owner, attr, *_ in hooks]
+    work: dict[str, int] = {}
     try:
         for owner, attr, key, columns in hooks:
             setattr(owner, attr,
                     _counted(counts, key, getattr(owner, attr), columns))
-        _invoke(argv)
+        yield work
     finally:
         for owner, attr, original in saved:
             setattr(owner, attr, original)
+    work |= {"passes": counts["clips"] // 2,
+             "column_passes": counts["clip_columns"] // 2,
+             "at_calls": counts["at_calls"],
+             "directions": counts["directions"],
+             "ra_passes": counts["ra_passes"]}
 
+
+def _invoke(main, argv: list[str]) -> None:
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    if rc != 0:
+        raise SystemExit(f"{' '.join(argv)}: exit {rc}")
+
+
+def work_counts(workload, tmp: Path) -> dict[str, int]:
+    from uav_ic_planner import harness
+    from workloads import write_scenario
+
+    scenario = tmp / f"{workload.name}.yaml"
+    write_scenario(workload, scenario)
+    argv = workload.argv(scenario, tmp / workload.name)
+    with counted() as work:
+        _invoke(harness.main, argv)
     profile = cProfile.Profile()
-    profile.runcall(_invoke, argv)
-    return {"passes": counts["clips"] // 2,
-            "column_passes": counts["clip_columns"] // 2,
-            "at_calls": counts["at_calls"],
-            "directions": counts["directions"],
-            "ra_passes": counts["ra_passes"],
-            "profiled_calls": pstats.Stats(profile).total_calls}
+    profile.runcall(_invoke, harness.main, argv)
+    return work | {"profiled_calls": pstats.Stats(profile).total_calls}
 
 
 def main(argv: list[str] | None = None) -> int:
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    from workloads import WORKLOADS
+
     names = (sys.argv[1:] if argv is None else argv) or list(WORKLOADS)
     unknown = [n for n in names if n not in WORKLOADS]
     if unknown:
@@ -103,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
     print(",".join(("workload",) + COLUMNS))
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
-            counts = work_counts(name, Path(tmp))
+            counts = work_counts(WORKLOADS[name], Path(tmp))
             print(",".join([name] + [str(counts[c]) for c in COLUMNS]))
     return 0
 

@@ -57,23 +57,20 @@ def straight_fly(scenario: Scenario) -> Plan:
 
 def shortest_site_tour(scenario: Scenario) -> tuple[tuple[int, ...], float]:
     """Shortest open path u_init -> (all sites) -> u_final, by exhaustive
-    permutation. Returns (visit order, path length in m)."""
+    permutation of a leg table. Returns (visit order, path length in m)."""
     k = scenario.n_sites
     if k > MAX_TSP_SITES:
         raise BenchmarkError(
             f"exhaustive tour search refused for K={k} > {MAX_TSP_SITES}")
-    u_i = np.asarray(scenario.uav.u_init)
-    u_f = np.asarray(scenario.uav.u_final)
-    pos = scenario.site_pos
-    best_order: tuple[int, ...] | None = None
-    best_len = math.inf
+    pts = [*scenario.site_pos, np.asarray(scenario.uav.u_init),
+           np.asarray(scenario.uav.u_final)]
+    leg = [[float(np.linalg.norm(b - a)) for b in pts] for a in pts]
+    best_order, best_len = None, math.inf
     for perm in itertools.permutations(range(k)):
-        pts = [u_i] + [pos[j] for j in perm] + [u_f]
-        length = sum(float(np.linalg.norm(b - a))
-                     for a, b in zip(pts, pts[1:]))
+        stops = (k, *perm, k + 1)
+        length = sum(leg[a][b] for a, b in zip(stops, stops[1:]))
         if length < best_len - 1e-12:
-            best_len = length
-            best_order = perm
+            best_order, best_len = perm, length
     return best_order, best_len
 
 

@@ -69,9 +69,10 @@ def _read_table(path: Path) -> tuple[list[str], list[list[str]]]:
         first = fh.readline().rstrip("\n")
         if first != SCHEMA_LINE:
             raise ValueError(f"{path}: unexpected schema line {first!r}")
-        reader = csv.reader(fh)
-        header = next(reader)
-        return header, [row for row in reader if row]
+        rows = [row for row in csv.reader(fh) if row]
+        if not rows:
+            raise ValueError(f"{path}: no header row")
+        return rows[0], rows[1:]
 
 
 def _plan_headers(k: int) -> dict[str, list[str]]:
@@ -123,14 +124,18 @@ def write_summary_table(out_dir: Path, rows: list[list],
 
 def load_plan(out_dir: Path, scenario: Scenario, scheme_tag: str) -> Plan:
     """Rebuild a Plan from exported tables; the inverse of write_plan_tables.
-    A header that is not the one for the scenario's K raises ValueError."""
-    k = scenario.n_sites
+    A header that is not the one for the scenario's K, or a row count other
+    than N + 1 waypoints and N slots, raises ValueError."""
+    k, n = scenario.n_sites, scenario.uav.n_slots
     rows = {}
-    for name, want in _plan_headers(k).items():
+    for (name, want), count in zip(_plan_headers(k).items(), (n + 1, n)):
         header, rows[name] = _read_table(out_dir / name)
         if header != want:
             raise ValueError(f"{out_dir / name}: expected the {k}-site "
                              f"header {','.join(want)}")
+        if len(rows[name]) != count:
+            raise ValueError(f"{out_dir / name}: expected {count} rows for "
+                             f"N={n}, found {len(rows[name])}")
     traj_rows, alloc_rows = rows.values()
     waypoints = np.array([[float(r[2]), float(r[3])] for r in traj_rows])
     masks = [int(row[1]) for row in alloc_rows]
@@ -138,9 +143,8 @@ def load_plan(out_dir: Path, scenario: Scenario, scheme_tag: str) -> Plan:
         raise ValueError(f"allocation.csv: tau_bitmask outside 1..2^{k}-1")
     tau = [[mask >> j & 1 for j in range(k)] for mask in masks]
     num = np.array([[float(v) for v in row[2:k + 4]] for row in alloc_rows])
-    num = num.reshape(-1, k + 2)  # p_w, q_1..q_K_w, r_bpshz
-    allocs = Allocation(tau=np.array(tau, dtype=bool).reshape(-1, k),
-                        p=num[:, 0], q=num[:, 1:-1], r=num[:, -1])
+    allocs = Allocation(tau=np.array(tau, dtype=bool), p=num[:, 0],
+                        q=num[:, 1:-1], r=num[:, -1])
     avg = float(np.mean(allocs.r))
     return make_plan(Trajectory(waypoints), allocs, avg, scheme_tag, scenario)
 

@@ -63,7 +63,7 @@ class ConvergenceTrace:
     outer: list[float]
     inner_per_outer: list[list[float]]
     converged: bool
-    # The COARSE_SLOTS-slot level that seeded this one; None when none ran.
+    # The coarser level that seeded this one; None when none ran.
     coarse: ConvergenceTrace | None = None
 
     @property
@@ -90,21 +90,24 @@ def prolong(traj: sca.Trajectory, n_slots: int) -> sca.Trajectory:
         [np.interp(t_new, t_old, col) for col in traj.waypoints.T]))
 
 
-def _alternate(trajs: list[sca.Trajectory],
-               problems: list[tuple[Scenario, ModeConstraint]],
+def _alternate(problems: list[tuple[Scenario, ModeConstraint,
+                                     sca.Trajectory | None]],
                ) -> list[tuple[sca.Trajectory, Allocation, ConvergenceTrace]]:
-    """The alternating RA/SCA loop of each (scenario, mode constraint)
-    problem from its trajectory in `trajs`, in lock step: each outer round
-    runs RA per problem not yet stopped, then one SCA loop for them all, in
-    which problems with equal scenario, waypoints and allocation are one
-    (e.g. `proposed` and `egoistic` after RA); each gets its own trace."""
-    trajs, allocs = list(trajs), [None] * len(problems)
+    """The alternating RA/SCA loop of each (scenario, mode constraint, start)
+    problem in lock step, from straight-fly (start None) or from the start
+    prolonged to the problem's grid. Each outer round runs RA per problem not
+    yet stopped, then one SCA loop for them all, in which problems with equal
+    scenario, waypoints and allocation are one (e.g. `proposed` and
+    `egoistic` after RA); each gets its own trace."""
+    trajs = [sca.straight_line_trajectory(sc.uav) if start is None
+             else prolong(start, sc.uav.n_slots) for sc, _, start in problems]
+    allocs = [None] * len(problems)
     traces = [ConvergenceTrace([], [], False) for _ in problems]
     live = range(len(problems))
     for it in range(OUTER_MAX_ITERS):
         moving = []
         for i in live:
-            scenario, mode_constraint = problems[i]
+            scenario, mode_constraint, _ = problems[i]
             allocs[i], obj = solve_resource_allocation(trajs[i], scenario,
                                                        mode_constraint)
             if (sca.extend_trace(traces[i].outer, obj, MonotonicityError)
@@ -141,11 +144,8 @@ def _stack_key(scenario: Scenario) -> dict:
 
 def solve(scenario: Scenario, mode_constraint: ModeConstraint = "any"
           ) -> tuple[Plan, ConvergenceTrace]:
-    """Run the full alternating algorithm from the straight-fly trajectory.
-
-    A grid finer than COARSE_SLOTS slots is planned at COARSE_SLOTS first;
-    that plan's trajectory, prolonged to the full grid, is where the
-    full-grid loop starts."""
+    """Run the full alternating algorithm from the straight-fly trajectory,
+    over the levels of `solve_many` (a COARSE_SLOTS level on finer grids)."""
     result = solve_many([(scenario, mode_constraint)])[0]
     if isinstance(result, InfeasibleScenario):
         raise result
@@ -167,26 +167,25 @@ def solve_many(problems: list[tuple[Scenario, ModeConstraint]]
                              f"0 in its {', '.join(differ)}")
     results = [None if report.feasible else InfeasibleScenario(report)
                for report in (check_feasibility(sc) for sc, _ in problems)]
-    live = [i for i, result in enumerate(results) if result is None]
-    # The coarse levels of the finer grids run first, as one stack.
-    refine = [i for i in live if problems[i][0].uav.n_slots > COARSE_SLOTS
-              and _trajectory_step_possible(problems[i][0])]
-    coarse_problems = [
-        (replace(sc, uav=replace(sc.uav, n_slots=COARSE_SLOTS)), mode)
-        for sc, mode in map(problems.__getitem__, refine)]
-    coarse = dict(zip(refine, _alternate(
-        [sca.straight_line_trajectory(sc.uav) for sc, _ in coarse_problems],
-        coarse_problems)))
-    starts = [prolong(coarse[i][0], problems[i][0].uav.n_slots) if i in coarse
-              else sca.straight_line_trajectory(problems[i][0].uav)
-              for i in live]
+    # Each feasible problem's levels, coarsest first: a COARSE_SLOTS level
+    # before any finer grid that has room to move.
+    levels = {i: [(replace(sc, uav=replace(sc.uav, n_slots=n)), mode)
+                  for n in (COARSE_SLOTS,) if n < sc.uav.n_slots
+                  and _trajectory_step_possible(sc)] + [(sc, mode)]
+              for i, (sc, mode) in enumerate(problems) if results[i] is None}
+    # Stage d is one stack of the problems with d levels left, each started
+    # from its previous level's trajectory (None: straight-fly).
     tags = {mode: name for name, mode in SCHEME_MODES.items()}
-    for i, (traj, allocs, trace) in zip(live, _alternate(
-            starts, list(map(problems.__getitem__, live)))):
-        scenario, mode_constraint = problems[i]
-        trace.coarse = coarse[i][2] if i in coarse else None
-        results[i] = (make_plan(traj, allocs, trace.outer[-1],
-                                tags[mode_constraint], scenario), trace)
+    starts, coarse = dict.fromkeys(levels), dict.fromkeys(levels)
+    for d in range(max(map(len, levels.values()), default=0), 0, -1):
+        stage = [i for i in levels if len(levels[i]) >= d]
+        for i, (traj, allocs, trace) in zip(stage, _alternate(
+                [(*levels[i][-d], starts[i]) for i in stage])):
+            trace.coarse, starts[i], coarse[i] = coarse[i], traj, trace
+            if d == 1:
+                sc, mode = problems[i]
+                results[i] = (make_plan(traj, allocs, trace.outer[-1],
+                                        tags[mode], sc), trace)
     return results
 
 

@@ -19,6 +19,11 @@ not rejected by float rounding.
 `reference_hover_fly_waypoints` is the reference for the waypoints of
 `benchmarks.successive_hover_fly`: its event list walked slot by slot.
 
+`reference_site_tour` is the reference for `benchmarks.shortest_site_tour`:
+every permutation's path rebuilt from the points and every leg's length
+computed afresh, with the same leg order and tie rule, so the two must give
+the same order and length bit for bit.
+
 `reference_sweep` is the reference for the sweeps of
 `sca_trajectory.solve_surrogate`: the red-black waypoint sweeps written
 plainly, evaluating the surrogate at the current waypoints and at the
@@ -338,6 +343,25 @@ def reference_sweep(surrogate: Surrogate, u: np.ndarray) -> bool:
         if not moved and float(step[interior].max()) < 1e-9 * v_step:
             break
     return accepted_any
+
+
+def reference_site_tour(scenario: Scenario) -> tuple[tuple[int, ...], float]:
+    """Shortest open path u_init -> (all sites) -> u_final, by exhaustive
+    permutation. Returns (visit order, path length in m)."""
+    k = scenario.n_sites
+    u_i = np.asarray(scenario.uav.u_init)
+    u_f = np.asarray(scenario.uav.u_final)
+    pos = scenario.site_pos
+    best_order: tuple[int, ...] | None = None
+    best_len = math.inf
+    for perm in itertools.permutations(range(k)):
+        pts = [u_i] + [pos[j] for j in perm] + [u_f]
+        length = sum(float(np.linalg.norm(b - a))
+                     for a, b in zip(pts, pts[1:]))
+        if length < best_len - 1e-12:
+            best_len = length
+            best_order = perm
+    return best_order, best_len
 
 
 def reference_hover_fly_waypoints(scenario: Scenario) -> np.ndarray:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uav_ic_planner.benchmarks import (SCHEME_NAMES, InsufficientDuration,
-                                       UpperBoundResult,
+from uav_ic_planner.benchmarks import (MAX_TSP_SITES, SCHEME_NAMES,
+                                       InsufficientDuration, UpperBoundResult,
                                        run_scheme, run_schemes,
                                        shortest_site_tour,
                                        straight_fly, successive_hover_fly,
@@ -20,7 +21,7 @@ from uav_ic_planner.scenario import Scenario, parse_scenario
 
 from conftest import (make_channel, make_site, make_uav,
                       random_feasible_scenario, single_site_scenario)
-from oracles import reference_hover_fly_waypoints
+from oracles import reference_hover_fly_waypoints, reference_site_tour
 
 
 def test_straight_fly_hover_when_endpoints_equal():
@@ -55,6 +56,58 @@ def test_shortest_site_tour_default(default_sc):
         best = min(best, sum(np.linalg.norm(b - a)
                              for a, b in zip(pts, pts[1:])))
     assert length == pytest.approx(best, rel=1e-12)
+
+
+def tour_scenario(sites, u_init=(0.0, 0.0), u_final=(1000.0, 1000.0)):
+    return Scenario(channel=make_channel(), uav=make_uav(
+        u_init=u_init, u_final=u_final), sites=tuple(
+            make_site(pos=(float(x), float(y))) for x, y in sites))
+
+
+# Seeded draws per K; the oracle takes about 0.8 s at K = 8.
+TOUR_DRAWS = {1: 4, 2: 4, 3: 4, 4: 4, 5: 4, 6: 4, 7: 2, 8: 1}
+
+
+@pytest.mark.parametrize("k", sorted(TOUR_DRAWS))
+def test_shortest_site_tour_matches_oracle_on_draws(k):
+    """Order and length equal the exhaustive oracle's bit for bit on seeded
+    draws, alternately from a coarse lattice, whose coincident sites and
+    equal legs tie exactly, and uniform."""
+    assert k <= MAX_TSP_SITES
+    rng = np.random.default_rng(k)
+    for draw in range(TOUR_DRAWS[k]):
+        ends = rng.uniform(0.0, 1000.0, (2, 2))
+        sites = (rng.uniform(0.0, 1000.0, (k, 2)) if draw % 2
+                 else 250.0 * rng.integers(0, 3, (k, 2)))
+        sc = tour_scenario(sites, *map(tuple, ends))
+        assert shortest_site_tour(sc) == reference_site_tour(sc)
+
+
+@pytest.mark.parametrize("sites, u_init, u_final", [
+    # a square's corners, mirror-symmetric about the line u_init -> u_final
+    ([(250, 250), (750, 250), (750, 750), (250, 750)], (500, 0), (500, 1000)),
+    # coincident sites: swapping a coincident pair keeps every leg
+    ([(300, 300), (300, 300), (700, 700), (700, 700)], (0, 0), (1000, 1000)),
+    # u_init == u_final: a closed tour, as long when reversed
+    ([(250, 250), (750, 250), (750, 750), (250, 750)], (500, 500), (500, 500)),
+    ([(100, 900), (600, 200), (900, 700)], (400, 400), (400, 400)),
+    # a closed tour whose reversal sums its legs one ulp shorter: the tie
+    # rule keeps the first
+    ([(300, 0), (200, 200), (100, 200), (0, 200)], (100, 0), (100, 0)),
+], ids=["square", "coincident", "closed_square", "closed_triangle",
+        "closed_reversal_ulp"])
+def test_shortest_site_tour_matches_oracle_on_exact_ties(sites, u_init,
+                                                         u_final):
+    """On layouts where several orders tie for shortest (within the search's
+    1e-12 m), the same one wins as in the oracle."""
+    def length(order):
+        pts = np.array([u_init, *(sites[j] for j in order), u_final], float)
+        return sum(float(np.linalg.norm(b - a)) for a, b in zip(pts, pts[1:]))
+
+    lengths = sorted(map(length, itertools.permutations(range(len(sites)))))
+    assert lengths[1] - lengths[0] <= 1e-12
+    sc = tour_scenario(sites, u_init, u_final)
+    assert shortest_site_tour(sc) == reference_site_tour(sc)
 
 
 def _with_duration(sc: Scenario, mission_t: float) -> Scenario:

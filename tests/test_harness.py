@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -131,6 +132,27 @@ def test_load_plan_checks_headers_against_site_count(tmp_path):
                       "proposed")
     back = load_plan(tmp_path, sc, "proposed")
     assert back.avg_throughput == pytest.approx(plan.avg_throughput, abs=1e-9)
+
+
+@pytest.mark.parametrize("name, lines, message", [
+    ("trajectory.csv", 1, "no header row"),
+    ("allocation.csv", 1, "no header row"),
+    ("allocation.csv", 2, "expected 200 rows for N=200, found 0"),
+    ("trajectory.csv", 201, "expected 201 rows for N=200, found 199"),
+    ("allocation.csv", 201, "expected 200 rows for N=200, found 199"),
+])
+def test_load_plan_rejects_truncated_tables(tmp_path, name, lines, message):
+    """A plan table cut after its schema line, after its header row or
+    one row short fails with ValueError naming the table, not with a bare
+    StopIteration, a mean of no rows or an audit of mismatched shapes."""
+    sc = default_scenario()
+    plan, trace = solve(sc)
+    harness.write_plan_tables(tmp_path, plan, sc, trace)
+    path = tmp_path / name
+    path.write_text("".join(path.read_text().splitlines(True)[:lines]))
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(str(path))}: {message}$"):
+        load_plan(tmp_path, sc, "proposed")
 
 
 def test_plan_upper_bound_writes_hover_point(tmp_path, capsys):

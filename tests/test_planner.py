@@ -325,6 +325,38 @@ def test_solve_many_equals_solve(default_sc):
         assert got[1] == trace
 
 
+def test_solve_many_runs_one_stack_per_stage(default_sc, monkeypatch):
+    """`solve_many` runs each stage of its schedule as one `_alternate`
+    stack: first the 200-slot levels of the finer grids with room to move,
+    then every problem on its own grid, in order. An N=2000 problem with a
+    coarse level starts from that level's trajectory and is seeded by its
+    trace; the N=200 problem and the speed-tight N=2000 one start from
+    straight-fly and have no coarse level."""
+    calls = []
+
+    def spy(problems, original=planner._alternate):
+        results = original(problems)
+        calls.append((problems, results))
+        return results
+
+    monkeypatch.setattr(planner, "_alternate", spy)
+    fine = with_uav(default_sc, n_slots=2000)
+    problems = [(fine, "any"), (fine, "altruistic"), (default_sc, "egoistic"),
+                (with_uav(fine, mission_t=28.284), "any")]
+    results = solve_many(problems)
+    assert len(calls) == 2
+    (coarse, coarse_out), (stage, _) = calls
+    assert default_sc.uav.n_slots == COARSE_SLOTS
+    assert coarse == [(default_sc, "any", None),
+                      (default_sc, "altruistic", None)]
+    assert [(sc, mode) for sc, mode, _ in stage] == problems
+    starts = [start for *_, start in stage]
+    assert starts[0] is coarse_out[0][0] and starts[1] is coarse_out[1][0]
+    assert starts[2:] == [None, None]
+    assert [trace.coarse for _, trace in results] == [
+        coarse_out[0][2], coarse_out[1][2], None, None]
+
+
 def test_identical_problems_share_one_sca_problem(default_sc, monkeypatch):
     """The default mission_T sweep's nine planner problems: after the first
     RA round, `proposed` and `egoistic` at each T have the same scenario,
