@@ -12,8 +12,9 @@ Writes one directory per run under OUT:
   sweep_gamma        `sweep --param gamma_all_sites --values 0,1,2,3,4,5`
   trace              `trace` with its default schemes
 The scenario documents used are written to OUT/scenarios. Run it from the
-repository root with src/ importable. Exits 1 if a run does not exit 0 or a
-table holds a non-finite number.
+repository root with src/ importable. Exits 1 if a run does not exit 0, or
+a table is malformed (read as `load_plan` reads tables) or holds a
+non-finite number.
 
 With --against REF, the tables are also compared byte for byte with an
 export REF made the same way on another commit (this replaces a manual
@@ -24,7 +25,6 @@ and the exit code is 1.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from pathlib import Path
@@ -33,7 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from uav_ic_planner.harness import SCHEMA_LINE, main  # noqa: E402
+from uav_ic_planner import harness  # noqa: E402
 from workloads import WORKLOADS, write_scenario  # noqa: E402
 
 SCHEMES = ("proposed", "straight_fly", "successive_hover_fly", "egoistic",
@@ -63,19 +63,19 @@ def runs(scenarios: Path) -> list[tuple[str, list[str]]]:
 
 
 def non_finite_cells(path: Path) -> list[str]:
-    with path.open(newline="") as fh:
-        if fh.readline().rstrip("\n") != SCHEMA_LINE:
-            return ["<schema line>"]
-        bad = []
-        for row in list(csv.reader(fh))[1:]:
-            for cell in row:
-                try:
-                    value = float(cell)
-                except ValueError:
-                    continue
-                if not math.isfinite(value):
-                    bad.append(cell)
-        return bad
+    """The cells of a table that read as a non-finite number. The table is
+    read as `load_plan` reads it, so a malformed one raises ValueError."""
+    _, rows = harness._read_table(path)
+    bad = []
+    for row in rows:
+        for cell in row:
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            if not math.isfinite(value):
+                bad.append(cell)
+    return bad
 
 
 def compare(out: Path, ref: Path) -> list[str]:
@@ -92,12 +92,16 @@ def compare(out: Path, ref: Path) -> list[str]:
 def export(out: Path, ref: Path | None = None) -> int:
     failures = []
     for name, argv in runs(out / "scenarios"):
-        code = main(argv + ["--out", str(out / name)])
+        code = harness.main(argv + ["--out", str(out / name)])
         if code != 0:
             failures.append(f"{name}: exit code {code}")
     tables = sorted(p for p in out.rglob("*.csv"))
     for table in tables:
-        bad = non_finite_cells(table)
+        try:
+            bad = non_finite_cells(table)
+        except ValueError as exc:
+            failures.append(str(exc))
+            continue
         if bad:
             failures.append(f"{table.relative_to(out)}: non-finite {bad[:3]}")
     if ref is not None:

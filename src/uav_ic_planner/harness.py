@@ -64,15 +64,25 @@ def _write_table(path: Path, header: list[str], fmt: str, rows) -> None:
         fh.write(f"{SCHEMA_LINE}\n{','.join(header)}\r\n{body}")
 
 
-def _read_table(path: Path) -> tuple[list[str], list[list[str]]]:
+def _read_table(path: Path, parse=list) -> tuple[list[str], list]:
+    """(header, rows) of a table, each row read by `parse`. A row of another
+    width than the header, or one `parse` rejects, raises ValueError."""
     with path.open() as fh:
         first = fh.readline().rstrip("\n")
         if first != SCHEMA_LINE:
             raise ValueError(f"{path}: unexpected schema line {first!r}")
         rows = [row for row in csv.reader(fh) if row]
-        if not rows:
-            raise ValueError(f"{path}: no header row")
-        return rows[0], rows[1:]
+    if not rows:
+        raise ValueError(f"{path}: no header row")
+    header, parsed = rows[0], []
+    for i, row in enumerate(rows[1:], start=1):  # row i after the header
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} cells, the header {len(header)}")
+            parsed.append(parse(row))
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {i}: {exc}") from None
+    return header, parsed
 
 
 def _plan_headers(k: int) -> dict[str, list[str]]:
@@ -124,12 +134,15 @@ def write_summary_table(out_dir: Path, rows: list[list],
 
 def load_plan(out_dir: Path, scenario: Scenario, scheme_tag: str) -> Plan:
     """Rebuild a Plan from exported tables; the inverse of write_plan_tables.
-    A header that is not the one for the scenario's K, or a row count other
-    than N + 1 waypoints and N slots, raises ValueError."""
+    A header that is not the one for the scenario's K, a row count other
+    than N + 1 waypoints and N slots, or a malformed row raises ValueError."""
     k, n = scenario.n_sites, scenario.uav.n_slots
     rows = {}
-    for (name, want), count in zip(_plan_headers(k).items(), (n + 1, n)):
-        header, rows[name] = _read_table(out_dir / name)
+    for (name, want), count, ints in zip(_plan_headers(k).items(),
+                                         (n + 1, n), (1, 2)):
+        # The first `ints` cells (the slot, and the bit mask) are exact ints.
+        header, rows[name] = _read_table(out_dir / name, lambda row: [
+            *map(int, row[:ints]), *map(float, row[ints:])])
         if header != want:
             raise ValueError(f"{out_dir / name}: expected the {k}-site "
                              f"header {','.join(want)}")
@@ -137,12 +150,12 @@ def load_plan(out_dir: Path, scenario: Scenario, scheme_tag: str) -> Plan:
             raise ValueError(f"{out_dir / name}: expected {count} rows for "
                              f"N={n}, found {len(rows[name])}")
     traj_rows, alloc_rows = rows.values()
-    waypoints = np.array([[float(r[2]), float(r[3])] for r in traj_rows])
-    masks = [int(row[1]) for row in alloc_rows]
+    waypoints = np.array([row[2:] for row in traj_rows], dtype=float)
+    masks = [row[1] for row in alloc_rows]
     if any(not 0 < mask < 1 << k for mask in masks):
         raise ValueError(f"allocation.csv: tau_bitmask outside 1..2^{k}-1")
     tau = [[mask >> j & 1 for j in range(k)] for mask in masks]
-    num = np.array([[float(v) for v in row[2:k + 4]] for row in alloc_rows])
+    num = np.array([row[2:] for row in alloc_rows], dtype=float)
     allocs = Allocation(tau=np.array(tau, dtype=bool), p=num[:, 0],
                         q=num[:, 1:-1], r=num[:, -1])
     avg = float(np.mean(allocs.r))

@@ -47,11 +47,6 @@ def check_mode_constraint(mode_constraint) -> None:
                          f"expected one of {', '.join(allowed)}")
 
 
-class InternalConsistencyError(Exception):
-    """A quantity that global feasibility guarantees non-negative came out
-    negative; indicates a scenario or solver bug rather than infeasibility."""
-
-
 @dataclass(frozen=True, eq=False)
 class Allocation:
     """Allocations for N slots (or N candidate positions), one row each;
@@ -66,27 +61,16 @@ class Allocation:
         return self.p.shape[0]
 
 
-def _site_terms(points: np.ndarray, scenario: Scenario,
-                tin) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _site_terms(points: np.ndarray, scenario: Scenario
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(h, c_ic, cap): gains (M, K) (a view of the kernel's transpose),
-    IC-mode noise plus GU interference (K,), and per-site TIN caps on the
-    UAV power (M, K), +inf without a guarantee.
-
-    cap[m, k] is the largest UAV power keeping site k's GU (at q = Q_k) at
-    its guarantee while site k treats the UAV as noise. A negative cap is
-    raised where `tin` (bool, broadcastable to (M, K)) allows TIN. Raises
-    InfeasibleSite first if a guarantee cannot be met under IC.
-    """
+    IC-mode noise plus GU interference (K,), and per-site TIN caps (M, K):
+    cap[m, k] >= 0 is the largest UAV power keeping site k's GU (at q = Q_k)
+    at its guarantee while it treats the UAV as noise, +inf without a
+    guarantee. Raises InfeasibleSite if a guarantee is out of IC's reach."""
     c_ic = scenario.sigma2_vec + scenario.q_ic_vec * scenario.g_vec
     h = a2g_gain(points, scenario).T
-    cap = scenario.tin_cap_numer / h
-    negative = (cap < -1e-12 * scenario.uav.p_max) & tin
-    if negative.any():
-        k = int(negative.any(axis=0).argmax())
-        raise InternalConsistencyError(
-            f"site {k}: negative UAV power cap {cap[:, k].min():.6g} W "
-            f"despite a feasible scenario")
-    return h, c_ic, np.maximum(cap, 0.0)
+    return h, c_ic, scenario.tin_cap_numer / h
 
 
 def _scan_rates(h: np.ndarray, c_ic: np.ndarray, cap: np.ndarray,
@@ -125,10 +109,10 @@ def slot_rates_on_points(points, scenario: Scenario,
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     rates = np.empty(points.shape[0])
     for blk in _blocks(points.shape[0], scenario.n_sites):
-        h, c_ic, cap = _site_terms(points[blk], scenario, scenario.n_sites > 1)
+        h, c_ic, cap = _site_terms(points[blk], scenario)
         if half_width:
             h_hi, h_lo = square_gains(points[blk], half_width, scenario)
-            h, cap = h_hi.T, np.maximum(scenario.tin_cap_numer, 0.0) / h_lo.T
+            h, cap = h_hi.T, scenario.tin_cap_numer / h_lo.T
         rates[blk] = _scan_rates(h, c_ic, cap, scenario.uav.p_max)
     return rates * (1.0 + 32 * np.finfo(float).eps) if half_width else rates
 
@@ -176,7 +160,7 @@ def solve_mode(tau, points, scenario: Scenario) -> Allocation:
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     if not tau.any(axis=1).all():
         raise ValueError("at least one site must decode the UAV")
-    h, _, cap = _site_terms(points, scenario, ~tau)
+    h, _, cap = _site_terms(points, scenario)
     p = np.minimum(np.where(tau, np.inf, cap).min(axis=1), scenario.uav.p_max)
     q = np.where(tau, scenario.q_ic_vec, scenario.q_max_vec)
     rate = uav_rate(h.T, p, q.T, scenario)
@@ -190,10 +174,9 @@ def solve_slot(points, scenario: Scenario,
     check_mode_constraint(mode_constraint)
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     n, k = points.shape[0], scenario.n_sites
-    tin_possible = k > 1 and mode_constraint != "altruistic"
     tau = np.empty((n, k), dtype=bool)
     for blk in _blocks(n, k):
-        h, c_ic, cap = _site_terms(points[blk], scenario, tin_possible)
+        h, c_ic, cap = _site_terms(points[blk], scenario)
         tau[blk] = _choose_block(h, c_ic, cap, scenario.uav.p_max,
                                  mode_constraint)
     return solve_mode(tau, points, scenario)

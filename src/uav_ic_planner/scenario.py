@@ -211,11 +211,13 @@ class Scenario:
 
     @cached_property
     def tin_cap_numer(self) -> np.ndarray:
-        # h times the TIN cap on the UAV power, inf without a guarantee. The
-        # scalar 2.0 ** gamma: numpy's array power can differ in the last bit.
-        return np.array([s.g * s.q_max / (2.0 ** s.gamma - 1.0) - s.sigma2
-                         if 2.0 ** s.gamma > 1.0 else math.inf
-                         for s in self.sites])
+        # h times the TIN cap on the UAV power: inf without a guarantee, 0
+        # where it needs all of q_max (the band where `gu_power_ic` clamps).
+        # The scalar 2.0 ** gamma: numpy's array power can differ in the
+        # last bit.
+        return np.array([max(s.g * s.q_max / (2.0 ** s.gamma - 1.0)
+                             - s.sigma2, 0.0) if 2.0 ** s.gamma > 1.0
+                         else math.inf for s in self.sites])
 
 
 @dataclass(frozen=True)

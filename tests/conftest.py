@@ -17,6 +17,13 @@ from uav_ic_planner.scenario import (DEFAULT_SCENARIO_YAML, ChannelParams,
                                      parse_scenario)
 
 
+# The built-in document with site 3's guarantee 1e-11 bps/Hz above its IC
+# rate at q_max (5 bps/Hz): inside the rounding band that
+# `check_feasibility` accepts, where the site's TIN cap on the UAV power is 0.
+EDGE_SCENARIO_YAML = "gamma_bpshz: 5.00000000001".join(
+    DEFAULT_SCENARIO_YAML.rsplit("gamma_bpshz: 2.0", 1))
+
+
 def make_site(pos=(0.0, 0.0), g=1e-7, sigma2=1e-8, q_max=1.0,
               gamma=2.0) -> GbsSite:
     return GbsSite(pos=pos, g=g, sigma2=sigma2, q_max=q_max, gamma=gamma)

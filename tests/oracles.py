@@ -44,8 +44,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from uav_ic_planner.benchmarks import shortest_site_tour
-from uav_ic_planner.ra_solver import (TIE_TOL, InternalConsistencyError,
-                                      solve_slot)
+from uav_ic_planner.ra_solver import TIE_TOL, solve_slot
 from uav_ic_planner.sca_trajectory import (ACTIVE_SLACK, ASCENT_STEPS,
                                            AUX_WEIGHT, SURROGATE_FEAS_TOL,
                                            Surrogate, _log_slope)
@@ -116,8 +115,6 @@ def solve_mode(tau, u, scenario: Scenario) -> ModeAllocation:
             h = a2g_gain(u, site, scenario.channel, uav.altitude)
             bracket = (site.g * site.q_max / (2.0 ** site.gamma - 1.0)
                        - site.sigma2) / h
-            if bracket < -1e-12 * uav.p_max:
-                raise InternalConsistencyError(f"site {k}: negative cap")
             cap = min(cap, max(bracket, 0.0))
     p = min(uav.p_max, cap)
     r = min(uav_rate(p, u, q[k], site, scenario.channel, uav.altitude)

@@ -5,7 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import yaml
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uav_ic_planner.benchmarks import (MAX_TSP_SITES, SCHEME_NAMES,
@@ -17,9 +18,10 @@ from uav_ic_planner.benchmarks import (MAX_TSP_SITES, SCHEME_NAMES,
 from uav_ic_planner.planner import InfeasibleScenario, evaluate_plan
 from uav_ic_planner.ra_solver import slot_rates_on_points, solve_slot
 from uav_ic_planner.sca_trajectory import REL_TOL
-from uav_ic_planner.scenario import Scenario, parse_scenario
+from uav_ic_planner.scenario import (Scenario, check_feasibility,
+                                     dbm_to_watts, parse_scenario)
 
-from conftest import (make_channel, make_site, make_uav,
+from conftest import (EDGE_SCENARIO_YAML, make_channel, make_site, make_uav,
                       random_feasible_scenario, single_site_scenario)
 from oracles import reference_hover_fly_waypoints, reference_site_tour
 
@@ -290,6 +292,75 @@ def test_upper_bound_certified_on_wide_draws(sc, seed):
     assert ub.throughput >= slot_rates_on_points(pts, sc).max()
     hover_rate = slot_rates_on_points(hover, sc)[0]
     assert hover_rate >= ub.throughput / (1.0 + REL_TOL)
+
+
+@st.composite
+def scenario_documents(draw):
+    """Scenario documents over the edge cases: K 1-4 sites on a square of
+    side 100 m, 1 km or 10 km, altitude 1 m, 100 m or 1-500 m, alpha 2 or
+    2-3, N in {1, 2, 3, 7, 30}. A site sits on u_init or on u_final one time
+    in ten each, and u_final on u_init one time in ten. T is the
+    straight-line time x {1, 1 +- 0.5e-4, 1 + 2e-4}, or x U(1, 3) + U(1, 60)
+    s. A guarantee is 0, the IC rate at q_max x (1 + eps) for eps at and
+    around the rounding band `check_feasibility` accepts, or 0-1.05 of the
+    IC rate at q_max."""
+    sigma2_dbm, q_max_dbm, v_max = -50.0, 30.0, 50.0
+    snr = dbm_to_watts(q_max_dbm) / dbm_to_watts(sigma2_dbm)
+    side = draw(st.sampled_from((100.0, 1e3, 1e4)))
+    point = st.tuples(st.floats(0.0, side), st.floats(0.0, side)).map(list)
+    u_init = draw(point)
+    u_final = list(u_init) if draw(st.integers(0, 9)) == 0 else draw(point)
+    sites = []
+    for _ in range(draw(st.integers(1, 4))):
+        spot = draw(st.integers(0, 9))
+        g = 1e-4 * draw(st.floats(6.0, 14.0)) ** -3.0
+        cap = [math.log2(1.0 + g * snr * (1.0 + eps))
+               for eps in (0.0, 1e-11, 3e-10, 9e-10, 2e-9)]
+        gamma = draw(st.just(0.0) | st.sampled_from(cap)
+                     | st.floats(0.0, 1.05).map(lambda f: f * cap[0]))
+        sites.append({"pos": list(u_init) if spot == 0 else list(u_final)
+                      if spot == 1 else draw(point), "g_linear": g,
+                      "sigma2_dbm": sigma2_dbm, "q_max_dbm": q_max_dbm,
+                      "gamma_bpshz": gamma})
+    t_line = math.dist(u_init, u_final) / v_max
+    if t_line > 0.0 and draw(st.booleans()):
+        t = t_line * draw(st.sampled_from((1.0, 1.0 - 0.5e-4, 1.0 + 0.5e-4,
+                                           1.0 + 2e-4)))
+    else:
+        t = t_line * draw(st.floats(1.0, 3.0)) + draw(st.floats(1.0, 60.0))
+    altitude = draw(st.sampled_from((1.0, 100.0)) | st.floats(1.0, 500.0))
+    return yaml.safe_dump({
+        "channel": {"beta0_db": -30.0,
+                    "alpha": draw(st.just(2.0) | st.floats(2.0, 3.0)),
+                    "theta0_db": -40.0, "epsilon": 3.0},
+        "uav": {"altitude_m": altitude, "v_max_mps": v_max,
+                "p_max_dbm": 30.0, "u_init": u_init, "u_final": u_final,
+                "T_s": t, "N": draw(st.sampled_from((1, 2, 3, 7, 30)))},
+        "sites": sites})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(doc=scenario_documents())
+@example(doc=EDGE_SCENARIO_YAML)
+def test_schemes_plan_exactly_what_check_feasibility_accepts(doc):
+    """Where `check_feasibility` says feasible, every scheme returns an
+    audited plan (hover-fly may find the mission too short for its tour);
+    where it says infeasible, every scheme raises InfeasibleScenario (or
+    hover-fly InsufficientDuration). Nothing else is raised. upper_bound is
+    left out: its certified search has no cap on its work, and coincident
+    sites make a plateau on which it holds tens of millions of squares."""
+    sc = parse_scenario(doc)
+    feasible = check_feasibility(sc).feasible
+    schemes = [s for s in SCHEME_NAMES if s != "upper_bound"]
+    for name, outcome in zip(schemes, run_schemes([(s, sc) for s in schemes])):
+        if (name == "successive_hover_fly"
+                and isinstance(outcome, InsufficientDuration)):
+            continue
+        if feasible:
+            assert not isinstance(outcome, Exception), (name, outcome)
+            assert evaluate_plan(outcome[0], sc).all_satisfied, name
+        else:
+            assert isinstance(outcome, InfeasibleScenario), (name, outcome)
 
 
 def test_upper_bound_memory_flat_in_spread(default_sc):

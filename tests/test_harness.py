@@ -12,7 +12,7 @@ import pytest
 
 import uav_ic_planner
 from uav_ic_planner import harness
-from uav_ic_planner.benchmarks import run_scheme
+from uav_ic_planner.benchmarks import SCHEME_NAMES, run_scheme
 from uav_ic_planner.harness import (EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_IO,
                                     EXIT_OK, SCHEMA_LINE, load_plan, main)
 from uav_ic_planner.planner import (ConvergenceTrace, Plan, evaluate_plan,
@@ -22,8 +22,9 @@ from uav_ic_planner.sca_trajectory import Trajectory, straight_line_trajectory
 from uav_ic_planner.scenario import (DEFAULT_SCENARIO_YAML, Scenario,
                                      default_scenario)
 
-from conftest import (dense_diagonal_scenario, make_channel, make_site,
-                      make_uav, random_feasible_scenario, scenario_yaml)
+from conftest import (EDGE_SCENARIO_YAML, dense_diagonal_scenario,
+                      make_channel, make_site, make_uav,
+                      random_feasible_scenario, scenario_yaml)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -55,6 +56,23 @@ def test_check_infeasible_exit_code(tmp_path, capsys):
     assert main(["check", "--scenario", str(path)]) == EXIT_INFEASIBLE
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+def test_cli_plans_the_edge_document(tmp_path, capsys):
+    """`check` accepts site 3's guarantee at 1e-11 bps/Hz above its IC rate
+    at q_max, so every scheme plans it and every sweep row is OK."""
+    path = tmp_path / "edge.yaml"
+    path.write_text(EDGE_SCENARIO_YAML)
+    assert main(["check", "--scenario", str(path)]) == EXIT_OK
+    for scheme in SCHEME_NAMES:
+        assert main(["plan", "--scenario", str(path), "--scheme", scheme,
+                     "--out", str(tmp_path / scheme)]) == EXIT_OK, scheme
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", str(path), "--param", "mission_T",
+                 "--values", "100,150", "--out", str(out)]) == EXIT_OK
+    _, rows = harness._read_table(out / "summary.csv")
+    assert len(rows) == 2 * len(SCHEME_NAMES)
+    assert all(row[5] == "OK" for row in rows)
 
 
 def test_plan_infeasible_names_failing_site(tmp_path, capsys):
@@ -153,6 +171,32 @@ def test_load_plan_rejects_truncated_tables(tmp_path, name, lines, message):
     with pytest.raises(ValueError,
                        match=f"^{re.escape(str(path))}: {message}$"):
         load_plan(tmp_path, sc, "proposed")
+
+
+@pytest.mark.parametrize("name, width", [("trajectory.csv", 4),
+                                         ("allocation.csv", 7)])
+@pytest.mark.parametrize("edit", ["short", "long", "non_numeric"])
+def test_load_plan_rejects_malformed_rows(tmp_path, name, width, edit):
+    """A row with a cell missing, an extra cell or a non-numeric cell fails
+    with ValueError naming the table and the row, not with a bare
+    IndexError, numpy's shape error or a silent load."""
+    sc = default_scenario()
+    plan, trace = run_scheme("straight_fly", sc)
+    harness.write_plan_tables(tmp_path, plan, sc, trace)
+    path = tmp_path / name
+    lines = path.read_text().splitlines(True)
+    cells = lines[4].rstrip().split(",")
+    cells, message = {
+        "short": (cells[:-1], f"{width - 1} cells, the header {width}"),
+        "long": (cells + ["0"], f"{width + 1} cells, the header {width}"),
+        "non_numeric": (cells[:-1] + ["abc"],
+                        "could not convert string to float: 'abc'"),
+    }[edit]
+    lines[4] = ",".join(cells) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: row 3: {message}")
+                       + "$"):
+        load_plan(tmp_path, sc, "straight_fly")
 
 
 def test_plan_upper_bound_writes_hover_point(tmp_path, capsys):

@@ -6,8 +6,7 @@ import pytest
 
 from uav_ic_planner.planner import evaluate_plan, make_plan
 from uav_ic_planner import ra_solver
-from uav_ic_planner.ra_solver import (InternalConsistencyError,
-                                      slot_rates_on_points,
+from uav_ic_planner.ra_solver import (slot_rates_on_points,
                                       solve_resource_allocation, solve_slot)
 from uav_ic_planner.sca_trajectory import Trajectory, straight_line_trajectory
 from uav_ic_planner.scenario import (GbsSite, InfeasibleSite, Scenario,
@@ -77,18 +76,24 @@ def test_unrepresentable_guarantee_raises_infeasible_site():
         assert exc.value.q_needed == math.inf
 
 
-def test_negative_tin_cap_raises_where_tin_is_possible():
-    # Site 1's guarantee needs 5e-10 more than its power limit: accepted as
-    # rounding for IC, but it leaves a negative UAV power cap under TIN.
+def edge_scenario() -> Scenario:
+    """Site 1's guarantee needs 5e-10 more than its power limit: accepted as
+    rounding for IC (its IC power is clamped to q_max), and its TIN cap on
+    the UAV power is 0."""
     site = make_site(pos=(0.0, 0.0))
     q = site.q_max * (1.0 + 5e-10)
     edge = dataclasses.replace(
         site, gamma=math.log2(1.0 + site.g * q / site.sigma2))
-    sc = Scenario(channel=make_channel(), sites=(site, edge),
-                  uav=make_uav(u_init=(0.0, 0.0), u_final=(0.0, 0.0)))
+    return Scenario(channel=make_channel(), sites=(site, edge),
+                    uav=make_uav(u_init=(0.0, 0.0), u_final=(0.0, 0.0)))
+
+
+def test_zero_tin_cap_decodes_at_the_edge_site():
+    sc = edge_scenario()
+    assert sc.tin_cap_numer[1] == 0.0
     for mc in ("any", "egoistic"):
-        with pytest.raises(InternalConsistencyError, match="site 1"):
-            solve_slot([(0.0, 0.0)], sc, mc)
+        tau, _, p, r = slot((0.0, 0.0), sc, mc)
+        assert tau[1] == 1 and p > 0 and r > 0
     assert slot((0.0, 0.0), sc, "altruistic")[0] == (1, 1)
 
 
@@ -178,18 +183,11 @@ def test_vectorized_solve_mode_matches_oracle(rng):
 
 
 def test_vectorized_solve_mode_rejects_bad_modes():
-    site = make_site(pos=(0.0, 0.0))
-    q = site.q_max * (1.0 + 5e-10)
-    edge = dataclasses.replace(
-        site, gamma=math.log2(1.0 + site.g * q / site.sigma2))
-    sc = Scenario(channel=make_channel(), sites=(site, edge),
-                  uav=make_uav(u_init=(0.0, 0.0), u_final=(0.0, 0.0)))
+    sc = edge_scenario()
     with pytest.raises(ValueError, match="at least one site"):
         ra_solver.solve_mode([[False, False]], [(0.0, 0.0)], sc)
-    # Site 1's negative cap matters only where site 1 treats the UAV as noise.
-    with pytest.raises(InternalConsistencyError, match="site 1"):
-        ra_solver.solve_mode([[True, True], [True, False]],
-                             [(0.0, 0.0)] * 2, sc)
+    # Site 1's zero cap silences the UAV only where site 1 treats it as noise.
+    assert ra_solver.solve_mode([[True, False]], [(0.0, 0.0)], sc).p[0] == 0.0
     assert ra_solver.solve_mode([[False, True]], [(0.0, 0.0)], sc).p[0] > 0
 
 
