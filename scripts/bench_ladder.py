@@ -29,15 +29,16 @@ row. Each pass of a rung also records `steal_ticks`, the CPU time the
 hypervisor gave to other guests while it ran (see `steal_ticks`), so that
 a slow pass can be matched against stolen time, and `work`, the
 deterministic work counts of `work_counts.counted` (SCA colour passes,
-column-passes, `Surrogate._at` and `_ascent_direction` calls, RA passes)
-of one more plan of a one-plan rung, or one more sweep, run untimed after
-the timed ones. A rung whose plans differ between the plans of one pass,
-or whose plans or work counts differ between passes of one column, is an
-error. The `paired` section holds, for every column after the first and
-per rung, its ratio to the first column within each alternation pair
-(wall and CPU), their median and the pairs it won (ratio below 1), the
-sign test's interval on the median wall ratio (at least 95 % coverage
-where the pairs allow it, see `sign_interval`) and a verdict. Naming the
+column-passes, `Surrogate._at` and `_ascent_direction` calls, RA passes,
+surrogate solves that ran the whole sweep budget) of one more plan of a
+one-plan rung, or one more sweep, run untimed after the timed ones. A
+rung whose plans differ between the plans of one pass, or whose plans or
+work counts differ between passes of one column, is an error. The
+`paired` section holds, for every column after the first and per rung,
+its ratio to the first column within each alternation pair (wall and
+CPU), their median and the pairs it won (ratio below 1), the sign test's
+interval on the median wall ratio (at least 95 % coverage where the pairs
+allow it, see `sign_interval`) and a verdict. Naming the
 parent twice, e.g. `parent=../base parent_again=../base change=.`, gives
 an A/A column (a later column with the first one's ROOT): the ratios that
 noise alone produces. The verdict is

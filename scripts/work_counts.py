@@ -14,6 +14,9 @@ more under cProfile with no wrapper. Prints one row per workload:
   directions      `_ascent_direction` calls
   ra_passes       `solve_resource_allocation` calls, as bound in `planner`
                   and in `benchmarks`
+  full_budget     problems still live when a `_sweep_stack` call returns
+                  after ASCENT_STEPS sweeps: surrogate solves that ran the
+                  whole sweep budget
   profiled_calls  cProfile's total function calls in the second invocation
 
 These counts repeat exactly from run to run and machine to machine, so two
@@ -36,7 +39,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COLUMNS = ("passes", "column_passes", "at_calls", "directions", "ra_passes",
-           "profiled_calls")
+           "full_budget", "profiled_calls")
 
 
 def _counted(counts: dict, key: str, fn, columns: str | None = None):
@@ -45,6 +48,15 @@ def _counted(counts: dict, key: str, fn, columns: str | None = None):
         if columns is not None:
             counts[columns] += args[0].shape[-1]
         return fn(*args, **kwargs)
+    return wrapper
+
+
+def _full_budget(counts: dict, fn, budget: int):
+    def wrapper(*args, **kwargs):
+        stop, done = fn(*args, **kwargs)
+        if done == budget:
+            counts["full_budget"] += int((~stop).sum())
+        return stop, done
     return wrapper
 
 
@@ -57,18 +69,21 @@ def counted():
     from uav_ic_planner import sca_trajectory as sca
 
     counts = dict.fromkeys(("clips", "clip_columns", "at_calls", "directions",
-                            "ra_passes"), 0)
+                            "ra_passes", "full_budget"), 0)
     hooks = [(sca, "_clip_to_disc", "clips", "clip_columns"),
              (sca.Surrogate, "_at", "at_calls", None),
              (sca, "_ascent_direction", "directions", None),
              (planner, "solve_resource_allocation", "ra_passes", None),
              (benchmarks, "solve_resource_allocation", "ra_passes", None)]
     saved = [(owner, attr, getattr(owner, attr)) for owner, attr, *_ in hooks]
+    saved.append((sca, "_sweep_stack", sca._sweep_stack))
     work: dict[str, int] = {}
     try:
         for owner, attr, key, columns in hooks:
             setattr(owner, attr,
                     _counted(counts, key, getattr(owner, attr), columns))
+        sca._sweep_stack = _full_budget(counts, sca._sweep_stack,
+                                        sca.ASCENT_STEPS)
         yield work
     finally:
         for owner, attr, original in saved:
@@ -77,7 +92,8 @@ def counted():
              "column_passes": counts["clip_columns"] // 2,
              "at_calls": counts["at_calls"],
              "directions": counts["directions"],
-             "ra_passes": counts["ra_passes"]}
+             "ra_passes": counts["ra_passes"],
+             "full_budget": counts["full_budget"]}
 
 
 def _invoke(main, argv: list[str]) -> None:

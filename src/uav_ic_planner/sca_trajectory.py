@@ -28,7 +28,10 @@ ASCENT_STEPS = 120        # red-black waypoint sweeps per surrogate subproblem
 SCA_MAX_ITERS = 50        # surrogate rebuilds per trajectory update
 REL_TOL = 1e-4            # relative objective gain that stops the SCA loop
 AUX_WEIGHT = 1e-6         # line-search pull on slots with a negative bound
-ACTIVE_SLACK = 1e-6       # bps/Hz, TIN guarantees this close are active
+# Moves slide along guarantees this close: at 1e-6 waypoints crept along curved
+# ones in mm steps up to the sweep cap, and sweeps fall with the slack up to
+# 1e-4, no further. A plan may leave ~1e-4 of a guarantee's headroom unused.
+ACTIVE_SLACK = 1e-4       # bps/Hz, TIN guarantees this close are active
 
 
 class ScaError(Exception):

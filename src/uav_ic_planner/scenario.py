@@ -291,6 +291,8 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(section, "missing required section")
     channel = ChannelParams(**_fields(doc["channel"], ChannelParams, "channel"))
     uav = UavParams(**_fields(doc["uav"], UavParams, "uav"))
+    if min(uav.altitude, 1.0) ** (channel.alpha + 2) < np.finfo(float).tiny:
+        raise ScenarioError("uav.altitude_m", "too low, altitude^(alpha+2) underflows")
 
     def gain(theta: float) -> float:  # at GU distance theta, by ground pathloss
         if theta <= 0:

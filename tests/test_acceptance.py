@@ -248,7 +248,7 @@ def test_criterion_5_scheme_ordering(t150_runs):
 
 
 # Adaptive IC's gain over egoistic decoding on the dense-sites draw 3 (K=8,
-# N=25, T=40 s), measured at 1.302484 vs 1.274549 bps/Hz (+2.19 %, straight
+# N=25, T=40 s), measured at 1.302489 vs 1.274552 bps/Hz (+2.19 %, straight
 # fly 1.054286). The test asks for half of that gap.
 ADAPTIVE_IC_MIN_GAIN = 0.01
 

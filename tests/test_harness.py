@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,8 @@ from uav_ic_planner.planner import (ConvergenceTrace, Plan, evaluate_plan,
 from uav_ic_planner.ra_solver import Allocation, solve_resource_allocation
 from uav_ic_planner.sca_trajectory import Trajectory, straight_line_trajectory
 from uav_ic_planner.scenario import (DEFAULT_SCENARIO_YAML, Scenario,
-                                     default_scenario)
+                                     ScenarioError, default_scenario,
+                                     parse_scenario)
 
 from conftest import (EDGE_SCENARIO_YAML, dense_diagonal_scenario,
                       make_channel, make_site, make_uav,
@@ -404,6 +406,35 @@ def test_plan_rejects_non_finite_scenario(tmp_path, capsys):
     assert code == EXIT_INTERNAL
     assert "uav.altitude_m" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("altitude, parses", [
+    ("1.0e-300", False), ("1.0e-150", False), ("1.0e-77", False),
+    ("1.0e-76", True)])
+def test_altitude_whose_geometry_underflows_is_rejected(tmp_path, capsys,
+                                                        altitude, parses):
+    """A waypoint above a site divides by altitude ** (alpha + 2) (the
+    gain's slope in the squared distance), so an altitude at which that
+    power underflows must not parse: at alpha = 2 the boundary lies between
+    1e-77 m and 1e-76 m. Above it, the plan meets no numpy warning."""
+    text = DEFAULT_SCENARIO_YAML.replace("altitude_m: 100.0",
+                                         f"altitude_m: {altitude}")
+    path, out = tmp_path / "low.yaml", tmp_path / "o"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        check = main(["check", "--scenario", str(path)])
+        code = main(["plan", "--scenario", str(path), "--out", str(out)])
+    if parses:
+        assert parse_scenario(text).uav.altitude == float(altitude)
+        assert (check, code) == (EXIT_OK, EXIT_OK)
+        return
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(text)
+    assert exc.value.path == "uav.altitude_m"
+    assert (check, code) == (EXIT_INTERNAL, EXIT_INTERNAL)
+    assert "uav.altitude_m" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_plan_tables_round_trip_k64(tmp_path):

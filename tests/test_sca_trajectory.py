@@ -21,9 +21,10 @@ from uav_ic_planner.sca_trajectory import (ACTIVE_SLACK, ASCENT_STEPS,
                                            verify_safe_step)
 from uav_ic_planner.scenario import LN2, Scenario
 
-from conftest import (make_channel, make_site, make_uav,
-                      random_feasible_scenario, single_site_scenario,
-                      surrogate_bounds, surrogate_coeff)
+from conftest import (dense_diagonal_scenario, make_channel, make_site,
+                      make_uav, random_feasible_scenario,
+                      single_site_scenario, surrogate_bounds,
+                      surrogate_coeff)
 from oracles import (fd_derivative_in_sqdist, gu_rate_tin, reference_sweep,
                      uav_rate)
 
@@ -206,17 +207,20 @@ def test_solve_surrogate_matches_disc_grid_search():
     assert got >= best - 1e-4
 
 
-def test_ascent_direction_slides_along_active_tin_guarantee():
+@pytest.mark.parametrize("slack", [0.0, 1e-5])
+def test_ascent_direction_slides_along_active_tin_guarantee(slack):
     """Where a surrogate TIN guarantee is active, the projected ascent
     direction must not decrease its left-hand side to first order, even
     though the unprojected gradient (toward the decoding site, past the
-    noise-treating one) would."""
+    noise-treating one) would. That holds also where the guarantee is
+    `slack` bps/Hz from binding, inside ACTIVE_SLACK: the waypoint slides
+    along it before it reaches it."""
     u = (100.0, 10.0)
     ch = make_channel()
     ic_site, tin_site = make_site(pos=(0.0, 0.0)), make_site(pos=(50.0, -40.0))
     p, q = 0.5, (0.3, 1.0)
-    # The guarantee of the noise-treating site holds with equality at u.
-    gamma = float(gu_rate_tin(p, u, q[1], tin_site, ch, 100.0))
+    # The guarantee of the noise-treating site holds `slack` above it at u.
+    gamma = float(gu_rate_tin(p, u, q[1], tin_site, ch, 100.0)) - slack
     tin_site = dataclasses.replace(tin_site, gamma=gamma)
     sc = Scenario(channel=ch, sites=(ic_site, tin_site),
                   uav=make_uav(u_init=u, u_final=u, mission_t=10.0,
@@ -481,6 +485,26 @@ def test_sweep_stops_when_movable_waypoints_converge(default_sc,
     # One evaluation per colour before the sweeps, then one per pass.
     assert len(evals) < 2 + 2 * ASCENT_STEPS
     assert got.tobytes() == want.tobytes()
+
+
+def test_dense_plan_does_not_creep_to_the_sweep_budget(monkeypatch):
+    """On the dense-sites draw (K=8, N=25, T=40 s) no surrogate solve runs
+    all ASCENT_STEPS sweeps: waypoints slide along the TIN guarantees within
+    ACTIVE_SLACK instead of creeping along them in millimetre steps until
+    the budget ends. The plan is no worse than the one that crept."""
+    full_budget = []
+    sweep = sca_trajectory._sweep_stack
+
+    def counted(*args):
+        stop, done = sweep(*args)
+        if done == ASCENT_STEPS:
+            full_budget.extend(np.flatnonzero(~stop).tolist())
+        return stop, done
+
+    monkeypatch.setattr(sca_trajectory, "_sweep_stack", counted)
+    plan, _ = solve(dense_diagonal_scenario(np.random.default_rng(3)))
+    assert full_budget == []
+    assert plan.avg_throughput >= 1.302484
 
 
 def test_verify_safe_step_detects_violation():
