@@ -30,8 +30,9 @@ hypervisor gave to other guests while it ran (see `steal_ticks`), so that
 a slow pass can be matched against stolen time, and `work`, the
 deterministic work counts of `work_counts.counted` (SCA colour passes,
 column-passes, `Surrogate._at` and `_ascent_direction` calls, RA passes,
-surrogate solves that ran the whole sweep budget) of one more plan of a
-one-plan rung, or one more sweep, run untimed after the timed ones. A
+surrogate solves that ran the whole sweep budget, problem-sweeps) of one
+more plan of a one-plan rung, or one more sweep, run untimed after the
+timed ones. A
 rung whose plans differ between the plans of one pass, or whose plans or
 work counts differ between passes of one column, is an error. The
 `paired` section holds, for every column after the first and per rung,

@@ -17,6 +17,9 @@ more under cProfile with no wrapper. Prints one row per workload:
   full_budget     problems still live when a `_sweep_stack` call returns
                   after ASCENT_STEPS sweeps: surrogate solves that ran the
                   whole sweep budget
+  problem_sweeps  per `_sweep_stack` call, its problems x the sweeps it
+                  ran: a problem that stops sooner saves its sweeps even
+                  where a stack partner keeps the colour passes going
   profiled_calls  cProfile's total function calls in the second invocation
 
 These counts repeat exactly from run to run and machine to machine, so two
@@ -39,7 +42,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COLUMNS = ("passes", "column_passes", "at_calls", "directions", "ra_passes",
-           "full_budget", "profiled_calls")
+           "full_budget", "problem_sweeps", "profiled_calls")
 
 
 def _counted(counts: dict, key: str, fn, columns: str | None = None):
@@ -51,9 +54,10 @@ def _counted(counts: dict, key: str, fn, columns: str | None = None):
     return wrapper
 
 
-def _full_budget(counts: dict, fn, budget: int):
-    def wrapper(*args, **kwargs):
-        stop, done = fn(*args, **kwargs)
+def _sweeps(counts: dict, fn, budget: int):
+    def wrapper(surrogates, *args):
+        stop, done = fn(surrogates, *args)
+        counts["problem_sweeps"] += len(surrogates) * (done - args[-1])
         if done == budget:
             counts["full_budget"] += int((~stop).sum())
         return stop, done
@@ -69,7 +73,7 @@ def counted():
     from uav_ic_planner import sca_trajectory as sca
 
     counts = dict.fromkeys(("clips", "clip_columns", "at_calls", "directions",
-                            "ra_passes", "full_budget"), 0)
+                            "ra_passes", "full_budget", "problem_sweeps"), 0)
     hooks = [(sca, "_clip_to_disc", "clips", "clip_columns"),
              (sca.Surrogate, "_at", "at_calls", None),
              (sca, "_ascent_direction", "directions", None),
@@ -82,8 +86,8 @@ def counted():
         for owner, attr, key, columns in hooks:
             setattr(owner, attr,
                     _counted(counts, key, getattr(owner, attr), columns))
-        sca._sweep_stack = _full_budget(counts, sca._sweep_stack,
-                                        sca.ASCENT_STEPS)
+        sca._sweep_stack = _sweeps(counts, sca._sweep_stack,
+                                   sca.ASCENT_STEPS)
         yield work
     finally:
         for owner, attr, original in saved:
@@ -93,7 +97,8 @@ def counted():
              "at_calls": counts["at_calls"],
              "directions": counts["directions"],
              "ra_passes": counts["ra_passes"],
-             "full_budget": counts["full_budget"]}
+             "full_budget": counts["full_budget"],
+             "problem_sweeps": counts["problem_sweeps"]}
 
 
 def _invoke(main, argv: list[str]) -> None:

@@ -367,9 +367,9 @@ def _sweep_stack(surrogates: list[Surrogate], waypoints: list[np.ndarray],
                 np.copyto(step, np.minimum(step * 1.5, reach) * movable,
                           where=accept)
             np.multiply(step, 0.5, out=step, where=~accept)
-        # A problem stops once its steps have collapsed and it accepted no
-        # move, i.e. no waypoint changed (a move raises its slot's objective).
-        collapsed = np.maximum.reduceat(step_all, starts) < 1e-9 * v_steps
+        # A problem stops once its steps are below REL_TOL of a slot's reach
+        # and no waypoint changed (a move raises its slot's objective).
+        collapsed = np.maximum.reduceat(step_all, starts) < REL_TOL * v_steps
         if np.logical_or.reduce(collapsed):
             changed = np.logical_or.reduce(planes != before)
             stop = collapsed & ~np.logical_or.reduceat(changed, starts)

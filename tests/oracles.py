@@ -46,8 +46,9 @@ import numpy as np
 from uav_ic_planner.benchmarks import shortest_site_tour
 from uav_ic_planner.ra_solver import TIE_TOL, solve_slot
 from uav_ic_planner.sca_trajectory import (ACTIVE_SLACK, ASCENT_STEPS,
-                                           AUX_WEIGHT, SURROGATE_FEAS_TOL,
-                                           Surrogate, _log_slope)
+                                           AUX_WEIGHT, REL_TOL,
+                                           SURROGATE_FEAS_TOL, Surrogate,
+                                           _log_slope)
 from uav_ic_planner.scenario import LN2, Scenario, gu_power_ic
 
 
@@ -315,6 +316,7 @@ def reference_sweep(surrogate: Surrogate, u: np.ndarray) -> bool:
                                   _surrogate_at(surrogate, cur, slots), slots)
             gnorm = np.linalg.norm(g, axis=1)
             movable = gnorm > 1e-18
+            step[grp[~movable]] = 0.0
             if not np.any(movable):
                 continue
             direction = np.zeros_like(g)
@@ -337,7 +339,7 @@ def reference_sweep(surrogate: Surrogate, u: np.ndarray) -> bool:
                 accepted_any = True
             reject = movable & ~accept
             step[grp[reject]] *= 0.5
-        if not moved and float(step[interior].max()) < 1e-9 * v_step:
+        if not moved and float(step[interior].max()) < REL_TOL * v_step:
             break
     return accepted_any
 

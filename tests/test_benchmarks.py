@@ -1,7 +1,9 @@
 import dataclasses
 import itertools
 import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,9 @@ from uav_ic_planner.benchmarks import (MAX_TSP_SITES, SCHEME_NAMES,
                                        shortest_site_tour,
                                        straight_fly, successive_hover_fly,
                                        upper_bound)
-from uav_ic_planner.planner import InfeasibleScenario, evaluate_plan
+from uav_ic_planner.harness import load_plan, write_plan_tables
+from uav_ic_planner.planner import (SCHEME_MODES, InfeasibleScenario,
+                                    evaluate_plan)
 from uav_ic_planner.ra_solver import slot_rates_on_points, solve_slot
 from uav_ic_planner.sca_trajectory import REL_TOL
 from uav_ic_planner.scenario import (Scenario, check_feasibility,
@@ -348,19 +352,36 @@ def test_schemes_plan_exactly_what_check_feasibility_accepts(doc):
     where it says infeasible, every scheme raises InfeasibleScenario (or
     hover-fly InsufficientDuration). Nothing else is raised. upper_bound is
     left out: its certified search has no cap on its work, and coincident
-    sites make a plateau on which it holds tens of millions of squares."""
+    sites make a plateau on which it holds tens of millions of squares.
+    The planner's schemes, stacked in that one `run_schemes` call, fly each
+    scheme's `run_scheme` waypoints byte for byte (or raise its error), and
+    every plan still passes the audit, its objective matching, once written
+    by `write_plan_tables` and read back by `load_plan`."""
     sc = parse_scenario(doc)
     feasible = check_feasibility(sc).feasible
     schemes = [s for s in SCHEME_NAMES if s != "upper_bound"]
     for name, outcome in zip(schemes, run_schemes([(s, sc) for s in schemes])):
+        if name in SCHEME_MODES:
+            try:
+                alone = run_scheme(name, sc)[0].trajectory.waypoints
+            except Exception as exc:  # noqa: BLE001 - compared below
+                assert (type(outcome) is type(exc)
+                        and str(outcome) == str(exc)), name
+            else:
+                assert (outcome[0].trajectory.waypoints.tobytes()
+                        == alone.tobytes()), name
         if (name == "successive_hover_fly"
                 and isinstance(outcome, InsufficientDuration)):
             continue
-        if feasible:
-            assert not isinstance(outcome, Exception), (name, outcome)
-            assert evaluate_plan(outcome[0], sc).all_satisfied, name
-        else:
+        if not feasible:
             assert isinstance(outcome, InfeasibleScenario), (name, outcome)
+            continue
+        assert not isinstance(outcome, Exception), (name, outcome)
+        assert evaluate_plan(outcome[0], sc).all_satisfied, name
+        with tempfile.TemporaryDirectory() as tmp:
+            write_plan_tables(Path(tmp), outcome[0], sc, outcome[1])
+            report = evaluate_plan(load_plan(Path(tmp), sc, name), sc)
+        assert report.all_satisfied and report.objective_matches, name
 
 
 def test_upper_bound_memory_flat_in_spread(default_sc):

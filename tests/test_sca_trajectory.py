@@ -303,12 +303,12 @@ def _sweep_case(name, default_sc):
         return build_surrogate(traj, allocs, sc), traj.waypoints
     if name == "k64":
         # The trajectory step slides waypoints along active guarantees
-        # until a second one binds; re-allocate there.
+        # until a second one binds; rebuild the surrogate there, under the
+        # allocation that step ran with.
         sc = _dense_sites_draw(default_sc, seed=0, k=64, n_slots=10)
         traj = straight_line_trajectory(sc.uav)
         allocs, _ = solve_resource_allocation(traj, sc, "any")
         traj = optimize_trajectory(traj, allocs, sc).trajectory
-        allocs, _ = solve_resource_allocation(traj, sc, "any")
         return build_surrogate(traj, allocs, sc), traj.waypoints
     if name == "dense_sites":
         sc = _dense_sites_draw(default_sc)
@@ -459,9 +459,10 @@ def test_sweep_stops_when_movable_waypoints_converge(default_sc,
                                                     monkeypatch):
     """At the default plan, u[150] sits above the site at (750, 750) that
     decodes it, with a zero direction; the sweeps end once the movable
-    waypoints' steps have collapsed instead of running all ASCENT_STEPS,
-    and move nothing the reference would. With no move accepted, the
-    ascent direction is computed once per colour and never again."""
+    waypoints' steps, 0.25 of a slot's reach halved once per sweep, are
+    below REL_TOL of it, and move nothing the reference would. With no
+    move accepted, the ascent direction is computed once per colour and
+    never again."""
     plan, _ = solve(default_sc)
     local = plan.trajectory.waypoints
     surro = build_surrogate(plan.trajectory, plan.allocations, default_sc)
@@ -482,8 +483,10 @@ def test_sweep_stops_when_movable_waypoints_converge(default_sc,
     assert reference_sweep(surro, want) is False
     assert _solve_in_place([surro], [got]) == [False]
     assert len(calls) == 2
-    # One evaluation per colour before the sweeps, then one per pass.
-    assert len(evals) < 2 + 2 * ASCENT_STEPS
+    # One evaluation per colour before the sweeps, then one per pass, for
+    # the sweeps it takes to halve 0.25 below REL_TOL (12 at 1e-4).
+    sweeps = math.floor(math.log2(0.25 / sca_trajectory.REL_TOL)) + 1
+    assert len(evals) == 2 + 2 * sweeps
     assert got.tobytes() == want.tobytes()
 
 
